@@ -61,6 +61,7 @@ let () =
       ("optimizer", Test_optimizer.tests);
       ("scenarios", Test_scenarios.tests);
       ("figures", Test_figures.tests);
+      ("golden-sims", Test_golden_sims.tests);
       ("data-tables", Test_data_tables.tests);
       ("analysis", Test_analysis.tests);
       ("lint", Test_lint.tests);
