@@ -323,21 +323,22 @@ let run_sim_bench ~smoke =
   let duration = if smoke then 8. else 24. in
   let reps = 3 in
   let config seed =
-    {
-      Dumbbell.service = Dumbbell.Rate_mbps 15.;
-      qdisc = Dumbbell.Droptail 120;
-      flows =
-        Array.init 2 (fun _ ->
-            {
-              Dumbbell.cc = Remycc.factory tree;
-              rtt = 0.1;
-              workload = Remy_sim.Workload.by_time ~mean_on:1.0 ~mean_off:0.5;
-              start = `Off_draw;
-            });
-      duration;
-      seed;
-      min_rto = Dumbbell.default_min_rto;
-    }
+    Topology.dumbbell
+      {
+        Dumbbell.service = Dumbbell.Rate_mbps 15.;
+        qdisc = Dumbbell.Droptail 120;
+        flows =
+          Array.init 2 (fun _ ->
+              {
+                Dumbbell.cc = Remycc.factory tree;
+                rtt = 0.1;
+                workload = Remy_sim.Workload.by_time ~mean_on:1.0 ~mean_off:0.5;
+                start = `Off_draw;
+              });
+        duration;
+        seed;
+        min_rto = Dumbbell.default_min_rto;
+      }
   in
   (* Snapshot-diff instead of a process-wide reset, so concurrent report
      sections (the macrobench just ran) keep their own attribution. *)
@@ -346,7 +347,7 @@ let run_sim_bench ~smoke =
   let mw0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   for r = 1 to reps do
-    ignore (Dumbbell.run (config (1000 + r)))
+    ignore (Topology.run (config (1000 + r)))
   done;
   let wall = Unix.gettimeofday () -. t0 in
   let minor_words = Gc.minor_words () -. mw0 in
@@ -403,36 +404,13 @@ let pp_sim fmt (s : sim_result) =
     s.sb_acks_per_sec s.sb_lookups_per_sec s.sb_tree_lookups_per_sec
     s.sb_minor_words_per_sim_s s.sb_pool_hit_rate
 
-(* --- wheel-vs-heap agenda microbench ---------------------------------- *)
+(* --- agenda hold microbench ------------------------------------------- *)
 
 (* The classic "hold" benchmark for event queues: preload N pending
    events, then repeatedly pop the minimum and push a replacement a
    random delta later, which is exactly the steady-state access pattern
-   of the simulator agenda.  The heap is O(log n) per hold, the wheel
-   amortized O(1); the gap should widen with N. *)
-type hold_result = {
-  hd_pending : int;
-  hd_ops : int;
-  hd_wheel_ops_per_sec : float;
-  hd_heap_ops_per_sec : float;
-}
-
-let hold_heap ~pending ~ops =
-  let open Remy_util in
-  let rng = Prng.create 7 in
-  let h = Heap.create () in
-  for i = 0 to pending - 1 do
-    Heap.push h (Prng.float rng 1.0) i
-  done;
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to ops do
-    let p = Heap.min_prio h in
-    let v = Heap.pop_exn h in
-    Heap.push h (p +. Prng.float rng 0.01) v
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  ignore (Sys.opaque_identity (Heap.size h));
-  float_of_int ops /. wall
+   of the simulator agenda (amortized O(1) per hold on the wheel). *)
+type hold_result = { hd_pending : int; hd_ops : int; hd_wheel_ops_per_sec : float }
 
 let hold_wheel ~pending ~ops =
   let open Remy_util in
@@ -451,42 +429,30 @@ let hold_wheel ~pending ~ops =
   ignore (Sys.opaque_identity (Timing_wheel.size w));
   float_of_int ops /. wall
 
-let run_wheel_vs_heap ~smoke =
+let run_hold ~smoke =
   List.map
     (fun pending ->
       let ops =
         let base = if pending >= 65536 then 1_000_000 else 2_000_000 in
         if smoke then base / 4 else base
       in
-      {
-        hd_pending = pending;
-        hd_ops = ops;
-        hd_wheel_ops_per_sec = hold_wheel ~pending ~ops;
-        hd_heap_ops_per_sec = hold_heap ~pending ~ops;
-      })
+      { hd_pending = pending; hd_ops = ops; hd_wheel_ops_per_sec = hold_wheel ~pending ~ops })
     [ 64; 4096; 65536 ]
 
 let pp_hold fmt (rows : hold_result list) =
   Format.fprintf fmt
-    "@.==== Agenda hold benchmark (pop-min + push replacement) ====@.@.%-10s \
-     %14s %14s %8s@."
-    "pending" "wheel ops/s" "heap ops/s" "ratio";
+    "@.==== Agenda hold benchmark (pop-min + push replacement) ====@.@.%-10s %14s@."
+    "pending" "wheel ops/s";
   List.iter
-    (fun r ->
-      Format.fprintf fmt "%-10d %14.0f %14.0f %7.2fx@." r.hd_pending
-        r.hd_wheel_ops_per_sec r.hd_heap_ops_per_sec
-        (r.hd_wheel_ops_per_sec /. r.hd_heap_ops_per_sec))
+    (fun r -> Format.fprintf fmt "%-10d %14.0f@." r.hd_pending r.hd_wheel_ops_per_sec)
     rows
 
 (* --- flow-scale simulator benchmark ----------------------------------- *)
 
-(* The tentpole measurement: end-to-end simulator throughput as the
-   flow count grows, on the multi-bottleneck topologies.  Two arms per
-   configuration — the timing-wheel agenda driving the SoA sender fleet
-   versus the binary-heap agenda driving per-record senders (the
-   pre-PR architecture) — both bit-identical in results, so the ratio
-   is a pure wall-time speedup.  Pool hit rates report how well the
-   BDP-based pre-sizing fits each scenario. *)
+(* End-to-end simulator throughput as the flow count grows, on the
+   multi-bottleneck topologies, with RemyCC senders on the SoA fleet.
+   Pool hit rates report how well the BDP-based pre-sizing fits each
+   scenario. *)
 type scale_arm = {
   sa_wall_s : float;
   sa_events : int;
@@ -500,8 +466,7 @@ type scale_row = {
   sc_scenario : string;
   sc_flows : int;
   sc_sim_s : float;
-  sc_wheel : scale_arm; (* timing-wheel agenda + SoA fleet *)
-  sc_heap : scale_arm; (* heap agenda + per-record senders *)
+  sc_arm : scale_arm;
 }
 
 let arm_of_rep wall (snap : Remy_obs.Counters.snapshot) =
@@ -528,67 +493,27 @@ let arm_of_rep wall (snap : Remy_obs.Counters.snapshot) =
    back-to-back before the next arm's biases any ratio between them;
    interleaving spreads a slow window across all arms, and the
    per-arm minimum converges on the code's real speed. *)
-let measure_arms ~reps (arms : (bool * (unit -> unit)) list) =
+let measure_arms ~reps (arms : (unit -> unit) list) =
   let n = List.length arms in
   let best = Array.make n infinity and snaps = Array.make n None in
-  Fun.protect
-    ~finally:(fun () -> Remy_sim.Engine.use_wheel true)
-    (fun () ->
-      for _ = 1 to reps do
-        List.iteri
-          (fun i (wheel, body) ->
-            Remy_sim.Engine.use_wheel wheel;
-            let c0 = Remy_obs.Counters.snapshot () in
-            let t0 = Unix.gettimeofday () in
-            body ();
-            let wall = Unix.gettimeofday () -. t0 in
-            let snap =
-              Remy_obs.Counters.diff (Remy_obs.Counters.snapshot ()) c0
-            in
-            if wall < best.(i) then begin
-              best.(i) <- wall;
-              snaps.(i) <- Some snap
-            end)
-          arms
-      done);
-  Array.to_list
-    (Array.init n (fun i -> arm_of_rep best.(i) (Option.get snaps.(i))))
+  for _ = 1 to reps do
+    List.iteri
+      (fun i body ->
+        let c0 = Remy_obs.Counters.snapshot () in
+        let t0 = Unix.gettimeofday () in
+        body ();
+        let wall = Unix.gettimeofday () -. t0 in
+        let snap = Remy_obs.Counters.diff (Remy_obs.Counters.snapshot ()) c0 in
+        if wall < best.(i) then begin
+          best.(i) <- wall;
+          snaps.(i) <- Some snap
+        end)
+      arms
+  done;
+  Array.to_list (Array.init n (fun i -> arm_of_rep best.(i) (Option.get snaps.(i))))
 
-let scale_body ~fleet tree (config : unit -> Remy_cc.Topology.config) () =
-  if fleet then
-    ignore
-      (Remy_cc.Topology.run ~sender_factory:(Remy.Fleet.factory tree) (config ()))
-  else ignore (Remy_cc.Topology.run (config ()))
-
-(* The incast baseline arm runs the PRE-PR architecture end to end:
-   [Dumbbell.run] (per-flow sender and receiver records, closure
-   wiring) on the heap agenda.  The default incast topology is a
-   single link with routes [|0|], for which test_topology proves the
-   two runners bit-identical flow for flow — so the speedup is pure
-   wall time, old stack vs new stack, on identical work. *)
-let dumbbell_body tree ~n ~rtt_s ~burst_kb ~period_s ~duration () =
-  let open Remy_cc in
-  let flows =
-    Array.init n (fun _ ->
-        {
-          Dumbbell.cc = Remy.Remycc.factory tree;
-          rtt = rtt_s;
-          workload =
-            Remy_sim.Workload.incast ~burst_bytes:(burst_kb *. 1e3)
-              ~period:period_s;
-          start = `Immediate;
-        })
-  in
-  ignore
-    (Dumbbell.run
-       {
-         Dumbbell.service = Dumbbell.Rate_mbps 1000.;
-         qdisc = Dumbbell.Droptail 1000;
-         flows;
-         duration;
-         seed = 71;
-         min_rto = Dumbbell.default_min_rto;
-       })
+let scale_body tree (config : unit -> Remy_cc.Topology.config) () =
+  ignore (Remy_cc.Topology.run ~sender_factory:(Remy.Fleet.factory tree) (config ()))
 
 let run_sim_scale ~smoke =
   let open Remy_cc in
@@ -618,28 +543,11 @@ let run_sim_scale ~smoke =
           ~start:`Off_draw
           ~duration:(parking_dur *. scale) ~seed:72 ()
       in
-      let incast_wheel, incast_heap =
+      let incast, parking =
         match
-          measure_arms ~reps
-            [
-              (true, scale_body ~fleet:true tree incast_cfg);
-              ( false,
-                dumbbell_body tree ~n ~rtt_s ~burst_kb ~period_s
-                  ~duration:(incast_dur *. scale) );
-            ]
+          measure_arms ~reps [ scale_body tree incast_cfg; scale_body tree parking_cfg ]
         with
-        | [ w; h ] -> (w, h)
-        | _ -> assert false
-      in
-      let parking_wheel, parking_heap =
-        match
-          measure_arms ~reps
-            [
-              (true, scale_body ~fleet:true tree parking_cfg);
-              (false, scale_body ~fleet:false tree parking_cfg);
-            ]
-        with
-        | [ w; h ] -> (w, h)
+        | [ i; p ] -> (i, p)
         | _ -> assert false
       in
       [
@@ -647,31 +555,26 @@ let run_sim_scale ~smoke =
           sc_scenario = "incast";
           sc_flows = n;
           sc_sim_s = (incast_cfg ()).Topology.duration;
-          sc_wheel = incast_wheel;
-          sc_heap = incast_heap;
+          sc_arm = incast;
         };
         {
           sc_scenario = "parkinglot";
           sc_flows = n;
           sc_sim_s = (parking_cfg ()).Topology.duration;
-          sc_wheel = parking_wheel;
-          sc_heap = parking_heap;
+          sc_arm = parking;
         };
       ])
     cells
 
 let pp_scale fmt (rows : scale_row list) =
   Format.fprintf fmt
-    "@.==== Flow-scale benchmark (wheel+fleet vs pre-PR heap stack) ====@.@.%-12s \
-     %6s %6s %13s %13s %8s %9s@."
-    "scenario" "flows" "sim s" "events/s" "baseline" "speedup" "pool hit";
+    "@.==== Flow-scale benchmark (timing wheel + SoA fleet) ====@.@.%-12s %6s %6s \
+     %13s %9s@."
+    "scenario" "flows" "sim s" "events/s" "pool hit";
   List.iter
     (fun r ->
-      Format.fprintf fmt "%-12s %6d %6.2g %13.0f %13.0f %7.2fx %9.3f@."
-        r.sc_scenario r.sc_flows r.sc_sim_s r.sc_wheel.sa_events_per_sec
-        r.sc_heap.sa_events_per_sec
-        (r.sc_wheel.sa_events_per_sec /. r.sc_heap.sa_events_per_sec)
-        r.sc_wheel.sa_pool_hit_rate)
+      Format.fprintf fmt "%-12s %6d %6.2g %13.0f %9.3f@." r.sc_scenario r.sc_flows
+        r.sc_sim_s r.sc_arm.sa_events_per_sec r.sc_arm.sa_pool_hit_rate)
     rows
 
 (* --- machine-readable output ------------------------------------------ *)
@@ -703,20 +606,16 @@ let counters_json (c : Remy_obs.Counters.snapshot) =
 
 (* The gate's extractor finds the FIRST occurrence of a quoted key, so
    every numeric key below is globally unique across the document:
-   hold rows are prefixed wheel_/heap_ + the pending count, scale rows
-   by scenario + flow count (baseline_ marks the heap+records arm). *)
+   hold rows carry the pending count, scale rows the scenario and flow
+   count. *)
 let hold_json oc (rows : hold_result list) =
   let out fmt = Printf.fprintf oc fmt in
-  out "  \"wheel_vs_heap\": {\n";
+  out "  \"agenda_hold\": {\n";
   List.iteri
     (fun i (r : hold_result) ->
       out "    \"hold%d_ops\": %d,\n" r.hd_pending r.hd_ops;
-      out "    \"wheel_hold%d_ops_per_sec\": %s,\n" r.hd_pending
-        (json_float r.hd_wheel_ops_per_sec);
-      out "    \"heap_hold%d_ops_per_sec\": %s,\n" r.hd_pending
-        (json_float r.hd_heap_ops_per_sec);
-      out "    \"hold%d_ratio\": %s%s\n" r.hd_pending
-        (json_float (r.hd_wheel_ops_per_sec /. r.hd_heap_ops_per_sec))
+      out "    \"wheel_hold%d_ops_per_sec\": %s%s\n" r.hd_pending
+        (json_float r.hd_wheel_ops_per_sec)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  },\n"
@@ -728,21 +627,11 @@ let scale_json oc (rows : scale_row list) =
     (fun i (r : scale_row) ->
       let key = Printf.sprintf "%s%d" r.sc_scenario r.sc_flows in
       out "    \"%s_sim_s\": %s,\n" key (json_float r.sc_sim_s);
-      out "    \"%s_events\": %d,\n" key r.sc_wheel.sa_events;
-      out "    \"%s_events_per_sec\": %s,\n" key
-        (json_float r.sc_wheel.sa_events_per_sec);
-      out "    \"%s_acks_per_sec\": %s,\n" key
-        (json_float r.sc_wheel.sa_acks_per_sec);
-      out "    \"%s_pool_hit_rate\": %s,\n" key
-        (json_float r.sc_wheel.sa_pool_hit_rate);
-      out "    \"%s_baseline_events_per_sec\": %s,\n" key
-        (json_float r.sc_heap.sa_events_per_sec);
-      out "    \"%s_baseline_acks_per_sec\": %s,\n" key
-        (json_float r.sc_heap.sa_acks_per_sec);
-      out "    \"%s_baseline_pool_hit_rate\": %s,\n" key
-        (json_float r.sc_heap.sa_pool_hit_rate);
-      out "    \"%s_speedup\": %s%s\n" key
-        (json_float (r.sc_wheel.sa_events_per_sec /. r.sc_heap.sa_events_per_sec))
+      out "    \"%s_events\": %d,\n" key r.sc_arm.sa_events;
+      out "    \"%s_events_per_sec\": %s,\n" key (json_float r.sc_arm.sa_events_per_sec);
+      out "    \"%s_acks_per_sec\": %s,\n" key (json_float r.sc_arm.sa_acks_per_sec);
+      out "    \"%s_pool_hit_rate\": %s%s\n" key
+        (json_float r.sc_arm.sa_pool_hit_rate)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  },\n"
@@ -860,20 +749,12 @@ let gated_metrics =
     "events_per_sec";
     "acks_per_sec";
     "lookups_per_sec";
-    (* Agenda hold throughput at simulator-scale pending counts. *)
+    (* Agenda hold throughput at a simulator-scale pending count. *)
     "wheel_hold4096_ops_per_sec";
-    "heap_hold4096_ops_per_sec";
-    (* Flow-scale end-to-end throughput (wheel+fleet arm) at the
-       4096-flow target, plus its baseline arm so the pre-PR
-       architecture cannot silently rot either. *)
+    (* Flow-scale end-to-end throughput at the 4096-flow target. *)
     "incast4096_events_per_sec";
     "incast4096_acks_per_sec";
     "parkinglot4096_events_per_sec";
-    (* Ratio metrics: both arms run back-to-back in one process, so
-       these survive machine-wide speed swings that would trip the
-       absolute rates above. *)
-    "hold4096_ratio";
-    "incast4096_speedup";
   ]
 
 let run_gate ?(metrics = gated_metrics) ~tolerance ~candidate ~baseline () =
@@ -967,10 +848,8 @@ let run full only micro_only replications duration seed out json smoke
     Format.fprintf fmt "running simulator microbench...@.";
     let sim = Remy_obs.Profiler.span "sim_micro" (fun () -> run_sim_bench ~smoke) in
     pp_sim fmt sim;
-    Format.fprintf fmt "running wheel-vs-heap hold benchmark...@.";
-    let hold =
-      Remy_obs.Profiler.span "wheel_vs_heap" (fun () -> run_wheel_vs_heap ~smoke)
-    in
+    Format.fprintf fmt "running agenda hold benchmark...@.";
+    let hold = Remy_obs.Profiler.span "agenda_hold" (fun () -> run_hold ~smoke) in
     pp_hold fmt hold;
     Format.fprintf fmt "running flow-scale benchmark...@.";
     let scale =

@@ -157,20 +157,20 @@ let run link rtt_ms senders workload_kind mean_kb mean_on mean_off duration
                   })
             in
             let r =
-              Remy_cc.Dumbbell.run
+              Remy_cc.Topology.run
                 ~tracer:(if rep = 0 then tracer else Remy_obs.Trace.off)
-                ?probe_interval
-                {
-                  Remy_cc.Dumbbell.service;
-                  qdisc =
-                    Remy_cc.Dumbbell.With_loss
-                      (loss, Schemes.qdisc_spec scheme ~capacity);
-                  flows;
-                  duration;
-                  seed = seed + rep;
-                  min_rto = Remy_cc.Dumbbell.default_min_rto;
-                }
-                ~faults
+                ?probe_interval ~faults
+                (Remy_cc.Topology.dumbbell
+                   {
+                     Remy_cc.Dumbbell.service;
+                     qdisc =
+                       Remy_cc.Dumbbell.With_loss
+                         (loss, Schemes.qdisc_spec scheme ~capacity);
+                     flows;
+                     duration;
+                     seed = seed + rep;
+                     min_rto = Remy_cc.Dumbbell.default_min_rto;
+                   })
             in
             Array.iter
               (fun (f : Metrics.flow_summary) ->
@@ -178,7 +178,7 @@ let run link rtt_ms senders workload_kind mean_kb mean_on mean_off duration
                   points :=
                     (f.Metrics.throughput_mbps, f.Metrics.mean_queueing_delay_ms)
                     :: !points)
-              r.Remy_cc.Dumbbell.flows
+              r.Remy_cc.Topology.flows
           done;
           let tputs = Array.of_list (List.map fst !points) in
           let delays = Array.of_list (List.map snd !points) in

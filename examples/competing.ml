@@ -28,17 +28,18 @@ let race ~tree ~off =
   let remy_t = ref [] and cubic_t = ref [] in
   for rep = 0 to 5 do
     let r =
-      Remy_cc.Dumbbell.run
-        {
-          Remy_cc.Dumbbell.service = Remy_cc.Dumbbell.Rate_mbps 15.;
-          qdisc = Remy_cc.Dumbbell.Droptail 1000;
-          flows;
-          duration = 30.;
-          seed = 9000 + rep;
-          min_rto = Remy_cc.Dumbbell.default_min_rto;
-        }
+      Remy_cc.Topology.run
+        (Remy_cc.Topology.dumbbell
+           {
+             Remy_cc.Dumbbell.service = Remy_cc.Dumbbell.Rate_mbps 15.;
+             qdisc = Remy_cc.Dumbbell.Droptail 1000;
+             flows;
+             duration = 30.;
+             seed = 9000 + rep;
+             min_rto = Remy_cc.Dumbbell.default_min_rto;
+           })
     in
-    let f i = r.Remy_cc.Dumbbell.flows.(i) in
+    let f i = r.Remy_cc.Topology.flows.(i) in
     if (f 0).Metrics.on_time > 0. then
       remy_t := (f 0).Metrics.throughput_mbps :: !remy_t;
     if (f 1).Metrics.on_time > 0. then

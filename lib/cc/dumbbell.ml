@@ -1,5 +1,4 @@
 open Remy_sim
-open Remy_util
 
 type qdisc_spec =
   | Droptail of int
@@ -29,19 +28,11 @@ type config = {
 
 let default_min_rto = 0.2
 
-type result = {
-  flows : Metrics.flow_summary array;
-  drops : int;
-  delivered : int;
-  mean_utilization : float;
-}
-
 let service_rate_mbps = function
   | Rate_mbps m -> m
   | Trace t -> Cell_trace.mean_rate_mbps t
 
-(* Shared with multi-bottleneck topologies, which instantiate one qdisc
-   per link: [rate_mbps] sizes XCP's capacity and [seed] derives the
+(* [rate_mbps] sizes XCP's capacity and [seed] derives the
    stochastic-loss stream. *)
 let qdisc_of_spec engine ~tracer ~rate_mbps ~seed spec =
   let rec build = function
@@ -58,11 +49,6 @@ let qdisc_of_spec engine ~tracer ~rate_mbps ~seed spec =
         ~seed:(seed lxor 0x105E) ()
   in
   build spec
-
-let build_qdisc engine ~tracer config =
-  qdisc_of_spec engine ~tracer
-    ~rate_mbps:(service_rate_mbps config.service)
-    ~seed:config.seed config.qdisc
 
 (* Pre-size the packet/ack pools from the scenario's shape: a few
    segments per flow (windows, reorder buffers, in-flight acks) plus
@@ -82,156 +68,3 @@ let pool_presize ~rate_mbps ~max_rtt ~n_flows =
    splitting the flow RNG chain: installing a schedule must not perturb
    any other stochastic stream (no-fault runs stay bit-identical). *)
 let fault_seed ~seed ~link = (seed + (link * 7919)) lxor 0xFA17
-
-let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook
-    ?sender_hook ?delack ?(faults = Remy_faults.Spec.empty) (config : config) =
-  let n = Array.length config.flows in
-  assert (n > 0);
-  let engine = Engine.create ~tracer () in
-  let metrics = Metrics.create ~n_flows:n in
-  let root_rng = Prng.create config.seed in
-  let qdisc, injector =
-    Remy_faults.Injector.maybe engine ~tracer
-      ~seed:(fault_seed ~seed:config.seed ~link:0)
-      (Remy_faults.Spec.for_link faults 0)
-      ~inner:(build_qdisc engine ~tracer config)
-  in
-  (* One packet/ack pool per simulation: single-domain, so no sharing
-     concerns, and each connection's segments cycle through a handful of
-     records instead of allocating per send.  Pre-sized from the flow
-     count and bandwidth-delay product so the steady state runs on
-     recycled records from the first RTT. *)
-  let max_rtt =
-    Array.fold_left (fun acc spec -> Float.max acc spec.rtt) 0. config.flows
-  in
-  let presize =
-    pool_presize
-      ~rate_mbps:(service_rate_mbps config.service)
-      ~max_rtt ~n_flows:n
-  in
-  let pool = Packet.Pool.create ~packets:presize ~acks:presize () in
-  (* Local accumulator, flushed to the global atomic once per run. *)
-  let acks_handled = ref 0 in
-  (* The senders array is knotted after link construction. *)
-  let senders : Tcp_sender.t option array = Array.make n None in
-  let receivers : Receiver.t option array = Array.make n None in
-  (* Fixed propagation delays are delay lines (ring buffer plus one
-     shared callback), not a fresh closure per packet. *)
-  let to_receiver =
-    Array.mapi
-      (fun i spec ->
-        Delay_line.create engine ~delay:(spec.rtt /. 2.) ~filler:Packet.dummy
-          (fun pkt ->
-            match receivers.(i) with
-            | Some receiver ->
-              Receiver.receive receiver ~now:(Engine.now engine) pkt
-            | None -> assert false))
-      config.flows
-  in
-  let sink pkt = Delay_line.push to_receiver.(pkt.Packet.flow) pkt in
-  let link =
-    match config.service with
-    | Rate_mbps mbps ->
-      Link.create_constant engine ~qdisc
-        ~bytes_per_sec:(Link.bytes_per_sec_of_mbps mbps)
-        ~sink
-    | Trace trace -> Link.create_trace engine ~qdisc ~next_gap:(Cell_trace.gap_fn trace) ~sink
-  in
-  Option.iter (fun inj -> Remy_faults.Injector.attach inj link) injector;
-  Array.iteri
-    (fun i spec ->
-      let rng = Prng.split root_rng in
-      let ack_line =
-        Delay_line.create engine ~delay:(spec.rtt /. 2.)
-          ~filler:Packet.dummy_ack (fun ack ->
-            (match senders.(i) with
-            | Some sender ->
-              incr acks_handled;
-              Tcp_sender.handle_ack sender ack
-            | None -> assert false);
-            (* The sender copies what it needs into [Cc.ack_info];
-               nothing retains the ack past [handle_ack]. *)
-            Packet.Pool.release_ack pool ack)
-      in
-      let ack_sink ack = Delay_line.push ack_line ack in
-      let queueing_delay_of (pkt : Packet.t) ~now =
-        Float.max 0. (now -. pkt.Packet.sent_at -. (spec.rtt /. 2.))
-      in
-      let delivery_hook =
-        Option.map (fun f -> fun ~now ~seq -> f ~flow:i ~now ~seq) delivery_hook
-      in
-      let delack =
-        Option.map
-          (fun (ack_every, delack_timeout) ->
-            {
-              Receiver.ack_every;
-              delack_timeout;
-              schedule_in = Engine.schedule_in engine;
-            })
-          delack
-      in
-      let receiver =
-        Receiver.create ~flow:i ~metrics ~queueing_delay_of ~ack_sink ?delivery_hook
-          ?delack ~pool ()
-      in
-      receivers.(i) <- Some receiver;
-      let sender =
-        Tcp_sender.create ~pool engine
-          {
-            Tcp_sender.flow = i;
-            cc = spec.cc ();
-            rtt = spec.rtt;
-            workload = spec.workload;
-            start = spec.start;
-            min_rto = config.min_rto;
-          }
-          ~transmit:(fun pkt -> Link.send link pkt)
-          ~metrics ~rng
-      in
-      senders.(i) <- Some sender)
-    config.flows;
-  let sender_arr =
-    Array.map (function Some s -> s | None -> assert false) senders
-  in
-  (match sender_hook with Some f -> f sender_arr | None -> ());
-  (* Periodic probes: queue depth plus per-flow cwnd/pacing/srtt samples.
-     Scheduled before the senders start, so at any shared instant the
-     sample reflects state from before that instant's sender activity
-     (the agenda is FIFO within a timestamp). *)
-  (match probe_interval with
-  | Some interval when Remy_obs.Trace.is_on tracer && interval > 0. ->
-    let disc = Link.qdisc link in
-    List.iter
-      (fun at ->
-        Engine.schedule engine at (fun () ->
-            let now = Engine.now engine in
-            Remy_obs.Trace.queue_sample tracer ~now ~queue:disc.Qdisc.name
-              ~qlen:(disc.Qdisc.length ())
-              ~qbytes:(disc.Qdisc.byte_length ());
-            Array.iteri
-              (fun flow s ->
-                Remy_obs.Trace.flow_sample tracer ~now ~flow
-                  ~cwnd:(Tcp_sender.cwnd s)
-                  ~intersend_s:(Tcp_sender.pacing_gap s)
-                  ~srtt_s:(Tcp_sender.srtt s))
-              sender_arr))
-      (Remy_obs.Probe.times ~interval ~until:config.duration)
-  | _ -> ());
-  Array.iter Tcp_sender.start sender_arr;
-  Engine.run engine ~until:config.duration;
-  Remy_obs.Counters.add Remy_obs.Counters.acks_processed !acks_handled;
-  Remy_obs.Counters.add Remy_obs.Counters.pool_hits (Packet.Pool.hits pool);
-  Remy_obs.Counters.add Remy_obs.Counters.pool_misses (Packet.Pool.misses pool);
-  Metrics.finish metrics config.duration;
-  let capacity_bytes =
-    Link.bytes_per_sec_of_mbps (service_rate_mbps config.service) *. config.duration
-  in
-  {
-    flows = Metrics.summaries metrics;
-    drops = (Link.qdisc link).Qdisc.drops ();
-    delivered = Link.delivered_packets link;
-    mean_utilization =
-      (if capacity_bytes > 0. then
-         float_of_int (Link.delivered_bytes link) /. capacity_bytes
-       else 0.);
-  }

@@ -1,13 +1,14 @@
-(** Dumbbell topology runner (Fig. 2 of the paper).
+(** The dumbbell of the paper's Fig. 2, and the link vocabulary every
+    network shares.
 
-    n senders share one bottleneck (queue discipline + link) toward their
-    receivers; ACKs return over an uncongested reverse path.  Each flow
-    has its own two-way propagation delay (for the differing-RTT
+    n senders share one bottleneck (queue discipline + link) toward
+    their receivers; ACKs return over an uncongested reverse path.  Each
+    flow has its own two-way propagation delay (for the differing-RTT
     experiment of Section 5.4), an on/off workload, and a congestion
-    control factory.  The same runner serves both roles from the paper:
-    Remy's design-phase simulator (unlimited queue, no loss) and the
-    ns-2-style evaluation (finite DropTail/sfqCoDel/RED/XCP bottleneck),
-    selected by {!qdisc_spec}. *)
+    control factory.  A {!config} describes such a network;
+    [Topology.run (Topology.dumbbell config)] simulates it.  The queue
+    disciplines ({!qdisc_spec}) and service models ({!service}) here are
+    the per-link building blocks of every {!Topology}. *)
 
 type qdisc_spec =
   | Droptail of int  (** capacity in packets; the paper's default is 1000 *)
@@ -44,6 +45,11 @@ val default_min_rto : float
 (** 0.2 s — small enough not to stall short LTE outages, large enough to
     avoid spurious timeouts at the design-range RTTs. *)
 
+val service_rate_mbps : service -> float
+(** The link rate a service model offers: the constant rate, or a
+    trace's long-run mean.  Sizes XCP's capacity estimate, the packet
+    pool and the utilization denominator. *)
+
 val qdisc_of_spec :
   Remy_sim.Engine.t ->
   tracer:Remy_obs.Trace.t ->
@@ -53,47 +59,13 @@ val qdisc_of_spec :
   Remy_sim.Qdisc.t
 (** Instantiate one queue discipline from its spec.  [rate_mbps] sizes
     XCP's capacity estimate; [seed] derives the stochastic-loss stream
-    of {!With_loss}.  Shared with the multi-bottleneck {!Topology}
-    runner, which builds one qdisc per link. *)
+    of {!With_loss}. *)
 
 val pool_presize : rate_mbps:float -> max_rtt:float -> n_flows:int -> int
 (** Packet/ack pool pre-size for a scenario: a few records per flow
     plus the bottleneck's bandwidth-delay product, capped at 65536. *)
 
-type result = {
-  flows : Remy_sim.Metrics.flow_summary array;
-  drops : int;  (** bottleneck drops (all causes) *)
-  delivered : int;  (** packets through the bottleneck *)
-  mean_utilization : float;  (** delivered bytes / link capacity * duration *)
-}
-
 val fault_seed : seed:int -> link:int -> int
 (** The PRNG seed for link [link]'s fault injector, derived from the run
     seed by a fixed mix (never by splitting the flow RNG chain), so
     installing a fault schedule perturbs no other stochastic stream. *)
-
-val run :
-  ?tracer:Remy_obs.Trace.t ->
-  ?probe_interval:float ->
-  ?delivery_hook:(flow:int -> now:float -> seq:int -> unit) ->
-  ?sender_hook:(Tcp_sender.t array -> unit) ->
-  ?delack:int * float ->
-  ?faults:Remy_faults.Spec.t ->
-  config ->
-  result
-(** Build the network, run it for [config.duration] virtual seconds, and
-    return per-flow summaries.  [tracer] (default off) receives every
-    packet-level event from the bottleneck queue, the link, and the
-    senders; with [probe_interval] it additionally gets periodic
-    [qsample]/[fsample] rows (queue depth; per-flow cwnd, pacing gap,
-    srtt) on the grid {!Remy_obs.Probe.times}.  Tracing only observes:
-    results are bit-identical with the tracer on, off, or absent.
-    [delivery_hook] observes every in-order or fresh data delivery
-    (Fig. 6's sequence plot); [sender_hook] receives the sender array
-    right after construction, for tests that want to inspect sender
-    state afterwards.  [delack] = [(every, timeout)] switches receivers
-    from the default per-packet ACKs to RFC 1122-style delayed ACKs.
-    [faults] (default {!Remy_faults.Spec.empty}) installs a fault
-    schedule on the bottleneck (link 0); with the empty spec the wiring
-    is skipped entirely and the run is bit-identical to one without the
-    fault layer. *)

@@ -47,7 +47,7 @@ val create :
   t
 (** With [pool], outgoing data packets are acquired from the pool
     instead of allocated; the receiving side is then responsible for
-    releasing them (see {!Receiver.create}). *)
+    releasing them (see {!Receiver_bank.create}). *)
 
 val start : t -> unit
 (** Arm the workload process (call once before [Engine.run]). *)

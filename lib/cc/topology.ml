@@ -1,18 +1,18 @@
 open Remy_sim
 open Remy_util
 
-(* Multi-bottleneck topology runner: a generalization of the dumbbell
-   to an arbitrary set of links and per-flow routes.  Each link is a
-   qdisc + transmission server + exit propagation delay; packets are
-   routed hop-by-hop via a per-link next-hop table and delivered to a
+(* The simulation runner: an arbitrary set of links and per-flow
+   routes.  Each link is a qdisc + transmission server (constant rate
+   or a replayed cellular trace) + exit propagation delay; packets are
+   routed hop-by-hop via a per-link next-hop table and, after their
+   last link, cross that link's delay plus the flow's access delay to a
    structure-of-arrays receiver bank; ACKs return over uncongested
    per-flow reverse paths whose delay equals the flow's total forward
-   propagation (symmetric paths).  With one link and routes [|0|] this
-   reduces exactly to the dumbbell (test_topology proves runs are
-   bit-identical flow for flow). *)
+   propagation (symmetric paths).  The paper's dumbbell (Fig. 2) is the
+   one-link case built by [dumbbell]. *)
 
 type link_spec = {
-  rate_mbps : float;
+  service : Dumbbell.service;
   delay_s : float; (* one-way propagation at link exit, seconds *)
   qdisc : Dumbbell.qdisc_spec;
 }
@@ -20,6 +20,7 @@ type link_spec = {
 type flow_spec = {
   cc : Cc.factory;
   route : int array; (* link indices, sender side first; non-empty *)
+  access_delay_s : float; (* one-way, from the last link to the receiver *)
   workload : Workload.t;
   start : [ `Immediate | `Off_draw ];
 }
@@ -40,59 +41,79 @@ type result = {
   bottleneck_utilization : float;
 }
 
+let invalid fmt = Printf.ksprintf invalid_arg fmt
+
 let validate (config : config) =
   let nl = Array.length config.links in
   if nl = 0 then invalid_arg "Topology.run: no links";
   if Array.length config.flows = 0 then invalid_arg "Topology.run: no flows";
   Array.iteri
+    (fun li (l : link_spec) ->
+      let rate = Dumbbell.service_rate_mbps l.service in
+      if not (Float.is_finite rate && rate > 0.) then
+        invalid "Topology.run: link %d has rate %g Mbps" li rate;
+      if not (Float.is_finite l.delay_s && l.delay_s >= 0.) then
+        invalid "Topology.run: link %d has delay %g s" li l.delay_s)
+    config.links;
+  Array.iteri
     (fun i f ->
-      if Array.length f.route = 0 then
-        invalid_arg (Printf.sprintf "Topology.run: flow %d has an empty route" i);
+      if not (Float.is_finite f.access_delay_s && f.access_delay_s >= 0.) then
+        invalid "Topology.run: flow %d has access delay %g s" i f.access_delay_s;
+      if Array.length f.route = 0 then invalid "Topology.run: flow %d has an empty route" i;
       Array.iter
         (fun li ->
           if li < 0 || li >= nl then
-            invalid_arg
-              (Printf.sprintf "Topology.run: flow %d routes over unknown link %d"
-                 i li))
+            invalid "Topology.run: flow %d routes over unknown link %d" i li)
         f.route;
       (* A loop-free route visits each link at most once; next-hop
          routing is per (link, flow), so a repeat would be ambiguous. *)
       let seen = Array.make nl false in
       Array.iter
         (fun li ->
-          if seen.(li) then
-            invalid_arg
-              (Printf.sprintf "Topology.run: flow %d visits link %d twice" i li);
+          if seen.(li) then invalid "Topology.run: flow %d visits link %d twice" i li;
           seen.(li) <- true)
         f.route)
     config.flows
 
-let bottleneck_index (config : config) =
+let link_rates (config : config) =
+  Array.map (fun (l : link_spec) -> Dumbbell.service_rate_mbps l.service) config.links
+
+let min_index rates =
   let best = ref 0 in
-  Array.iteri
-    (fun i (l : link_spec) ->
-      if l.rate_mbps < config.links.(!best).rate_mbps then best := i)
-    config.links;
+  Array.iteri (fun i r -> if r < rates.(!best) then best := i) rates;
   !best
 
-let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
-    ?(faults = Remy_faults.Spec.empty) (config : config) =
+let bottleneck_index config = min_index (link_rates config)
+
+(* One-way propagation from each flow's sender to its receiver. *)
+let forward_delays (config : config) =
+  Array.map
+    (fun (f : flow_spec) ->
+      Array.fold_left (fun acc li -> acc +. config.links.(li).delay_s) 0. f.route
+      +. f.access_delay_s)
+    config.flows
+
+let flow_rtts config = Array.map (fun d -> 2. *. d) (forward_delays config)
+
+let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
+    ?sender_factory ?(faults = Remy_faults.Spec.empty) (config : config) =
   validate config;
   let n = Array.length config.flows in
   let nl = Array.length config.links in
   let engine = Engine.create ~tracer () in
   let metrics = Metrics.create ~n_flows:n in
   let root_rng = Prng.create config.seed in
+  let rates = link_rates config in
   (* One qdisc per link; per-link seeds keep loss streams independent
-     (link 0 matches the dumbbell's derivation for the equivalence
-     oracle).  Fault injectors, where a link's spec is non-empty, wrap
-     the qdisc here and attach to the link once built below. *)
+     (link 0 uses the run seed itself).  Fault injectors, where a
+     link's spec is non-empty, wrap the qdisc here and attach to the
+     link once built below. *)
   let injectors : Remy_faults.Injector.t option array = Array.make nl None in
   let qdiscs =
     Array.mapi
       (fun li (l : link_spec) ->
         let inner =
-          Dumbbell.qdisc_of_spec engine ~tracer ~rate_mbps:l.rate_mbps
+          Dumbbell.qdisc_of_spec engine ~tracer ~rate_mbps:rates.(li)
             ~seed:(config.seed + (li * 7919))
             l.qdisc
         in
@@ -106,15 +127,7 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
         gate)
       config.links
   in
-  (* Forward propagation and two-way RTT per flow. *)
-  let fwd_delay =
-    Array.map
-      (fun (f : flow_spec) ->
-        Array.fold_left
-          (fun acc li -> acc +. config.links.(li).delay_s)
-          0. f.route)
-      config.flows
-  in
+  let fwd_delay = forward_delays config in
   (* Next hop per (link, flow): the link after [li] on the flow's
      route, or -1 to deliver to the flow's receiver. *)
   let next_of = Array.make_matrix nl n (-1) in
@@ -125,45 +138,71 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
         next_of.(f.route.(k)).(i) <- f.route.(k + 1)
       done)
     config.flows;
-  let bi = bottleneck_index config in
+  let bi = min_index rates in
   let max_rtt =
     Array.fold_left (fun acc d -> Float.max acc (2. *. d)) 0. fwd_delay
   in
-  let presize =
-    Dumbbell.pool_presize
-      ~rate_mbps:config.links.(bi).rate_mbps
-      ~max_rtt ~n_flows:n
-  in
+  (* One packet/ack pool per simulation, pre-sized from the flow count
+     and bandwidth-delay product so the steady state runs on recycled
+     records from the first RTT. *)
+  let presize = Dumbbell.pool_presize ~rate_mbps:rates.(bi) ~max_rtt ~n_flows:n in
   let pool = Packet.Pool.create ~packets:presize ~acks:presize () in
+  (* Local accumulator, flushed to the global atomic once per run. *)
   let acks_handled = ref 0 in
-  (* Wiring order mirrors the dumbbell; the knots (links referenced
-     from exit lines created before them, sender ops from ack lines)
-     are tied through option arrays. *)
+  (* The knots (links referenced from lines created before them, the
+     receiver bank from delivery lines, sender ops from ack lines) are
+     tied through option cells. *)
   let link_arr : Link.t option array = Array.make nl None in
   let bank_ref : Receiver_bank.t option ref = ref None in
-  let exit_lines =
+  (* Fixed propagation delays are delay lines (ring buffer plus one
+     shared callback), not a fresh closure per packet.  A packet leaving
+     link [li] crosses the link's exit delay to its next hop or, on its
+     last hop, the exit delay plus its flow's access delay to the
+     receiver.  Flows with equal delivery delays share a line, so the
+     dumbbell gets one line per distinct RTT. *)
+  let forward_lines =
     Array.init nl (fun li ->
         Delay_line.create engine ~delay:config.links.(li).delay_s
           ~filler:Packet.dummy (fun pkt ->
-            let nxt = next_of.(li).(pkt.Packet.flow) in
-            if nxt >= 0 then
-              match link_arr.(nxt) with
-              | Some l -> Link.send l pkt
-              | None -> assert false
-            else
-              match !bank_ref with
-              | Some bank ->
-                Receiver_bank.receive bank ~now:(Engine.now engine)
-                  pkt.Packet.flow pkt
-              | None -> assert false))
+            match link_arr.(next_of.(li).(pkt.Packet.flow)) with
+            | Some l -> Link.send l pkt
+            | None -> assert false))
+  in
+  let receive pkt =
+    match !bank_ref with
+    | Some bank -> Receiver_bank.receive bank ~now:(Engine.now engine) pkt.Packet.flow pkt
+    | None -> assert false
+  in
+  let delivery_lines = ref [] in
+  let delivery_line =
+    Array.map
+      (fun (f : flow_spec) ->
+        let last = f.route.(Array.length f.route - 1) in
+        let delay = config.links.(last).delay_s +. f.access_delay_s in
+        match List.find_opt (fun (d, _) -> Float.equal d delay) !delivery_lines with
+        | Some (_, line) -> line
+        | None ->
+          let line = Delay_line.create engine ~delay ~filler:Packet.dummy receive in
+          delivery_lines := (delay, line) :: !delivery_lines;
+          line)
+      config.flows
   in
   Array.iteri
     (fun li (l : link_spec) ->
+      let sink pkt =
+        let flow = pkt.Packet.flow in
+        if next_of.(li).(flow) >= 0 then Delay_line.push forward_lines.(li) pkt
+        else Delay_line.push delivery_line.(flow) pkt
+      in
+      let qdisc = qdiscs.(li) in
       link_arr.(li) <-
         Some
-          (Link.create_constant engine ~qdisc:qdiscs.(li)
-             ~bytes_per_sec:(Link.bytes_per_sec_of_mbps l.rate_mbps)
-             ~sink:(fun pkt -> Delay_line.push exit_lines.(li) pkt)))
+          (match l.service with
+          | Dumbbell.Rate_mbps mbps ->
+            Link.create_constant engine ~qdisc
+              ~bytes_per_sec:(Link.bytes_per_sec_of_mbps mbps) ~sink
+          | Dumbbell.Trace trace ->
+            Link.create_trace engine ~qdisc ~next_gap:(Cell_trace.gap_fn trace) ~sink))
     config.links;
   Array.iteri
     (fun li inj ->
@@ -184,16 +223,17 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
               incr acks_handled;
               ops.Sender_backend.handle_ack ack
             | None -> assert false);
+            (* The sender copies what it needs; nothing retains the ack
+               past [handle_ack]. *)
             Packet.Pool.release_ack pool ack))
   in
   let bank =
-    Receiver_bank.create ~metrics ~pool
+    Receiver_bank.create ?delivery_hook ?delack engine ~metrics ~pool
       ~ack_sink:(fun flow ack -> Delay_line.push ack_lines.(flow) ack)
       ~fwd_delay
   in
   bank_ref := Some bank;
-  (* Flow order fixes the RNG split sequence, exactly as the dumbbell
-     does. *)
+  (* Flow order fixes the RNG split sequence. *)
   Array.iteri
     (fun i (f : flow_spec) ->
       let rng = Prng.split root_rng in
@@ -223,16 +263,22 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
   let ops_of i =
     match ops_arr.(i) with Some ops -> ops | None -> assert false
   in
+  (* Periodic probes: queue depth per link plus per-flow cwnd/pacing/srtt
+     samples.  Scheduled before the senders start, so at any shared
+     instant the sample reflects state from before that instant's sender
+     activity (the agenda is FIFO within a timestamp). *)
   (match probe_interval with
   | Some interval when Remy_obs.Trace.is_on tracer && interval > 0. ->
+    let queue_name li (disc : Qdisc.t) =
+      if nl = 1 then disc.Qdisc.name else Printf.sprintf "%s#%d" disc.Qdisc.name li
+    in
     List.iter
       (fun at ->
         Engine.schedule engine at (fun () ->
             let now = Engine.now engine in
             Array.iteri
               (fun li disc ->
-                Remy_obs.Trace.queue_sample tracer ~now
-                  ~queue:(Printf.sprintf "%s#%d" disc.Qdisc.name li)
+                Remy_obs.Trace.queue_sample tracer ~now ~queue:(queue_name li disc)
                   ~qlen:(disc.Qdisc.length ())
                   ~qbytes:(disc.Qdisc.byte_length ()))
               qdiscs;
@@ -254,9 +300,7 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
   Remy_obs.Counters.add Remy_obs.Counters.pool_misses (Packet.Pool.misses pool);
   Metrics.finish metrics config.duration;
   let bneck = link_of bi in
-  let capacity_bytes =
-    Link.bytes_per_sec_of_mbps config.links.(bi).rate_mbps *. config.duration
-  in
+  let capacity_bytes = Link.bytes_per_sec_of_mbps rates.(bi) *. config.duration in
   {
     flows = Metrics.summaries metrics;
     drops = Array.fold_left (fun acc d -> acc + d.Qdisc.drops ()) 0 qdiscs;
@@ -269,6 +313,34 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
   }
 
 (* --- canonical topologies ------------------------------------------ *)
+
+(* The dumbbell: one bottleneck with no exit delay, each flow reaching
+   its receiver after half its RTT.  [0. +. x = x] exactly, so every
+   forward and reverse delay keeps the bits of [rtt /. 2.]. *)
+let dumbbell (d : Dumbbell.config) =
+  {
+    links = [| { service = d.service; delay_s = 0.; qdisc = d.qdisc } |];
+    flows =
+      Array.map
+        (fun (f : Dumbbell.flow_spec) ->
+          {
+            cc = f.cc;
+            route = [| 0 |];
+            access_delay_s = f.rtt /. 2.;
+            workload = f.workload;
+            start = f.start;
+          })
+        d.flows;
+    duration = d.duration;
+    seed = d.seed;
+    min_rto = d.min_rto;
+  }
+
+let droptail_link ~mbps ~delay_s ~capacity =
+  { service = Dumbbell.Rate_mbps mbps; delay_s; qdisc = Dumbbell.Droptail capacity }
+
+let routed ~cc ~workload ~start route =
+  { cc; route; access_delay_s = 0.; workload; start }
 
 (* Parking lot (chain of bottlenecks): [hops] links in sequence.  The
    first [long_flows] flows traverse the whole chain; the remaining
@@ -283,19 +355,13 @@ let parking_lot ?(hops = 3) ?(link_mbps = 15.) ?(rtt_s = 0.15)
   let hop_delay = rtt_s /. 2. /. float_of_int hops in
   let links =
     Array.init hops (fun _ ->
-        {
-          rate_mbps = link_mbps;
-          delay_s = hop_delay;
-          qdisc = Dumbbell.Droptail queue_capacity;
-        })
+        droptail_link ~mbps:link_mbps ~delay_s:hop_delay ~capacity:queue_capacity)
   in
   let all_hops = Array.init hops Fun.id in
   let flows =
     Array.init n (fun i ->
-        let route =
-          if i < long then all_hops else [| (i - long) mod hops |]
-        in
-        { cc; route; workload; start })
+        routed ~cc ~workload ~start
+          (if i < long then all_hops else [| (i - long) mod hops |]))
   in
   { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
 
@@ -310,9 +376,7 @@ let fat_tree_pod ?(edges = 4) ?(edge_mbps = 100.) ?(oversub = 4.)
   if n < 1 then invalid_arg "Topology.fat_tree_pod: n must be >= 1";
   let agg_mbps = edge_mbps *. float_of_int edges /. oversub in
   let hop_delay = rtt_s /. 2. /. 3. in
-  let link rate =
-    { rate_mbps = rate; delay_s = hop_delay; qdisc = Dumbbell.Droptail queue_capacity }
-  in
+  let link mbps = droptail_link ~mbps ~delay_s:hop_delay ~capacity:queue_capacity in
   let links =
     Array.init (edges + 2) (fun i ->
         if i < edges then link edge_mbps
@@ -320,8 +384,7 @@ let fat_tree_pod ?(edges = 4) ?(edge_mbps = 100.) ?(oversub = 4.)
         else link (agg_mbps *. 2.))
   in
   let flows =
-    Array.init n (fun i ->
-        { cc; route = [| i mod edges; edges; edges + 1 |]; workload; start })
+    Array.init n (fun i -> routed ~cc ~workload ~start [| i mod edges; edges; edges + 1 |])
   in
   { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
 
@@ -341,15 +404,9 @@ let incast ?(bottleneck_mbps = 1000.) ?access_mbps ?(rtt_s = 4e-4)
   match access_mbps with
   | None ->
     let links =
-      [|
-        {
-          rate_mbps = bottleneck_mbps;
-          delay_s = rtt_s /. 2.;
-          qdisc = Dumbbell.Droptail queue_capacity;
-        };
-      |]
+      [| droptail_link ~mbps:bottleneck_mbps ~delay_s:(rtt_s /. 2.) ~capacity:queue_capacity |]
     in
-    let flows = Array.init n (fun _ -> { cc; route = [| 0 |]; workload; start }) in
+    let flows = Array.init n (fun _ -> routed ~cc ~workload ~start [| 0 |]) in
     { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
   | Some access ->
     (* Link n is the shared bottleneck; links 0..n-1 are per-sender
@@ -357,21 +414,12 @@ let incast ?(bottleneck_mbps = 1000.) ?access_mbps ?(rtt_s = 4e-4)
     let links =
       Array.init (n + 1) (fun i ->
           if i < n then
-            {
-              rate_mbps = access;
-              delay_s = rtt_s /. 8.;
-              qdisc = Dumbbell.Droptail queue_capacity;
-            }
+            droptail_link ~mbps:access ~delay_s:(rtt_s /. 8.) ~capacity:queue_capacity
           else
-            {
-              rate_mbps = bottleneck_mbps;
-              delay_s = rtt_s /. 4.;
-              qdisc = Dumbbell.Droptail queue_capacity;
-            })
+            droptail_link ~mbps:bottleneck_mbps ~delay_s:(rtt_s /. 4.)
+              ~capacity:queue_capacity)
     in
-    let flows =
-      Array.init n (fun i -> { cc; route = [| i; n |]; workload; start })
-    in
+    let flows = Array.init n (fun i -> routed ~cc ~workload ~start [| i; n |]) in
     { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
 
 (* --- registry ------------------------------------------------------ *)

@@ -1,17 +1,20 @@
-(** Multi-bottleneck topology runner.
+(** The simulation runner.
 
-    Generalizes the dumbbell to an arbitrary set of links and per-flow
-    routes: each link is a queue discipline + constant-rate server +
-    exit propagation delay, packets are routed hop-by-hop, data is
-    delivered to a structure-of-arrays {!Receiver_bank}, and ACKs
-    return over uncongested per-flow reverse paths whose delay equals
-    the flow's total forward propagation (symmetric paths).  With a
-    single link and routes [[|0|]] this reduces exactly to
-    {!Dumbbell.run} — test_topology proves such runs bit-identical —
-    which transitively validates the runner against the original. *)
+    A network is a set of links and per-flow routes: each link is a
+    queue discipline + transmission server (constant rate, or a
+    replayed cellular trace) + exit propagation delay.  Packets are
+    routed hop-by-hop; after its last link a packet crosses that link's
+    delay plus its flow's access delay to a structure-of-arrays
+    {!Receiver_bank}, and ACKs return over uncongested per-flow reverse
+    paths whose delay equals the flow's total forward propagation
+    (symmetric paths).  The same runner serves both of the paper's
+    roles: Remy's design-time simulator (unlimited queue, no loss) and
+    the ns-2-style evaluation (finite DropTail/sfqCoDel/RED/XCP
+    bottlenecks).  The paper's dumbbell (Fig. 2) is the one-link
+    network built by {!dumbbell}. *)
 
 type link_spec = {
-  rate_mbps : float;
+  service : Dumbbell.service;
   delay_s : float;  (** one-way propagation at link exit, seconds *)
   qdisc : Dumbbell.qdisc_spec;
 }
@@ -20,6 +23,9 @@ type flow_spec = {
   cc : Cc.factory;
   route : int array;
       (** link indices from the sender outward; non-empty, loop-free *)
+  access_delay_s : float;
+      (** one-way propagation from the route's last link to the
+          receiver, seconds *)
   workload : Remy_sim.Workload.t;
   start : [ `Immediate | `Off_draw ];
 }
@@ -38,26 +44,52 @@ type result = {
   delivered : int;  (** packets through the bottleneck (min-rate) link *)
   received : int;  (** fresh data packets accepted by receivers *)
   bottleneck_utilization : float;
+      (** delivered bytes / (bottleneck rate x duration); trace links
+          use their long-run mean rate *)
 }
 
 val bottleneck_index : config -> int
 (** Index of the minimum-rate link (first on ties). *)
 
+val flow_rtts : config -> float array
+(** Each flow's two-way propagation delay, seconds. *)
+
 val run :
   ?tracer:Remy_obs.Trace.t ->
   ?probe_interval:float ->
+  ?delivery_hook:(flow:int -> now:float -> seq:int -> unit) ->
+  ?delack:int * float ->
   ?sender_factory:Sender_backend.factory ->
   ?faults:Remy_faults.Spec.t ->
   config ->
   result
 (** Build the network, run for [duration] virtual seconds, return
-    per-flow summaries.  [probe_interval] emits periodic qsample rows
-    per link (queue names suffixed ["#<link>"]) and fsample rows per
-    flow.  [sender_factory] overrides the default per-record TCP
-    sender backend (e.g. with the SoA RemyCC fleet); results must be
-    bit-identical across conforming backends. *)
+    per-flow summaries.  Raises [Invalid_argument], naming the link or
+    flow, on an empty network, a bad route, a non-finite or
+    non-positive link rate, or a non-finite or negative delay.
+    [tracer] (default off) receives every packet-level event from the
+    queues, the links and the senders; with [probe_interval] it also
+    gets periodic [qsample] rows per link (queue names suffixed
+    ["#<link>"] when there is more than one link) and [fsample] rows
+    per flow (cwnd, pacing gap, srtt) on the grid
+    {!Remy_obs.Probe.times}.  Tracing only observes: results are
+    bit-identical with the tracer on, off, or absent.
+    [delivery_hook] observes every fresh data delivery (Fig. 6's
+    sequence plot).  [delack] = [(every, timeout)] switches receivers
+    from per-packet ACKs to RFC 1122-style delayed ACKs.
+    [sender_factory] overrides the default per-record TCP sender backend
+    (e.g. with the SoA RemyCC fleet); results are bit-identical across
+    conforming backends.  [faults] (default {!Remy_faults.Spec.empty})
+    installs a fault schedule per link; with the empty spec the wiring
+    is skipped entirely and the run is bit-identical to one without the
+    fault layer. *)
 
 (** {1 Canonical topologies} *)
+
+val dumbbell : Dumbbell.config -> config
+(** The paper's dumbbell: one bottleneck link with no exit delay, each
+    flow reaching its receiver after half its RTT ([access_delay_s =
+    rtt /. 2.]). *)
 
 val parking_lot :
   ?hops:int ->

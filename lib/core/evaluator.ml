@@ -9,24 +9,6 @@ type spec_cache = {
   touched : bool array;
 }
 
-let config_of_specimen ~queue_capacity ~duration ~cc_factory
-    (s : Net_model.specimen) =
-  {
-    Dumbbell.service = Dumbbell.Rate_mbps s.Net_model.spec_link_mbps;
-    qdisc = Dumbbell.Droptail queue_capacity;
-    flows =
-      Array.init s.Net_model.n (fun _ ->
-          {
-            Dumbbell.cc = cc_factory;
-            rtt = s.Net_model.rtt_s;
-            workload = s.Net_model.workload;
-            start = `Off_draw;
-          });
-    duration;
-    seed = s.Net_model.spec_seed;
-    min_rto = 1.0;
-  }
-
 let timed_sim run =
   Remy_obs.Profiler.span "sim" (fun () ->
       if Remy_obs.Metrics.enabled () then begin
@@ -39,32 +21,46 @@ let timed_sim run =
       else run ())
 
 let specimen_flow_summaries ?override ?tally ?topology ~queue_capacity ~duration
-    tree s =
-  match topology with
-  | None ->
-    let cc_factory = Remycc.factory ?override ?tally tree in
-    let config = config_of_specimen ~queue_capacity ~duration ~cc_factory s in
-    let r = timed_sim (fun () -> Dumbbell.run config) in
-    r.Dumbbell.flows
-  | Some name ->
-    let builder =
-      match Topology.builder_of_name name with
-      | Some b -> b
-      | None -> invalid_arg (Printf.sprintf "Evaluator: unknown topology %S" name)
-    in
-    let config =
-      builder ~n:s.Net_model.n
-        ~cc:(Remycc.factory ?override ?tally tree)
-        ~workload:s.Net_model.workload
-        ~link_mbps:s.Net_model.spec_link_mbps ~rtt_s:s.Net_model.rtt_s
-        ~queue_capacity ~duration ~seed:s.Net_model.spec_seed ()
-    in
-    let config = { config with Topology.min_rto = 1.0 } in
-    (* The SoA fleet is bit-identical to the per-record backend and
-       scales to thousands of flows; a fresh factory per run. *)
-    let sender_factory = Fleet.factory ?override ?tally tree in
-    let r = timed_sim (fun () -> Topology.run ~sender_factory config) in
-    r.Topology.flows
+    tree (s : Net_model.specimen) =
+  let cc = Remycc.factory ?override ?tally tree in
+  let config =
+    match topology with
+    | None ->
+      Topology.dumbbell
+        {
+          Dumbbell.service = Dumbbell.Rate_mbps s.Net_model.spec_link_mbps;
+          qdisc = Dumbbell.Droptail queue_capacity;
+          flows =
+            Array.init s.Net_model.n (fun _ ->
+                {
+                  Dumbbell.cc;
+                  rtt = s.Net_model.rtt_s;
+                  workload = s.Net_model.workload;
+                  start = `Off_draw;
+                });
+          duration;
+          seed = s.Net_model.spec_seed;
+          min_rto = 1.0;
+        }
+    | Some name ->
+      let builder =
+        match Topology.builder_of_name name with
+        | Some b -> b
+        | None -> invalid_arg (Printf.sprintf "Evaluator: unknown topology %S" name)
+      in
+      {
+        (builder ~n:s.Net_model.n ~cc ~workload:s.Net_model.workload
+           ~link_mbps:s.Net_model.spec_link_mbps ~rtt_s:s.Net_model.rtt_s
+           ~queue_capacity ~duration ~seed:s.Net_model.spec_seed ())
+        with
+        Topology.min_rto = 1.0;
+      }
+  in
+  (* Every sender runs the same table, so the whole population is one
+     SoA fleet (bit-identical to per-record RemyCC senders); a fresh
+     factory per run. *)
+  let sender_factory = Fleet.factory ?override ?tally tree in
+  (timed_sim (fun () -> Topology.run ~sender_factory config)).Topology.flows
 
 let specimen_scores ?override ?tally ?topology ~objective ~queue_capacity
     ~duration tree s =

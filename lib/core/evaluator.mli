@@ -64,9 +64,10 @@ val specimen_flow_summaries :
   Net_model.specimen ->
   Remy_sim.Metrics.flow_summary array
 (** Run a single specimen and expose the raw per-flow summaries (tests,
-    diagnostics).  [topology] (from {!Net_model.t.topology}) routes the
-    specimen through the named {!Remy_cc.Topology} builder — simulated
-    with the SoA {!Fleet} backend — instead of the dumbbell. *)
+    diagnostics).  The specimen is a {!Remy_cc.Topology.dumbbell}, or,
+    with [topology] (from {!Net_model.t.topology}), the named
+    {!Remy_cc.Topology} builder; either way its senders are one SoA
+    {!Fleet}. *)
 
 val specimen_scores :
   ?override:int * Action.t ->

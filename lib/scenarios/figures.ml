@@ -261,17 +261,18 @@ let fig6_one fmt opts ~id ~label tree =
     |]
   in
   let _ =
-    Remy_cc.Dumbbell.run
+    Remy_cc.Topology.run
       ~delivery_hook:(fun ~flow ~now ~seq ->
         if flow = 0 then series := (now, seq) :: !series)
-      {
-        Remy_cc.Dumbbell.service = Remy_cc.Dumbbell.Rate_mbps 15.;
-        qdisc = Remy_cc.Dumbbell.Droptail 1000;
-        flows;
-        duration = opts.duration;
-        seed = opts.base_seed;
-        min_rto = Remy_cc.Dumbbell.default_min_rto;
-      }
+      (Remy_cc.Topology.dumbbell
+         {
+           Remy_cc.Dumbbell.service = Remy_cc.Dumbbell.Rate_mbps 15.;
+           qdisc = Remy_cc.Dumbbell.Droptail 1000;
+           flows;
+           duration = opts.duration;
+           seed = opts.base_seed;
+           min_rto = Remy_cc.Dumbbell.default_min_rto;
+         })
   in
   let series = Array.of_list (List.rev !series) in
   let rate_between t0 t1 =
@@ -445,20 +446,21 @@ let competing_run opts ~remy_tree ~other_name ~other_factory ~workload ~seed =
       |]
     in
     let r =
-      Remy_cc.Dumbbell.run
-        {
-          Remy_cc.Dumbbell.service = Remy_cc.Dumbbell.Rate_mbps 15.;
-          qdisc = Remy_cc.Dumbbell.Droptail 1000;
-          flows;
-          duration = opts.duration;
-          seed = seed + rep;
-          min_rto = Remy_cc.Dumbbell.default_min_rto;
-        }
+      Remy_cc.Topology.run
+        (Remy_cc.Topology.dumbbell
+           {
+             Remy_cc.Dumbbell.service = Remy_cc.Dumbbell.Rate_mbps 15.;
+             qdisc = Remy_cc.Dumbbell.Droptail 1000;
+             flows;
+             duration = opts.duration;
+             seed = seed + rep;
+             min_rto = Remy_cc.Dumbbell.default_min_rto;
+           })
     in
-    let tput i = r.Remy_cc.Dumbbell.flows.(i).Metrics.throughput_mbps in
-    if r.Remy_cc.Dumbbell.flows.(0).Metrics.on_time > 0. then
+    let tput i = r.Remy_cc.Topology.flows.(i).Metrics.throughput_mbps in
+    if r.Remy_cc.Topology.flows.(0).Metrics.on_time > 0. then
       remy_t := tput 0 :: !remy_t;
-    if r.Remy_cc.Dumbbell.flows.(1).Metrics.on_time > 0. then
+    if r.Remy_cc.Topology.flows.(1).Metrics.on_time > 0. then
       other_t := tput 1 :: !other_t
   done;
   ignore other_name;
@@ -594,23 +596,24 @@ let ablation_loss fmt opts =
                   })
             in
             let r =
-              Remy_cc.Dumbbell.run
-                {
-                  Remy_cc.Dumbbell.service = Remy_cc.Dumbbell.Rate_mbps 15.;
-                  qdisc =
-                    Remy_cc.Dumbbell.With_loss
-                      (loss, Schemes.qdisc_spec scheme ~capacity:1000);
-                  flows;
-                  duration = opts.duration;
-                  seed = opts.base_seed + rep;
-                  min_rto = Remy_cc.Dumbbell.default_min_rto;
-                }
+              Remy_cc.Topology.run
+                (Remy_cc.Topology.dumbbell
+                   {
+                     Remy_cc.Dumbbell.service = Remy_cc.Dumbbell.Rate_mbps 15.;
+                     qdisc =
+                       Remy_cc.Dumbbell.With_loss
+                         (loss, Schemes.qdisc_spec scheme ~capacity:1000);
+                     flows;
+                     duration = opts.duration;
+                     seed = opts.base_seed + rep;
+                     min_rto = Remy_cc.Dumbbell.default_min_rto;
+                   })
             in
             Array.iter
               (fun (f : Metrics.flow_summary) ->
                 if f.Metrics.on_time > 0. then
                   tputs := f.Metrics.throughput_mbps :: !tputs)
-              r.Remy_cc.Dumbbell.flows
+              r.Remy_cc.Topology.flows
           done;
           let med =
             match !tputs with

@@ -34,36 +34,22 @@ type summary = {
   per_flow_tput : float array array;
 }
 
-let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
-    ?(faults = Remy_faults.Spec.empty) t scheme =
+let replicate ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
+    ?(faults = Remy_faults.Spec.empty) ~scheme ~replications ~base_seed config_of =
   let points = ref [] in
   let rtt_sums = ref [] in
   let per_flow = ref [] in
-  for rep = 0 to t.replications - 1 do
+  for rep = 0 to replications - 1 do
     (* Trace only the first replication: one representative run per
        scheme keeps trace files bounded; results are unaffected. *)
     let tracer = if rep = 0 then tracer else Remy_obs.Trace.off in
-    let config =
-      {
-        Dumbbell.service = t.service;
-        qdisc = Schemes.qdisc_spec scheme ~capacity:t.capacity;
-        flows =
-          Array.init t.n (fun i ->
-              {
-                Dumbbell.cc = scheme.Schemes.factory;
-                rtt = t.rtts.(i);
-                workload = t.workload;
-                start = t.start;
-              });
-        duration = t.duration;
-        seed = t.base_seed + rep;
-        min_rto = Dumbbell.default_min_rto;
-      }
-    in
-    let result = Dumbbell.run ~tracer ?probe_interval ~faults config in
+    let config = config_of ~seed:(base_seed + rep) in
+    let sender_factory = Option.map (fun mk -> mk ()) sender_factory in
+    let result = Topology.run ~tracer ?probe_interval ?sender_factory ~faults config in
+    let rtts = Topology.flow_rtts config in
     per_flow :=
       Array.map (fun (f : Metrics.flow_summary) -> f.Metrics.throughput_mbps)
-        result.Dumbbell.flows
+        result.Topology.flows
       :: !per_flow;
     Array.iteri
       (fun i (f : Metrics.flow_summary) ->
@@ -75,16 +61,16 @@ let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
             }
             :: !points;
           rtt_sums :=
-            (f.Metrics.mean_queueing_delay_ms +. (t.rtts.(i) *. 1e3)) :: !rtt_sums
+            (f.Metrics.mean_queueing_delay_ms +. (rtts.(i) *. 1e3)) :: !rtt_sums
         end)
-      result.Dumbbell.flows
+      result.Topology.flows
   done;
   let points = Array.of_list (List.rev !points) in
   let tputs = Array.map (fun p -> p.tput_mbps) points in
   let delays = Array.map (fun p -> p.qdelay_ms) points in
   let non_empty = Array.length points > 0 in
   {
-    scheme = scheme.Schemes.name;
+    scheme;
     points;
     median_tput = (if non_empty then Stats.median tputs else 0.);
     median_qdelay = (if non_empty then Stats.median delays else 0.);
@@ -97,6 +83,26 @@ let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
       (if !rtt_sums = [] then 0. else Stats.mean (Array.of_list !rtt_sums));
     per_flow_tput = Array.of_list (List.rev !per_flow);
   }
+
+let run_scheme ?tracer ?probe_interval ?faults t scheme =
+  replicate ?tracer ?probe_interval ?faults ~scheme:scheme.Schemes.name
+    ~replications:t.replications ~base_seed:t.base_seed (fun ~seed ->
+      Topology.dumbbell
+        {
+          Dumbbell.service = t.service;
+          qdisc = Schemes.qdisc_spec scheme ~capacity:t.capacity;
+          flows =
+            Array.init t.n (fun i ->
+                {
+                  Dumbbell.cc = scheme.Schemes.factory;
+                  rtt = t.rtts.(i);
+                  workload = t.workload;
+                  start = t.start;
+                });
+          duration = t.duration;
+          seed;
+          min_rto = Dumbbell.default_min_rto;
+        })
 
 let run_all t schemes = List.map (fun s -> run_scheme t s) schemes
 

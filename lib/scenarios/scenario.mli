@@ -67,6 +67,24 @@ val run_scheme :
     replication sees different drop/reorder realizations of the same
     schedule). *)
 
+val replicate :
+  ?tracer:Remy_obs.Trace.t ->
+  ?probe_interval:float ->
+  ?sender_factory:(unit -> Remy_cc.Sender_backend.factory) ->
+  ?faults:Remy_faults.Spec.t ->
+  scheme:string ->
+  replications:int ->
+  base_seed:int ->
+  (seed:int -> Remy_cc.Topology.config) ->
+  summary
+(** The replication loop behind {!run_scheme} and
+    [Topologies.run_scheme]: replication [i] simulates the network
+    [config_of ~seed:(base_seed + i)] with {!Remy_cc.Topology.run} (and
+    a fresh backend from [sender_factory], when given), and pools one
+    point per sender that went on and delivered; [mean_rtt_ms] adds
+    each sender's two-way propagation
+    ({!Remy_cc.Topology.flow_rtts}). *)
+
 val run_all : t -> Schemes.t list -> summary list
 
 val pp_summary_row : Format.formatter -> summary -> unit

@@ -1,13 +1,12 @@
 open Remy_cc
 open Remy_sim
-open Remy_util
 
 (* Scenario-level registry for the multi-bottleneck topologies: the
-   same replicated experiment shape as {!Scenario}, but the network is
-   built by a named {!Topology} builder instead of the dumbbell.
-   RemyCC schemes run on the structure-of-arrays {!Remy.Fleet}
-   backend — bit-identical to the per-record one, and the reason a
-   10k-flow incast is feasible from the CLI. *)
+   same replicated experiment as {!Scenario}, but the network is built
+   by a named {!Topology} builder instead of the dumbbell.  RemyCC
+   schemes run on the structure-of-arrays {!Remy.Fleet} backend —
+   bit-identical to the per-record one, and the reason a 10k-flow
+   incast is feasible from the CLI. *)
 
 type t = {
   topology : string;
@@ -52,74 +51,14 @@ let config t ~(scheme : Schemes.t) ~seed =
     ?link_mbps:t.link_mbps ?rtt_s:t.rtt_s ~queue_capacity:t.capacity
     ~duration:t.duration ~seed ()
 
-(* RemyCC schemes get the SoA fleet; everything else keeps the
-   per-record backend (the fleet is RemyCC-specialized). *)
-let sender_factory_of (scheme : Schemes.t) =
-  Option.map
-    (fun tree () -> Remy.Fleet.factory tree)
-    scheme.Schemes.tree
-
-let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
-    ?(faults = Remy_faults.Spec.empty) t (scheme : Schemes.t) =
-  let points = ref [] in
-  let rtt_sums = ref [] in
-  let per_flow = ref [] in
-  for rep = 0 to t.replications - 1 do
-    let tracer = if rep = 0 then tracer else Remy_obs.Trace.off in
-    let config = config t ~scheme ~seed:(t.base_seed + rep) in
-    let sender_factory =
-      Option.map (fun mk -> mk ()) (sender_factory_of scheme)
-    in
-    let result =
-      Topology.run ~tracer ?probe_interval ?sender_factory ~faults config
-    in
-    per_flow :=
-      Array.map
-        (fun (f : Metrics.flow_summary) -> f.Metrics.throughput_mbps)
-        result.Topology.flows
-      :: !per_flow;
-    Array.iteri
-      (fun i (f : Metrics.flow_summary) ->
-        if f.Metrics.on_time > 0. && f.Metrics.packets > 0 then begin
-          points :=
-            {
-              Scenario.tput_mbps = f.Metrics.throughput_mbps;
-              qdelay_ms = f.Metrics.mean_queueing_delay_ms;
-            }
-            :: !points;
-          let rtt_s =
-            Array.fold_left
-              (fun acc li -> acc +. config.Topology.links.(li).Topology.delay_s)
-              0.
-              config.Topology.flows.(i).Topology.route
-            *. 2.
-          in
-          rtt_sums :=
-            (f.Metrics.mean_queueing_delay_ms +. (rtt_s *. 1e3)) :: !rtt_sums
-        end)
-      result.Topology.flows
-  done;
-  let points = Array.of_list (List.rev !points) in
-  let tputs = Array.map (fun (p : Scenario.point) -> p.tput_mbps) points in
-  let delays = Array.map (fun (p : Scenario.point) -> p.qdelay_ms) points in
-  let non_empty = Array.length points > 0 in
-  {
-    Scenario.scheme = scheme.Schemes.name;
-    points;
-    median_tput = (if non_empty then Stats.median tputs else 0.);
-    median_qdelay = (if non_empty then Stats.median delays else 0.);
-    ellipse =
-      (if Array.length points >= 2 then
-         Some
-           (Ellipse.fit
-              (Array.map
-                 (fun (p : Scenario.point) -> (p.qdelay_ms, p.tput_mbps))
-                 points))
-       else None);
-    mean_tput = (if non_empty then Stats.mean tputs else 0.);
-    mean_rtt_ms =
-      (if !rtt_sums = [] then 0. else Stats.mean (Array.of_list !rtt_sums));
-    per_flow_tput = Array.of_list (List.rev !per_flow);
-  }
+let run_scheme ?tracer ?probe_interval ?faults t (scheme : Schemes.t) =
+  (* RemyCC schemes get the SoA fleet; everything else keeps the
+     per-record backend (the fleet is RemyCC-specialized). *)
+  let sender_factory =
+    Option.map (fun tree () -> Remy.Fleet.factory tree) scheme.Schemes.tree
+  in
+  Scenario.replicate ?tracer ?probe_interval ?sender_factory ?faults
+    ~scheme:scheme.Schemes.name ~replications:t.replications ~base_seed:t.base_seed
+    (fun ~seed -> config t ~scheme ~seed)
 
 let run_all t schemes = List.map (fun s -> run_scheme t s) schemes

@@ -1,17 +1,9 @@
-open Remy_util
-
-(* The agenda has two interchangeable backends: the binary heap and
-   the hierarchical timing wheel.  Both key events by (priority,
-   insertion sequence), so runs are bit-identical whichever is active
-   (test_timing_wheel proves this); the wheel wins once thousands of
-   flows keep tens of thousands of events pending. *)
-type agenda =
-  | A_heap of (unit -> unit) Heap.t
-  | A_wheel of (unit -> unit) Timing_wheel.t
-
+(* The agenda is a hierarchical timing wheel keyed by (priority,
+   insertion sequence); test_timing_wheel checks its pop order against
+   the binary heap. *)
 type t = {
   mutable clock : float;
-  agenda : agenda;
+  agenda : (unit -> unit) Remy_util.Timing_wheel.t;
   mutable tracer : Remy_obs.Trace.t;
 }
 
@@ -20,81 +12,46 @@ type t = {
    in rate computations (bytes / bandwidth etc.). *)
 let schedule_epsilon = 1e-9
 
-(* Process-wide default, flipped by {!use_wheel}; [create ?wheel]
-   overrides per engine.  Mirrors [Rule_tree.use_compiled_lookup].
-   Atomic: tests toggle it while parallel evaluators create engines. *)
-let wheel_default = Atomic.make true
-let use_wheel enabled = Atomic.set wheel_default enabled
-let wheel_enabled () = Atomic.get wheel_default
-
-let create ?(tracer = Remy_obs.Trace.off) ?wheel () =
-  let use = match wheel with Some b -> b | None -> Atomic.get wheel_default in
-  {
-    clock = 0.;
-    agenda =
-      (if use then A_wheel (Timing_wheel.create ())
-       else A_heap (Heap.create ()));
-    tracer;
-  }
+let create ?(tracer = Remy_obs.Trace.off) () =
+  { clock = 0.; agenda = Remy_util.Timing_wheel.create (); tracer }
 
 let now t = t.clock
 let tracer t = t.tracer
 let set_tracer t tr = t.tracer <- tr
 
 let schedule t at f =
-  if at < t.clock -. schedule_epsilon then
+  (* One comparison rejects both the past and NaN, which compares false
+     with everything and would otherwise be filed into the wheel. *)
+  if not (at >= t.clock -. schedule_epsilon) then
     invalid_arg
-      (Printf.sprintf "Engine.schedule: time %.9f is before now %.9f" at t.clock);
-  let prio = Float.max at t.clock in
-  match t.agenda with
-  | A_heap a -> Heap.push a prio f
-  | A_wheel w -> Timing_wheel.push w prio f
+      (if Float.is_nan at then "Engine.schedule: time is NaN"
+       else Printf.sprintf "Engine.schedule: time %.9f is before now %.9f" at t.clock);
+  Remy_util.Timing_wheel.push t.agenda (Float.max at t.clock) f
 
 let schedule_in t dt f = schedule t (t.clock +. dt) f
 
-(* Per-event cost in the drains is two reads and a call: min_prio /
-   pop_exn avoid the option + tuple that peek/pop allocate, the event
-   tally accumulates in an argument register (flushed to the atomic
-   counter once per run), and the agenda backend is matched once, not
-   per event.  Tail recursion keeps the loops allocation-free — the
-   hot-alloc lint proves it. *)
+(* Per-event cost in the drain is two reads and a call: min_prio /
+   pop_exn avoid the option + tuple that peek/pop allocate, and the
+   event tally accumulates in an argument register (flushed to the
+   atomic counter once per run).  Tail recursion keeps the loop
+   allocation-free — the hot-alloc lint proves it. *)
 
 (* remy-lint: hot *)
-let rec drain_heap t a ~until fired =
-  if Heap.size a = 0 then fired
+let rec drain t w ~until fired =
+  if Remy_util.Timing_wheel.size w = 0 then fired
   else
-    let at = Heap.min_prio a in
+    let at = Remy_util.Timing_wheel.min_prio w in
     if at > until then fired
     else begin
-      let f = Heap.pop_exn a in
+      let f = Remy_util.Timing_wheel.pop_exn w in
       t.clock <- at;
       f ();
-      drain_heap t a ~until (fired + 1)
-    end
-
-(* remy-lint: hot *)
-let rec drain_wheel t w ~until fired =
-  if Timing_wheel.size w = 0 then fired
-  else
-    let at = Timing_wheel.min_prio w in
-    if at > until then fired
-    else begin
-      let f = Timing_wheel.pop_exn w in
-      t.clock <- at;
-      f ();
-      drain_wheel t w ~until (fired + 1)
+      drain t w ~until (fired + 1)
     end
 
 let run t ~until =
-  let fired =
-    match t.agenda with
-    | A_heap a -> drain_heap t a ~until 0
-    | A_wheel w -> drain_wheel t w ~until 0
-  in
+  let fired = drain t t.agenda ~until 0 in
   Remy_obs.Counters.add Remy_obs.Counters.events_run fired;
   t.clock <- Float.max t.clock until
 
-let pending t =
-  match t.agenda with
-  | A_heap a -> Heap.size a
-  | A_wheel w -> Timing_wheel.size w
+let pending t = Remy_util.Timing_wheel.size t.agenda

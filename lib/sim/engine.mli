@@ -1,29 +1,19 @@
 (** Discrete-event simulation engine.
 
-    A monotonic virtual clock plus an agenda of closures, backed by
-    either a binary heap or a hierarchical timing wheel (see
-    {!use_wheel}) — the two agendas pop in the same order, so runs are
-    bit-identical whichever is active.  Events scheduled for the same
-    instant fire in scheduling order (determinism), and scheduling
-    into the past is a programming error.  This engine plays the role
-    ns-2's scheduler plays for the paper's evaluation. *)
+    A monotonic virtual clock plus an agenda of closures, held in a
+    hierarchical timing wheel ({!Remy_util.Timing_wheel}, O(1) per
+    event; its pop order is checked against {!Remy_util.Heap} in
+    test_timing_wheel).  Events scheduled for the same instant fire in
+    scheduling order (determinism), and scheduling into the past is a
+    programming error.  This engine plays the role ns-2's scheduler
+    plays for the paper's evaluation. *)
 
 type t
 
-val use_wheel : bool -> unit
-(** Select the process-wide default agenda backend for subsequently
-    created engines: the O(1) timing wheel ([true], the default) or
-    the O(log n) binary heap ([false], the pre-wheel behaviour kept as
-    a bit-identity oracle and baseline). *)
-
-val wheel_enabled : unit -> bool
-
-val create : ?tracer:Remy_obs.Trace.t -> ?wheel:bool -> unit -> t
+val create : ?tracer:Remy_obs.Trace.t -> unit -> t
 (** [tracer] (default {!Remy_obs.Trace.off}) is carried by the engine so
     simulator components reach it without extra plumbing; with the
-    default, every trace site reduces to a single false branch.
-    [wheel] overrides the {!use_wheel} process default for this
-    engine. *)
+    default, every trace site reduces to a single false branch. *)
 
 val now : t -> float
 (** Current virtual time in seconds; starts at [0.]. *)
@@ -38,8 +28,8 @@ val schedule_epsilon : float
 
 val schedule : t -> float -> (unit -> unit) -> unit
 (** [schedule t at f] runs [f] when the clock reaches [at].  Raises
-    [Invalid_argument] if [at] is more than {!schedule_epsilon} in the
-    past. *)
+    [Invalid_argument] if [at] is NaN or more than {!schedule_epsilon}
+    in the past. *)
 
 val schedule_in : t -> float -> (unit -> unit) -> unit
 (** [schedule_in t dt f] = [schedule t (now t +. dt) f]. *)

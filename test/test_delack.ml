@@ -1,74 +1,52 @@
 open Remy_cc
 open Remy_sim
 
-(* Receiver-level delayed-ACK tests driven by an explicit engine. *)
+(* Delayed-ACK tests on a one-flow receiver bank driven by an explicit
+   engine. *)
 
-let make_receiver ?delack () =
+let make_receiver ?delack engine =
   let metrics = Metrics.create ~n_flows:1 in
   let acks = ref [] in
   let r =
-    Receiver.create ~flow:0 ~metrics
-      ~queueing_delay_of:(fun _ ~now:_ -> 0.)
-      ~ack_sink:(fun a -> acks := a :: !acks)
-      ?delack ()
+    Receiver_bank.create ?delack engine ~metrics ~pool:(Packet.Pool.create ())
+      ~ack_sink:(fun _ a -> acks := a :: !acks)
+      ~fwd_delay:[| 0. |]
   in
   (r, acks)
 
+let receive r ~now pkt = Receiver_bank.receive r ~now 0 pkt
 let pkt ?(conn = 0) seq = Packet.make ~flow:0 ~seq ~conn ~now:0.1 ()
 
 let test_batches_in_order () =
-  let engine = Engine.create () in
-  let delack =
-    {
-      Receiver.ack_every = 2;
-      delack_timeout = 0.2;
-      schedule_in = Engine.schedule_in engine;
-    }
-  in
-  let r, acks = make_receiver ~delack () in
-  Receiver.receive r ~now:0.2 (pkt 0);
+  let r, acks = make_receiver ~delack:(2, 0.2) (Engine.create ()) in
+  receive r ~now:0.2 (pkt 0);
   Alcotest.(check int) "first arrival deferred" 0 (List.length !acks);
-  Receiver.receive r ~now:0.21 (pkt 1);
+  receive r ~now:0.21 (pkt 1);
   Alcotest.(check int) "second arrival flushes" 1 (List.length !acks);
   Alcotest.(check int) "cumulative covers both" 2 (List.hd !acks).Packet.cum_ack
 
 let test_timer_flushes_straggler () =
   let engine = Engine.create () in
-  let delack =
-    {
-      Receiver.ack_every = 2;
-      delack_timeout = 0.2;
-      schedule_in = Engine.schedule_in engine;
-    }
-  in
-  let r, acks = make_receiver ~delack () in
-  Engine.schedule engine 0.1 (fun () -> Receiver.receive r ~now:0.1 (pkt 0));
+  let r, acks = make_receiver ~delack:(2, 0.2) engine in
+  Engine.schedule engine 0.1 (fun () -> receive r ~now:0.1 (pkt 0));
   Engine.run engine ~until:1.;
   Alcotest.(check int) "timer flushed the straggler" 1 (List.length !acks);
   Alcotest.(check int) "cum" 1 (List.hd !acks).Packet.cum_ack
 
 let test_out_of_order_immediate () =
-  let engine = Engine.create () in
-  let delack =
-    {
-      Receiver.ack_every = 4;
-      delack_timeout = 0.5;
-      schedule_in = Engine.schedule_in engine;
-    }
-  in
-  let r, acks = make_receiver ~delack () in
-  Receiver.receive r ~now:0.1 (pkt 0);
+  let r, acks = make_receiver ~delack:(4, 0.5) (Engine.create ()) in
+  receive r ~now:0.1 (pkt 0);
   (* Segment 1 missing: the out-of-order arrival must be ACKed now so
      the sender's dupACK counter works. *)
-  Receiver.receive r ~now:0.2 (pkt 2);
+  receive r ~now:0.2 (pkt 2);
   Alcotest.(check bool) "dup ack immediate" true (List.length !acks >= 1);
   let cum = (List.hd !acks).Packet.cum_ack in
   Alcotest.(check int) "cum shows the hole" 1 cum
 
 let test_no_delack_unchanged () =
-  let r, acks = make_receiver () in
+  let r, acks = make_receiver (Engine.create ()) in
   for i = 0 to 3 do
-    Receiver.receive r ~now:0.1 (pkt i)
+    receive r ~now:0.1 (pkt i)
   done;
   Alcotest.(check int) "per-packet acks" 4 (List.length !acks)
 
@@ -78,20 +56,12 @@ let test_transfer_with_delack_completes () =
   let engine = Engine.create () in
   let metrics = Metrics.create ~n_flows:1 in
   let sender_cell = ref None in
-  let delack =
-    {
-      Receiver.ack_every = 2;
-      delack_timeout = 0.2;
-      schedule_in = Engine.schedule_in engine;
-    }
-  in
   let receiver =
-    Receiver.create ~flow:0 ~metrics
-      ~queueing_delay_of:(fun _ ~now:_ -> 0.)
-      ~ack_sink:(fun a ->
+    Receiver_bank.create ~delack:(2, 0.2) engine ~metrics ~pool:(Packet.Pool.create ())
+      ~ack_sink:(fun _ a ->
         Engine.schedule_in engine 0.05 (fun () ->
             Tcp_sender.handle_ack (Option.get !sender_cell) a))
-      ~delack ()
+      ~fwd_delay:[| 0.05 |]
   in
   let sender =
     Tcp_sender.create engine
@@ -109,7 +79,7 @@ let test_transfer_with_delack_completes () =
       }
       ~transmit:(fun p ->
         Engine.schedule_in engine 0.05 (fun () ->
-            Receiver.receive receiver ~now:(Engine.now engine) p))
+            Receiver_bank.receive receiver ~now:(Engine.now engine) 0 p))
       ~metrics ~rng:(Remy_util.Prng.create 1)
   in
   sender_cell := Some sender;
@@ -140,9 +110,9 @@ let test_dumbbell_with_delack () =
       min_rto = 0.2;
     }
   in
-  let plain = Dumbbell.run config in
-  let delayed = Dumbbell.run ~delack:(2, 0.2) config in
-  let tput r = r.Dumbbell.flows.(0).Metrics.throughput_mbps in
+  let plain = Sims.dumbbell config in
+  let delayed = Sims.dumbbell ~delack:(2, 0.2) config in
+  let tput r = r.Topology.flows.(0).Metrics.throughput_mbps in
   Alcotest.(check bool) "delack throughput within 30%" true
     (tput delayed > 0.7 *. tput plain)
 

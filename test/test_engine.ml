@@ -55,6 +55,14 @@ let test_past_scheduling_rejected () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+let test_nan_scheduling_rejected () =
+  let e = Engine.create () in
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule: time is NaN")
+    (fun () -> Engine.schedule e nan ignore);
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Engine.schedule: time is NaN")
+    (fun () -> Engine.schedule_in e nan ignore);
+  Alcotest.(check int) "nothing filed" 0 (Engine.pending e)
+
 let test_schedule_now_during_event () =
   let e = Engine.create () in
   let log = ref [] in
@@ -98,5 +106,6 @@ let tests =
     Alcotest.test_case "run ~until excludes later events" `Quick test_until_excludes_later;
     Alcotest.test_case "cascading self-scheduling" `Quick test_cascading;
     Alcotest.test_case "scheduling in the past rejected" `Quick test_past_scheduling_rejected;
+    Alcotest.test_case "scheduling at NaN rejected" `Quick test_nan_scheduling_rejected;
     Alcotest.test_case "same-instant follow-up" `Quick test_schedule_now_during_event;
   ]

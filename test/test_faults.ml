@@ -1,5 +1,5 @@
 (* Fault-injection layer: spec parsing, Gilbert–Elliott statistics,
-   injector determinism (including across agenda backends), graceful
+   injector determinism, graceful
    sender degradation under outages, zero-cost-when-off, and the chaos
    harness's directive machinery. *)
 
@@ -205,57 +205,46 @@ let summaries r =
        (fun (f : Metrics.flow_summary) ->
          (f.Metrics.packets, f.Metrics.bytes, f.Metrics.throughput_mbps,
           f.Metrics.mean_queueing_delay_ms))
-       r.Dumbbell.flows)
+       r.Topology.flows)
 
 let test_no_fault_bit_identity () =
-  let a = Dumbbell.run (dumbbell_config ()) in
-  let b = Dumbbell.run ~faults:Spec.empty (dumbbell_config ()) in
+  let a = Sims.dumbbell (dumbbell_config ()) in
+  let b = Sims.dumbbell ~faults:Spec.empty (dumbbell_config ()) in
   Alcotest.(check bool) "empty spec is invisible" true (summaries a = summaries b)
 
 let test_outage_park_delivers_everything () =
   let faults = parse_ok "outage:1+2" in
-  let r = Dumbbell.run ~faults (dumbbell_config ()) in
+  let r = Sims.dumbbell ~faults (dumbbell_config ()) in
   Array.iter
     (fun (f : Metrics.flow_summary) ->
       Alcotest.(check int) "all segments delivered across the outage" 200
         f.Metrics.packets)
-    r.Dumbbell.flows
+    r.Topology.flows
 
 let test_outage_drop_recovers () =
   (* Arrivals during the blackout are discarded: the senders must take
      RTOs and still finish the transfer afterwards. *)
   let faults = parse_ok "outage:1+2,drop" in
-  let r = Dumbbell.run ~faults (dumbbell_config ()) in
+  let r = Sims.dumbbell ~faults (dumbbell_config ()) in
   Array.iter
     (fun (f : Metrics.flow_summary) ->
       Alcotest.(check int) "transfer completes after drop outage" 200
         f.Metrics.packets)
-    r.Dumbbell.flows
+    r.Topology.flows
 
 let test_faulted_run_deterministic () =
   let faults = parse_ok "outage:1+0.5+5;ge:0.02,0.2,0.4;reorder:0.05,0.005;dup:0.01;corrupt:0.005" in
-  let a = Dumbbell.run ~faults (dumbbell_config ()) in
-  let b = Dumbbell.run ~faults (dumbbell_config ()) in
+  let a = Sims.dumbbell ~faults (dumbbell_config ()) in
+  let b = Sims.dumbbell ~faults (dumbbell_config ()) in
   Alcotest.(check bool) "identical runs identical summaries" true
     (summaries a = summaries b)
 
-let test_faulted_run_agenda_equivalence () =
-  let faults = parse_ok "outage:1+0.5+5;ge:0.02,0.2,0.4;reorder:0.05,0.005" in
-  let was = Engine.wheel_enabled () in
-  Engine.use_wheel false;
-  let heap = Dumbbell.run ~faults (dumbbell_config ()) in
-  Engine.use_wheel true;
-  let wheel = Dumbbell.run ~faults (dumbbell_config ()) in
-  Engine.use_wheel was;
-  Alcotest.(check bool) "heap and wheel agendas agree under faults" true
-    (summaries heap = summaries wheel)
-
 let test_ge_drops_affect_throughput () =
-  let clean = Dumbbell.run (dumbbell_config ~duration:10. ()) in
-  let lossy = Dumbbell.run ~faults:(parse_ok "ge:0.05,0.1,0.8") (dumbbell_config ~duration:10. ()) in
+  let clean = Sims.dumbbell (dumbbell_config ~duration:10. ()) in
+  let lossy = Sims.dumbbell ~faults:(parse_ok "ge:0.05,0.1,0.8") (dumbbell_config ~duration:10. ()) in
   let tput r =
     Array.fold_left (fun acc (f : Metrics.flow_summary) -> acc +. f.Metrics.throughput_mbps)
-      0. r.Dumbbell.flows
+      0. r.Topology.flows
   in
   Alcotest.(check bool) "bursty loss hurts throughput" true (tput lossy < tput clean)
 
@@ -280,9 +269,9 @@ let remy_dumbbell_config ~factory ?(duration = 20.) ?(seed = 21) () =
 
 let test_idle_restart_off_is_identity () =
   let tree = Remy.Rule_tree.create () in
-  let a = Dumbbell.run (remy_dumbbell_config ~factory:(Remy.Remycc.factory tree) ()) in
+  let a = Sims.dumbbell (remy_dumbbell_config ~factory:(Remy.Remycc.factory tree) ()) in
   let b =
-    Dumbbell.run
+    Sims.dumbbell
       (remy_dumbbell_config
          ~factory:(Remy.Remycc.factory ~idle_restart_s:infinity tree)
          ())
@@ -293,7 +282,7 @@ let test_idle_restart_off_is_identity () =
 let test_idle_restart_deterministic_under_outage () =
   let tree = Remy.Rule_tree.create () in
   let run () =
-    Dumbbell.run
+    Sims.dumbbell
       ~faults:(parse_ok "outage:1+2")
       (remy_dumbbell_config ~factory:(Remy.Remycc.factory ~idle_restart_s:0.5 tree) ())
   in
@@ -357,9 +346,9 @@ let test_rto_bounded_under_blackout () =
       min_rto = Dumbbell.default_min_rto;
     }
   in
-  let r = Dumbbell.run ~faults config in
+  let r = Sims.dumbbell ~faults config in
   Alcotest.(check int) "transfer completes after a 60 s blackout" 100
-    r.Dumbbell.flows.(0).Metrics.packets
+    r.Topology.flows.(0).Metrics.packets
 
 (* ---------- Chaos harness ---------- *)
 
@@ -475,8 +464,6 @@ let tests =
     Alcotest.test_case "outage drop recovers" `Slow test_outage_drop_recovers;
     Alcotest.test_case "faulted run deterministic" `Slow
       test_faulted_run_deterministic;
-    Alcotest.test_case "heap/wheel agenda equivalence" `Slow
-      test_faulted_run_agenda_equivalence;
     Alcotest.test_case "GE loss hurts throughput" `Slow
       test_ge_drops_affect_throughput;
     Alcotest.test_case "idle restart off = identity" `Slow

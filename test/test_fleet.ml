@@ -113,7 +113,7 @@ let test_fleet_matches_records_lossy () =
       Topology.links =
         [|
           {
-            Topology.rate_mbps = 8.;
+            Topology.service = Dumbbell.Rate_mbps 8.;
             delay_s = rtt /. 2.;
             qdisc = Dumbbell.With_loss (0.05, Dumbbell.Droptail 200);
           };
@@ -123,6 +123,7 @@ let test_fleet_matches_records_lossy () =
             {
               Topology.cc = Remycc.factory tree;
               route = [| 0 |];
+              access_delay_s = 0.;
               workload = Workload.by_bytes ~mean_bytes:8e4 ~mean_off:0.2;
               start = `Off_draw;
             });

@@ -62,8 +62,11 @@ let config ?(service = Dumbbell.Rate_mbps 15.) ?(qdisc = Dumbbell.Droptail 1000)
   }
 
 let run ?tracer ?probe_interval ?delivery_hook ?delack ?faults cfg =
-  let r = Dumbbell.run ?tracer ?probe_interval ?delivery_hook ?delack ?faults cfg in
-  (r.Dumbbell.flows, r.Dumbbell.drops, r.Dumbbell.delivered, r.Dumbbell.mean_utilization)
+  let r =
+    Topology.run ?tracer ?probe_interval ?delivery_hook ?delack ?faults
+      (Topology.dumbbell cfg)
+  in
+  (r.Topology.flows, r.Topology.drops, r.Topology.delivered, r.Topology.bottleneck_utilization)
 
 let render_flows b (flows : Metrics.flow_summary array) =
   Array.iter

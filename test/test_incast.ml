@@ -23,7 +23,7 @@ let run_incast ~qdisc ~senders ~capacity =
           start = `Immediate;
         })
   in
-  Dumbbell.run
+  Sims.dumbbell
     {
       Dumbbell.service = Dumbbell.Rate_mbps 1000.;
       qdisc = qdisc capacity;
@@ -38,17 +38,17 @@ let test_synchronized_bursts_overflow_small_buffer () =
      a 128-packet buffer at once: drops are inevitable.  This is the
      incast collapse of Section 3.2's datacenter traffic model. *)
   let r = run_incast ~qdisc:(fun c -> Dumbbell.Droptail c) ~senders:32 ~capacity:128 in
-  Alcotest.(check bool) "incast drops" true (r.Dumbbell.drops > 0)
+  Alcotest.(check bool) "incast drops" true (r.Topology.drops > 0)
 
 let test_big_buffer_absorbs_burst () =
   let r =
     run_incast ~qdisc:(fun c -> Dumbbell.Droptail c) ~senders:8 ~capacity:4096
   in
-  Alcotest.(check int) "no drops with headroom" 0 r.Dumbbell.drops;
+  Alcotest.(check int) "no drops with headroom" 0 r.Topology.drops;
   Array.iter
     (fun (f : Metrics.flow_summary) ->
       Alcotest.(check bool) "every sender progresses" true (f.Metrics.packets > 0))
-    r.Dumbbell.flows
+    r.Topology.flows
 
 let test_ecn_reduces_incast_drops () =
   let droptail =
@@ -62,7 +62,7 @@ let test_ecn_reduces_incast_drops () =
   (* DCTCP's marking throttles senders before the buffer fills, so the
      ECN switch should drop (tail-drop) less than pure DropTail. *)
   Alcotest.(check bool) "ECN mitigates incast" true
-    (red.Dumbbell.drops <= droptail.Dumbbell.drops)
+    (red.Topology.drops <= droptail.Topology.drops)
 
 let tests =
   [

@@ -59,7 +59,7 @@ let test_transfer_completes_under_loss () =
     |]
   in
   let r =
-    Dumbbell.run
+    Sims.dumbbell
       {
         Dumbbell.service = Dumbbell.Rate_mbps 10.;
         qdisc = Dumbbell.With_loss (0.05, Dumbbell.Droptail 1000);
@@ -70,7 +70,7 @@ let test_transfer_completes_under_loss () =
       }
   in
   Alcotest.(check int) "all 200 segments delivered" 200
-    r.Dumbbell.flows.(0).Remy_sim.Metrics.packets
+    r.Topology.flows.(0).Remy_sim.Metrics.packets
 
 let tests =
   [

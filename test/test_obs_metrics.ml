@@ -368,7 +368,7 @@ let obs_config () =
 let test_observation_invariance () =
   M.disable ();
   P.disable ();
-  let plain = Dumbbell.run (obs_config ()) in
+  let plain = Sims.dumbbell (obs_config ()) in
   M.enable ();
   M.reset ();
   P.enable ();
@@ -378,20 +378,20 @@ let test_observation_invariance () =
       ~finally:(fun () ->
         M.disable ();
         P.disable ())
-      (fun () -> P.span "obs" (fun () -> Dumbbell.run (obs_config ())))
+      (fun () -> P.span "obs" (fun () -> Sims.dumbbell (obs_config ())))
   in
   Array.iteri
     (fun i (f : Metrics.flow_summary) ->
-      let g = observed.Dumbbell.flows.(i) in
+      let g = observed.Topology.flows.(i) in
       Alcotest.(check (float 0.))
         (Printf.sprintf "flow %d throughput" i)
         f.Metrics.throughput_mbps g.Metrics.throughput_mbps;
       Alcotest.(check (float 0.))
         (Printf.sprintf "flow %d delay" i)
         f.Metrics.mean_queueing_delay_ms g.Metrics.mean_queueing_delay_ms)
-    plain.Dumbbell.flows;
-  Alcotest.(check int) "drops identical" plain.Dumbbell.drops
-    observed.Dumbbell.drops
+    plain.Topology.flows;
+  Alcotest.(check int) "drops identical" plain.Topology.drops
+    observed.Topology.drops
 
 (* --- trace summary delay percentiles ------------------------------- *)
 
@@ -405,7 +405,7 @@ let test_trace_summary_delay () =
         Remy_obs.Trace.make
           (Remy_obs.Sink.to_file ~columns:Remy_obs.Trace.columns path)
       in
-      ignore (Dumbbell.run ~tracer (obs_config ()));
+      ignore (Sims.dumbbell ~tracer (obs_config ()));
       Remy_obs.Trace.close tracer;
       match Remy_obs.Trace_summary.of_file path with
       | Error e -> Alcotest.failf "summary: %s" e

@@ -56,7 +56,7 @@ let run_probed ~n ~duration ~probe_interval =
       min_rto = 0.2;
     }
   in
-  ignore (Dumbbell.run ~tracer:(Remy_obs.Trace.make sink) ~probe_interval cfg);
+  ignore (Sims.dumbbell ~tracer:(Remy_obs.Trace.make sink) ~probe_interval cfg);
   read ()
 
 let filter_ev records kind =

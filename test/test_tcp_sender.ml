@@ -19,13 +19,14 @@ let make_harness ?(delay = 0.05) ?(min_rto = 0.2) ?(should_drop = fun _ _ -> fal
   let rng = Prng.create 42 in
   let tx_counts : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let sender_cell = ref None in
+  (* The sender allocates its packets (no pool), so the transmissions
+     kept below stay intact after the receiver releases them. *)
   let receiver =
-    Receiver.create ~flow:0 ~metrics
-      ~queueing_delay_of:(fun pkt ~now -> now -. pkt.Packet.sent_at -. delay)
-      ~ack_sink:(fun ack ->
+    Receiver_bank.create engine ~metrics ~pool:(Packet.Pool.create ())
+      ~ack_sink:(fun _ ack ->
         Engine.schedule_in engine delay (fun () ->
             Tcp_sender.handle_ack (Option.get !sender_cell) ack))
-      ()
+      ~fwd_delay:[| delay |]
   in
   let h = ref None in
   let transmit pkt =
@@ -35,7 +36,7 @@ let make_harness ?(delay = 0.05) ?(min_rto = 0.2) ?(should_drop = fun _ _ -> fal
     Hashtbl.replace tx_counts key count;
     if not (should_drop pkt count) then
       Engine.schedule_in engine delay (fun () ->
-          Receiver.receive receiver ~now:(Engine.now engine) pkt)
+          Receiver_bank.receive receiver ~now:(Engine.now engine) 0 pkt)
   in
   let sender =
     Tcp_sender.create engine

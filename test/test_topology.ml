@@ -1,12 +1,8 @@
-(* The multi-bottleneck topology acceptance tests.  The load-bearing
-   one is the reduction property: a single-link topology with routes
-   [|0|] is the dumbbell, and the two runners must agree bit for bit —
-   flow summaries, drops, delivered, utilization — across qdiscs,
-   congestion controls, and on/off workloads.  That transitively
-   validates the hop-by-hop runner against everything test_dumbbell
-   already proves.  The rest: canonical builders produce sane traffic,
-   runs are deterministic (including 4096-flow incast with randomized
-   on/off arrivals), and malformed routes are rejected. *)
+(* The multi-bottleneck topology acceptance tests: canonical builders
+   produce sane traffic, runs are deterministic (including 4096-flow
+   incast with randomized on/off arrivals), and malformed networks are
+   rejected with errors that name the link or flow.  The one-link
+   dumbbell is pinned bit for bit by test_golden_sims. *)
 
 open Remy_cc
 open Remy_sim
@@ -21,68 +17,6 @@ let check_flow name i (a : Metrics.flow_summary) (b : Metrics.flow_summary) =
   Alcotest.(check int) (lbl "bytes") a.Metrics.bytes b.Metrics.bytes;
   Alcotest.(check int) (lbl "packets") a.Metrics.packets b.Metrics.packets;
   Alcotest.(check (float 0.)) (lbl "on_time") a.Metrics.on_time b.Metrics.on_time
-
-(* --- reduction to the dumbbell -------------------------------------- *)
-
-let check_dumbbell_equiv name ~qdisc ~cc_of ~n ~workload ~start ~duration ~seed =
-  let rtt = 0.1 and rate = 15. and min_rto = 0.2 in
-  let d_cfg =
-    {
-      Dumbbell.service = Dumbbell.Rate_mbps rate;
-      qdisc;
-      flows =
-        Array.init n (fun i -> { Dumbbell.cc = cc_of i; rtt; workload; start });
-      duration;
-      seed;
-      min_rto;
-    }
-  in
-  let t_cfg =
-    {
-      Topology.links = [| { Topology.rate_mbps = rate; delay_s = rtt /. 2.; qdisc } |];
-      flows =
-        Array.init n (fun i ->
-            { Topology.cc = cc_of i; route = [| 0 |]; workload; start });
-      duration;
-      seed;
-      min_rto;
-    }
-  in
-  let dr = Dumbbell.run d_cfg and tr = Topology.run t_cfg in
-  Array.iteri
-    (fun i f -> check_flow name i f tr.Topology.flows.(i))
-    dr.Dumbbell.flows;
-  Alcotest.(check int) (name ^ ": drops") dr.Dumbbell.drops tr.Topology.drops;
-  Alcotest.(check int) (name ^ ": delivered") dr.Dumbbell.delivered
-    tr.Topology.delivered;
-  Alcotest.(check (float 0.))
-    (name ^ ": utilization")
-    dr.Dumbbell.mean_utilization tr.Topology.bottleneck_utilization;
-  (* Sanity: the run did something. *)
-  Alcotest.(check bool) (name ^ ": traffic flowed") true (tr.Topology.received > 0)
-
-let test_reduces_to_dumbbell_newreno () =
-  check_dumbbell_equiv "newreno saturating" ~qdisc:(Dumbbell.Droptail 1000)
-    ~cc_of:(fun _ -> Newreno.factory ())
-    ~n:2 ~workload:Workload.saturating ~start:`Immediate ~duration:8. ~seed:9
-
-let test_reduces_to_dumbbell_onoff_lossy () =
-  (* Stochastic loss plus off-draw starts exercises timeouts, recovery,
-     and the workload RNG split order. *)
-  check_dumbbell_equiv "lossy on/off"
-    ~qdisc:(Dumbbell.With_loss (0.03, Dumbbell.Droptail 500))
-    ~cc_of:(fun _ -> Newreno.factory ())
-    ~n:3
-    ~workload:(Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3)
-    ~start:`Off_draw ~duration:12. ~seed:4
-
-let test_reduces_to_dumbbell_remycc () =
-  let tree = Remy.Rule_tree.create () in
-  check_dumbbell_equiv "remycc" ~qdisc:(Dumbbell.Droptail 1000)
-    ~cc_of:(fun _ -> Remy.Remycc.factory tree)
-    ~n:2
-    ~workload:(Workload.by_bytes ~mean_bytes:1e5 ~mean_off:0.2)
-    ~start:`Off_draw ~duration:8. ~seed:7
 
 (* --- canonical builders --------------------------------------------- *)
 
@@ -196,38 +130,65 @@ let test_registry () =
       Alcotest.(check int) (name ^ " flow count") 3 (Array.length r.Topology.flows))
     Topology.builders
 
+let link ?(mbps = 10.) ?(delay_s = 0.01) () =
+  { Topology.service = Dumbbell.Rate_mbps mbps; delay_s; qdisc = Dumbbell.Droptail 10 }
+
+let flow ?(access_delay_s = 0.) route =
+  {
+    Topology.cc = Newreno.factory ();
+    route;
+    access_delay_s;
+    workload = Workload.saturating;
+    start = `Immediate;
+  }
+
+let cfg ?(links = [| link () |]) flows =
+  { Topology.links; flows; duration = 1.; seed = 1; min_rto = 0.2 }
+
 let invalid cfg =
   match Topology.run cfg with
   | _ -> false
   | exception Invalid_argument _ -> true
 
+(* [cfg] must be rejected with an error naming [what]. *)
+let rejected what cfg =
+  match Topology.run cfg with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Invalid_argument msg ->
+    let n = String.length what in
+    let rec mentions i =
+      i + n <= String.length msg && (String.sub msg i n = what || mentions (i + 1))
+    in
+    if not (mentions 0) then Alcotest.failf "error %S does not name %s" msg what
+
 let test_validation () =
-  let link = { Topology.rate_mbps = 10.; delay_s = 0.01; qdisc = Dumbbell.Droptail 10 } in
-  let flow route =
-    {
-      Topology.cc = (Newreno.factory ());
-      route;
-      workload = Workload.saturating;
-      start = `Immediate;
-    }
-  in
-  let cfg flows =
-    { Topology.links = [| link |]; flows; duration = 1.; seed = 1; min_rto = 0.2 }
-  in
   Alcotest.(check bool) "empty route rejected" true (invalid (cfg [| flow [||] |]));
   Alcotest.(check bool) "unknown link rejected" true (invalid (cfg [| flow [| 1 |] |]));
   Alcotest.(check bool) "looping route rejected" true
     (invalid (cfg [| flow [| 0; 0 |] |]));
   Alcotest.(check bool) "no flows rejected" true (invalid (cfg [||]))
 
+let with_link_1 l = [| link (); l |]
+
+let test_link_rate_validation () =
+  List.iter
+    (fun mbps -> rejected "link 1" (cfg ~links:(with_link_1 (link ~mbps ())) [| flow [| 0; 1 |] |]))
+    [ 0.; -5.; nan; infinity ]
+
+let test_link_delay_validation () =
+  List.iter
+    (fun delay_s ->
+      rejected "link 1" (cfg ~links:(with_link_1 (link ~delay_s ())) [| flow [| 0; 1 |] |]))
+    [ -0.01; nan; infinity ]
+
+let test_access_delay_validation () =
+  List.iter
+    (fun access_delay_s ->
+      rejected "flow 1" (cfg [| flow [| 0 |]; flow ~access_delay_s [| 0 |] |]))
+    [ -0.01; nan; infinity ]
+
 let tests =
   [
-    Alcotest.test_case "single link reduces to dumbbell (newreno)" `Slow
-      test_reduces_to_dumbbell_newreno;
-    Alcotest.test_case "single link reduces to dumbbell (lossy on/off)" `Slow
-      test_reduces_to_dumbbell_onoff_lossy;
-    Alcotest.test_case "single link reduces to dumbbell (remycc)" `Slow
-      test_reduces_to_dumbbell_remycc;
     Alcotest.test_case "parking lot shares the chain" `Slow
       test_parking_lot_shares_chain;
     Alcotest.test_case "fat-tree pod smoke" `Quick test_fat_tree_pod_smoke;
@@ -239,4 +200,7 @@ let tests =
       test_incast_4096_onoff_deterministic;
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "route validation" `Quick test_validation;
+    Alcotest.test_case "link rate validation" `Quick test_link_rate_validation;
+    Alcotest.test_case "link delay validation" `Quick test_link_delay_validation;
+    Alcotest.test_case "access delay validation" `Quick test_access_delay_validation;
   ]

@@ -105,7 +105,7 @@ let config ~qdisc ~cc ~n ~duration ~seed =
 
 let run_traced ?probe_interval cfg =
   let sink, read = Sink.memory () in
-  let result = Dumbbell.run ~tracer:(Trace.make sink) ?probe_interval cfg in
+  let result = Sims.dumbbell ~tracer:(Trace.make sink) ?probe_interval cfg in
   (result, read ())
 
 let test_tracing_preserves_results () =
@@ -115,16 +115,16 @@ let test_tracing_preserves_results () =
     config ~qdisc:(Dumbbell.Droptail 20) ~cc:(Newreno.factory ()) ~n:2
       ~duration:5. ~seed:42
   in
-  let plain = Dumbbell.run (cfg ()) in
+  let plain = Sims.dumbbell (cfg ()) in
   let traced, records = run_traced ~probe_interval:0.1 (cfg ()) in
   Alcotest.(check bool) "trace not empty" true (List.length records > 0);
   Alcotest.(check bool) "flow summaries identical" true
-    (plain.Dumbbell.flows = traced.Dumbbell.flows);
-  Alcotest.(check int) "drops identical" plain.Dumbbell.drops traced.Dumbbell.drops;
-  Alcotest.(check int) "delivered identical" plain.Dumbbell.delivered
-    traced.Dumbbell.delivered;
+    (plain.Topology.flows = traced.Topology.flows);
+  Alcotest.(check int) "drops identical" plain.Topology.drops traced.Topology.drops;
+  Alcotest.(check int) "delivered identical" plain.Topology.delivered
+    traced.Topology.delivered;
   Alcotest.(check (float 0.)) "utilization identical"
-    plain.Dumbbell.mean_utilization traced.Dumbbell.mean_utilization
+    plain.Topology.bottleneck_utilization traced.Topology.bottleneck_utilization
 
 let test_event_ordering () =
   let _, records =
@@ -322,9 +322,9 @@ let test_trace_summary_aggregates () =
   let s = Remy_obs.Trace_summary.of_records records in
   Alcotest.(check int) "record count" (List.length records)
     s.Remy_obs.Trace_summary.records;
-  Alcotest.(check int) "delivers == link deliveries" result.Dumbbell.delivered
+  Alcotest.(check int) "delivers == link deliveries" result.Topology.delivered
     (Remy_obs.Trace_summary.count s "deliver");
-  Alcotest.(check int) "drops == qdisc drops" result.Dumbbell.drops
+  Alcotest.(check int) "drops == qdisc drops" result.Topology.drops
     (Remy_obs.Trace_summary.count s "drop");
   let qs = Hashtbl.find s.Remy_obs.Trace_summary.by_queue "droptail" in
   Alcotest.(check bool) "occupancy tracked" true
