@@ -43,13 +43,16 @@ type result = {
 
 let invalid fmt = Printf.ksprintf invalid_arg fmt
 
-let validate (config : config) =
+let link_rates (config : config) =
+  Array.map (fun (l : link_spec) -> Dumbbell.service_rate_mbps l.service) config.links
+
+let validate (config : config) ~rates =
   let nl = Array.length config.links in
   if nl = 0 then invalid_arg "Topology.run: no links";
   if Array.length config.flows = 0 then invalid_arg "Topology.run: no flows";
   Array.iteri
     (fun li (l : link_spec) ->
-      let rate = Dumbbell.service_rate_mbps l.service in
+      let rate = rates.(li) in
       if not (Float.is_finite rate && rate > 0.) then
         invalid "Topology.run: link %d has rate %g Mbps" li rate;
       if not (Float.is_finite l.delay_s && l.delay_s >= 0.) then
@@ -75,15 +78,11 @@ let validate (config : config) =
         f.route)
     config.flows
 
-let link_rates (config : config) =
-  Array.map (fun (l : link_spec) -> Dumbbell.service_rate_mbps l.service) config.links
-
+(* The bottleneck: the minimum-rate link, first on ties. *)
 let min_index rates =
   let best = ref 0 in
   Array.iteri (fun i r -> if r < rates.(!best) then best := i) rates;
   !best
-
-let bottleneck_index config = min_index (link_rates config)
 
 (* One-way propagation from each flow's sender to its receiver. *)
 let forward_delays (config : config) =
@@ -97,13 +96,13 @@ let flow_rtts config = Array.map (fun d -> 2. *. d) (forward_delays config)
 
 let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
     ?sender_factory ?(faults = Remy_faults.Spec.empty) (config : config) =
-  validate config;
+  let rates = link_rates config in
+  validate config ~rates;
   let n = Array.length config.flows in
   let nl = Array.length config.links in
   let engine = Engine.create ~tracer () in
   let metrics = Metrics.create ~n_flows:n in
   let root_rng = Prng.create config.seed in
-  let rates = link_rates config in
   (* One qdisc per link; per-link seeds keep loss streams independent
      (link 0 uses the run seed itself).  Fault injectors, where a
      link's spec is non-empty, wrap the qdisc here and attach to the

@@ -41,15 +41,14 @@ type config = {
 type result = {
   flows : Remy_sim.Metrics.flow_summary array;
   drops : int;  (** across all links, all causes *)
-  delivered : int;  (** packets through the bottleneck (min-rate) link *)
+  delivered : int;
+      (** packets through the bottleneck (the minimum-rate link, first
+          on ties) *)
   received : int;  (** fresh data packets accepted by receivers *)
   bottleneck_utilization : float;
       (** delivered bytes / (bottleneck rate x duration); trace links
           use their long-run mean rate *)
 }
-
-val bottleneck_index : config -> int
-(** Index of the minimum-rate link (first on ties). *)
 
 val flow_rtts : config -> float array
 (** Each flow's two-way propagation delay, seconds. *)
