@@ -62,10 +62,7 @@ let config ?(service = Dumbbell.Rate_mbps 15.) ?(qdisc = Dumbbell.Droptail 1000)
   }
 
 let run ?tracer ?probe_interval ?delivery_hook ?delack ?faults cfg =
-  let r =
-    Topology.run ?tracer ?probe_interval ?delivery_hook ?delack ?faults
-      (Topology.dumbbell cfg)
-  in
+  let r = Sims.dumbbell ?tracer ?probe_interval ?delivery_hook ?delack ?faults cfg in
   (r.Topology.flows, r.Topology.drops, r.Topology.delivered, r.Topology.bottleneck_utilization)
 
 let render_flows b (flows : Metrics.flow_summary array) =
