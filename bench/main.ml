@@ -280,8 +280,7 @@ let pp_dist fmt (rows : dist_row list) =
 
 (* Hot-path throughput with the optimizer out of the picture: a dumbbell
    simulation driven by a realistically subdivided RemyCC table, measured
-   via the Remy_obs.Counters deltas, plus a tight rule-lookup loop that
-   pits the compiled index against raw tree descent. *)
+   via the Remy_obs.Counters deltas, plus a tight rule-lookup loop. *)
 type sim_result = {
   sb_sim_s : float;  (* simulated seconds across all repetitions *)
   sb_wall_s : float;
@@ -290,7 +289,6 @@ type sim_result = {
   sb_acks : int;
   sb_acks_per_sec : float;
   sb_lookups_per_sec : float;
-  sb_tree_lookups_per_sec : float;
   sb_minor_words_per_sim_s : float;
   sb_pool_hit_rate : float;
   sb_counters : Remy_obs.Counters.snapshot;
@@ -373,8 +371,7 @@ let run_sim_bench ~smoke =
     float_of_int n_lookups /. (Unix.gettimeofday () -. t0)
   in
   let lookups_per_sec = time_lookups Rule_tree.lookup in
-  let tree_lookups_per_sec = time_lookups Rule_tree.lookup_uncompiled in
-  Remy_obs.Counters.add Remy_obs.Counters.lookups (2 * n_lookups);
+  Remy_obs.Counters.add Remy_obs.Counters.lookups n_lookups;
   let counters = Remy_obs.Counters.diff (Remy_obs.Counters.snapshot ()) c0 in
   let sim_s = duration *. float_of_int reps in
   let pool_total = snap.Remy_obs.Counters.pool_hits + snap.Remy_obs.Counters.pool_misses in
@@ -386,7 +383,6 @@ let run_sim_bench ~smoke =
     sb_acks = snap.Remy_obs.Counters.acks_processed;
     sb_acks_per_sec = float_of_int snap.Remy_obs.Counters.acks_processed /. wall;
     sb_lookups_per_sec = lookups_per_sec;
-    sb_tree_lookups_per_sec = tree_lookups_per_sec;
     sb_minor_words_per_sim_s = minor_words /. sim_s;
     sb_pool_hit_rate =
       (if pool_total > 0 then
@@ -398,10 +394,10 @@ let run_sim_bench ~smoke =
 let pp_sim fmt (s : sim_result) =
   Format.fprintf fmt
     "@.==== Simulator microbench (%g simulated s) ====@.@.%d events in %.2f s = \
-     %.0f events/s; %d acks = %.0f acks/s; lookups %.2g/s compiled vs %.2g/s \
-     tree; %.3g minor words per simulated second; pool hit rate %.3f@."
+     %.0f events/s; %d acks = %.0f acks/s; %.2g lookups/s; %.3g minor words \
+     per simulated second; pool hit rate %.3f@."
     s.sb_sim_s s.sb_events s.sb_wall_s s.sb_events_per_sec s.sb_acks
-    s.sb_acks_per_sec s.sb_lookups_per_sec s.sb_tree_lookups_per_sec
+    s.sb_acks_per_sec s.sb_lookups_per_sec
     s.sb_minor_words_per_sim_s s.sb_pool_hit_rate
 
 (* --- agenda hold microbench ------------------------------------------- *)
@@ -659,7 +655,6 @@ let write_json path micro (macro : macro_result) (sim : sim_result)
   out "    \"acks\": %d,\n" sim.sb_acks;
   out "    \"acks_per_sec\": %s,\n" (json_float sim.sb_acks_per_sec);
   out "    \"lookups_per_sec\": %s,\n" (json_float sim.sb_lookups_per_sec);
-  out "    \"tree_lookups_per_sec\": %s,\n" (json_float sim.sb_tree_lookups_per_sec);
   out "    \"minor_words_per_sim_s\": %s,\n" (json_float sim.sb_minor_words_per_sim_s);
   out "    \"pool_hit_rate\": %s,\n" (json_float sim.sb_pool_hit_rate);
   out "    \"counters\": %s\n" (counters_json sim.sb_counters);
@@ -782,12 +777,17 @@ let run_gate ?(metrics = gated_metrics) ~tolerance ~candidate ~baseline () =
         in
         Printf.printf "%-22s baseline %14.1f  candidate %14.1f  %5.2fx  %s\n" key
           b c ratio verdict
-      | None, _ -> Printf.printf "%-22s missing in candidate; skipped\n" key
+      | None, _ ->
+        (* A gated key the candidate no longer reports (renamed or
+           deleted) would otherwise go unguarded. *)
+        incr failures;
+        Printf.printf "%-22s missing in candidate  FAIL\n" key
       | _, None -> Printf.printf "%-22s missing in baseline; skipped\n" key
       | Some _, Some _ -> Printf.printf "%-22s baseline non-positive; skipped\n" key)
     metrics;
   if !failures > 0 then
-    Printf.printf "regression gate: FAIL (%d metric(s) regressed by more than %.0f%%)\n"
+    Printf.printf
+      "regression gate: FAIL (%d metric(s) missing or regressed by more than %.0f%%)\n"
       !failures (100. *. tolerance)
   else
     Printf.printf "regression gate: ok (all gated metrics within %.0f%% of baseline)\n"

@@ -10,9 +10,10 @@ open Remy_cc
    {!Tcp_sender} record + {!Remycc} closure set per flow.  At 10k flows
    this removes ~10k record/closure webs and, on the ack path, the
    per-ack [Cc.ack_info] record (the RemyCC update needs only four of
-   its fields, read here straight from the ack): steady-state ack
-   processing allocates only the [Memory.t] passed to
-   {!Rule_tree.lookup} and is cache-friendly across flows.
+   its fields, read here straight from the ack): without a tally,
+   steady-state ack processing builds no [Memory.t] ([apply3] hands
+   the three signals to {!Rule_tree.lookup3}) and is cache-friendly
+   across flows.
 
    Every arithmetic expression below is copied verbatim from
    [Tcp_sender], [Remycc] and [Memory] so that runs are bit-identical

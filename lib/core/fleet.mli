@@ -4,10 +4,10 @@
     state of every sender — reliability counters, RFC 6298 estimator,
     pacing clock, RemyCC memory signals — in flat float/int arrays
     shared across the fleet, instead of one {!Remy_cc.Tcp_sender}
-    record and {!Remycc} closure set per flow.  Steady-state ack
-    processing allocates only the [Memory.t] record passed to
-    {!Rule_tree.lookup}, so 10k-flow scenarios run with O(1) allocation
-    per ack.
+    record and {!Remycc} closure set per flow.  Without a tally,
+    steady-state ack processing builds no [Memory.t] record: the three
+    signals go straight to {!Rule_tree.lookup3}, so 10k-flow scenarios
+    run with O(1) allocation per ack.
 
     Behaviour is bit-identical to
     [Sender_backend.records (Remycc.factory tree)]: every arithmetic

@@ -2,14 +2,19 @@
 
     Cheap visibility into the simulator inner loop: how many agenda
     events fired, acks crossed the congestion-control boundary, rule
-    lookups ran, compiled indexes were built, and how the packet pools
-    behaved.  Counters are atomics so worker domains may bump them
-    concurrently; hot loops accumulate locally and {!add} once per run. *)
+    lookups ran, and how the packet pools behaved.  Counters are atomics
+    so worker domains may bump them concurrently; hot loops accumulate
+    locally and {!add} once per run. *)
 
 val events_run : int Atomic.t
 val acks_processed : int Atomic.t
 val lookups : int Atomic.t
+
 val index_builds : int Atomic.t
+(** Always 0: nothing builds a rule-table index any more.  Kept, with its
+    {!snapshot} field, only because the repository benchmark (bench/e2e)
+    still reads it; it goes away with the next change to that benchmark. *)
+
 val pool_hits : int Atomic.t
 val pool_misses : int Atomic.t
 

@@ -48,7 +48,6 @@ let () =
       ("memory", Test_memory.tests);
       ("action", Test_action.tests);
       ("rule-tree", Test_rule_tree.tests);
-      ("compiled-index", Test_compiled_index.tests);
       ("tally", Test_tally.tests);
       ("table-diff", Test_table_diff.tests);
       ("objective", Test_objective.tests);

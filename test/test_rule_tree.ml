@@ -310,17 +310,78 @@ let test_load_validated_rejects_out_of_bounds () =
   | Error e -> Alcotest.failf "plain load should not validate: %s" e);
   Sys.remove path
 
+(* Besides a random point, probe every live rule at its inclusive lo
+   corner and its midpoint, which it must own, and at its exclusive hi
+   corner, which belongs to whichever rule contains it — the half-open
+   boundaries a descent off by one comparison would get wrong. *)
 let prop_lookup_in_box =
   QCheck.Test.make ~name:"lookup returns a rule whose box contains the point"
     ~count:100
     QCheck.(triple small_nat (float_range 0. 16383.) (float_range 0. 16383.))
     (fun (seed, x, y) ->
       let t = random_tree (Prng.create (seed + 1)) 3 in
-      let m = Memory.make ~ack_ewma:x ~send_ewma:y ~rtt_ratio:(Float.min x y) in
-      let id = Rule_tree.lookup t m in
-      let b = Rule_tree.box t id in
-      let inside d v = v >= fst b.(d) && v < snd b.(d) in
-      inside 0 (Memory.get m 0) && inside 1 (Memory.get m 1) && inside 2 (Memory.get m 2))
+      let contains m =
+        let b = Rule_tree.box t (Rule_tree.lookup t m) in
+        let inside d = Memory.get m d >= fst b.(d) && Memory.get m d < snd b.(d) in
+        inside 0 && inside 1 && inside 2
+      in
+      let at pick id =
+        let b = Rule_tree.box t id in
+        mem (pick b.(0)) (pick b.(1)) (pick b.(2))
+      in
+      let mid (lo, hi) = (lo +. hi) /. 2. in
+      contains (mem x y (Float.min x y))
+      && List.for_all
+           (fun id ->
+             Rule_tree.lookup t (at fst id) = id
+             && Rule_tree.lookup t (at mid id) = id
+             && contains (at snd id))
+           (Rule_tree.live_ids t))
+
+(* [lookup3] saturates its coordinates itself; it must agree with
+   [lookup] on the record [Memory.make] builds from the same floats,
+   including the ones [Memory.make] clamps or passes through as NaN.
+   Besides random tables, one is split just below the domain's top edge,
+   inside the band [Memory.clamp] saturates: there only a [lookup3] that
+   clamps sends [Memory.max_value] to the low side, as [lookup] does. *)
+let prop_lookup3_matches_lookup =
+  let top = Memory.max_value -. 1e-10 in
+  let edge = Rule_tree.create () in
+  ignore
+    (Rule_tree.subdivide edge 0
+       ~at:{ Memory.ack_ewma = top; send_ewma = top; rtt_ratio = top });
+  QCheck.Test.make ~name:"lookup3 = lookup on Memory.make" ~count:50
+    QCheck.(pair (int_range 0 5) (int_range 0 10_000))
+    (fun (depth, seed) ->
+      let rng = Prng.create ((seed * 7919) + 13) in
+      let coord () = Prng.float rng Memory.max_value in
+      let agrees_everywhere t =
+        let agree (a, s, r) =
+          Rule_tree.lookup3 t ~ack_ewma:a ~send_ewma:s ~rtt_ratio:r
+          = Rule_tree.lookup t (mem a s r)
+        in
+        let random = List.init 100 (fun _ -> (coord (), coord (), coord ())) in
+        let corners =
+          List.concat_map
+            (fun id ->
+              let b = Rule_tree.box t id in
+              [ (fst b.(0), fst b.(1), fst b.(2)); (snd b.(0), snd b.(1), snd b.(2)) ])
+            (Rule_tree.live_ids t)
+        in
+        let odd =
+          List.concat_map
+            (fun v ->
+              let c = coord () in
+              [ (v, c, c); (c, v, c); (c, c, v); (v, v, v) ])
+            [
+              Float.nan; -1.; -0.; Float.neg_infinity; top; Memory.max_value;
+              Memory.max_value +. 1.; Float.infinity;
+            ]
+        in
+        List.for_all agree (random @ corners @ odd)
+      in
+      agrees_everywhere (random_tree (Prng.create (seed + 1)) depth)
+      && agrees_everywhere edge)
 
 let tests =
   [
@@ -350,4 +411,5 @@ let tests =
     Alcotest.test_case "load_validated rejects out-of-bounds action" `Quick
       test_load_validated_rejects_out_of_bounds;
     QCheck_alcotest.to_alcotest prop_lookup_in_box;
+    QCheck_alcotest.to_alcotest prop_lookup3_matches_lookup;
   ]
