@@ -136,29 +136,20 @@ type macro_result = {
   mr_final_score : float;
   mr_counters : Remy_obs.Counters.snapshot;
       (* counter deltas attributed to this section alone *)
-  mr_tree : string;
-      (* canonical full-serialization of the trained tree, the reference
-         the distributed bench checks bit-identity against *)
 }
-
-(* Shared by the macrobench and the distributed bench: the trees are
-   only comparable because both runs train this exact configuration. *)
-let macro_model () = Remy.Net_model.onex ~sim_duration:1.0 ()
-
-let macro_config ~domains ~smoke ~model =
-  let open Remy in
-  Optimizer.default_config
-    ~specimens_per_step:(if smoke then 3 else 4)
-    ~domains ~k_subdivide:1 ~candidate_multipliers:[ 1.; 8. ]
-    ~rounds_per_rule:(if smoke then 1 else 2)
-    ~max_epochs:(if smoke then 2 else 3)
-    ~wall_budget_s:600. ~seed:42 ~model
-    ~objective:(Objective.proportional ~delta:1.0) ()
 
 let run_macro ~domains ~smoke =
   let open Remy in
-  let model = macro_model () in
-  let config = macro_config ~domains ~smoke ~model in
+  let config =
+    Optimizer.default_config
+      ~specimens_per_step:(if smoke then 3 else 4)
+      ~domains ~k_subdivide:1 ~candidate_multipliers:[ 1.; 8. ]
+      ~rounds_per_rule:(if smoke then 1 else 2)
+      ~max_epochs:(if smoke then 2 else 3)
+      ~wall_budget_s:600. ~seed:42
+      ~model:(Net_model.onex ~sim_duration:1.0 ())
+      ~objective:(Objective.proportional ~delta:1.0) ()
+  in
   let before = Par.stats () in
   let c0 = Remy_obs.Counters.snapshot () in
   Gc.compact ();
@@ -180,8 +171,6 @@ let run_macro ~domains ~smoke =
     mr_rules = Rule_tree.num_rules report.Optimizer.tree;
     mr_final_score = report.Optimizer.final_score;
     mr_counters = Remy_obs.Counters.diff (Remy_obs.Counters.snapshot ()) c0;
-    mr_tree =
-      Remy_util.Sexp.to_string (Rule_tree.to_sexp_full report.Optimizer.tree);
   }
 
 let pp_macro fmt (m : macro_result) =
@@ -194,87 +183,6 @@ let pp_macro fmt (m : macro_result) =
     m.mr_evaluations m.mr_wall_s m.mr_evals_per_sec m.mr_spec_sims m.mr_spec_skips
     m.mr_pool_jobs m.mr_pool_tasks m.mr_pool_helper_tasks m.mr_rules
     m.mr_final_score
-
-(* --- distributed-training bench ---------------------------------------- *)
-
-(* The macrobench configuration again, but driven through the lib/dist
-   coordinator with worker processes instead of the in-process domain
-   pool.  Two things come out: evals/s per worker count (the sharding
-   overhead/scaling story) and whether each trained tree is
-   bit-identical to the single-process macrobench tree — the invariant
-   CI's dist-smoke job also enforces end-to-end on remy_train output.
-   Workers are spawned (posix_spawn, re-execing this binary with
-   [dist_worker_arg]) rather than forked: by the time this section runs
-   the macrobench pool has already created domains, after which OCaml 5
-   permanently refuses [Unix.fork]. *)
-let dist_worker_arg = "--dist-worker-child"
-
-type dist_row = {
-  dd_workers : int;
-  dd_evaluations : int;
-  dd_wall_s : float;
-  dd_evals_per_sec : float;
-  dd_identical : bool;  (* tree bit-identical to the macrobench's *)
-}
-
-let run_dist ~smoke ~reference_tree =
-  let open Remy in
-  let model = macro_model () in
-  List.map
-    (fun workers ->
-      let config = macro_config ~domains:1 ~smoke ~model in
-      let coord =
-        Remy_dist.Coordinator.create
-          ~params:
-            {
-              Remy_dist.Wire.objective = config.Optimizer.objective;
-              queue_capacity = model.Net_model.queue_capacity;
-              duration = model.Net_model.sim_duration;
-              topology = model.Net_model.topology;
-            }
-          ~config_hash:(Optimizer.config_fingerprint config)
-          ~workers:
-            (List.init workers (fun _ ->
-                 Remy_dist.Coordinator.Spawn
-                   [ Sys.executable_name; dist_worker_arg ]))
-          ()
-      in
-      let report, wall =
-        Fun.protect
-          ~finally:(fun () -> Remy_dist.Coordinator.shutdown coord)
-          (fun () ->
-            let backend =
-              Remy_dist.Coordinator.backend coord
-                ~incremental:config.Optimizer.incremental
-            in
-            let t0 = Unix.gettimeofday () in
-            let report = Optimizer.design ~backend config in
-            (report, Unix.gettimeofday () -. t0))
-      in
-      {
-        dd_workers = workers;
-        dd_evaluations = report.Optimizer.evaluations;
-        dd_wall_s = wall;
-        dd_evals_per_sec = float_of_int report.Optimizer.evaluations /. wall;
-        dd_identical =
-          Remy_util.Sexp.to_string (Rule_tree.to_sexp_full report.Optimizer.tree)
-          = reference_tree;
-      })
-    [ 1; 2 ]
-
-let pp_dist fmt (rows : dist_row list) =
-  Format.fprintf fmt
-    "@.==== Distributed training bench (spawned workers) ====@.@.";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt
-        "%d worker%s: %d evaluations in %.2f s = %.1f evals/s; tree %s@."
-        r.dd_workers
-        (if r.dd_workers = 1 then " " else "s")
-        r.dd_evaluations r.dd_wall_s r.dd_evals_per_sec
-        (if r.dd_identical then "bit-identical to single-process"
-         else "DIVERGED from single-process"))
-    rows
 
 (* --- simulator-only microbench ---------------------------------------- *)
 
@@ -633,7 +541,7 @@ let scale_json oc (rows : scale_row list) =
   out "  },\n"
 
 let write_json path micro (macro : macro_result) (sim : sim_result)
-    (hold : hold_result list) (scale : scale_row list) (dist : dist_row list) =
+    (hold : hold_result list) (scale : scale_row list) =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -675,21 +583,7 @@ let write_json path micro (macro : macro_result) (sim : sim_result)
   out "    \"rules\": %d,\n" macro.mr_rules;
   out "    \"final_score\": %s,\n" (json_float macro.mr_final_score);
   out "    \"counters\": %s\n" (counters_json macro.mr_counters);
-  out "  },\n";
-  (* Recorded, not gated: dist throughput on a tiny grid is dominated by
-     spawn/handshake cost, so rates here are informational; the
-     identical flags are enforced bit-exactly by CI's dist-smoke job. *)
-  out "  \"dist\": [\n";
-  List.iteri
-    (fun i (r : dist_row) ->
-      out
-        "    {\"workers\": %d, \"evaluations\": %d, \"wall_s\": %s, \
-         \"evals_per_sec\": %s, \"identical\": %b}%s\n"
-        r.dd_workers r.dd_evaluations (json_float r.dd_wall_s)
-        (json_float r.dd_evals_per_sec) r.dd_identical
-        (if i = List.length dist - 1 then "" else ","))
-    dist;
-  out "  ]\n";
+  out "  }\n";
   out "}\n";
   close_out oc
 
@@ -797,14 +691,8 @@ let run_gate ?(metrics = gated_metrics) ~tolerance ~candidate ~baseline () =
 (* --- experiment driver ------------------------------------------------ *)
 
 let run full only micro_only replications duration seed out json smoke
-    bench_domains compare_base gate_candidate tolerance gate_metrics obs
-    minor_heap_mb =
+    bench_domains compare_base gate_candidate tolerance gate_metrics obs =
   let fmt = Format.std_formatter in
-  (* Minor-heap sizing knob for allocation-sensitive runs: a larger
-     nursery means fewer minor collections per simulated second. *)
-  (match minor_heap_mb with
-  | Some mb -> Gc.set { (Gc.get ()) with Gc.minor_heap_size = mb * 1024 * 1024 / 8 }
-  | None -> ());
   let metrics =
     match gate_metrics with [] -> gated_metrics | keys -> keys
   in
@@ -856,16 +744,9 @@ let run full only micro_only replications duration seed out json smoke
       Remy_obs.Profiler.span "sim_scale" (fun () -> run_sim_scale ~smoke)
     in
     pp_scale fmt scale;
-    Format.fprintf fmt
-      "running distributed-training bench (spawned workers)...@.";
-    let dist =
-      Remy_obs.Profiler.span "dist" (fun () ->
-          run_dist ~smoke ~reference_tree:macro.mr_tree)
-    in
-    pp_dist fmt dist;
     Format.fprintf fmt "running microbenchmarks...@.";
     let rows = Remy_obs.Profiler.span "bechamel" micro_rows in
-    write_json path rows macro sim hold scale dist;
+    write_json path rows macro sim hold scale;
     Format.fprintf fmt "wrote %s@." path;
     write_manifest
       (Remy_obs.Manifest.finalize manifest0 ~status:"completed"
@@ -1024,30 +905,11 @@ let cmd =
              stacks) and <FILE>.profile.json.  Used by CI to bound \
              observability overhead.")
   in
-  let minor_heap_mb =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "minor-heap-mb" ]
-          ~doc:"Set the GC minor heap to $(docv) MiB before running."
-          ~docv:"MIB")
-  in
   Cmd.v
     (Cmd.info "bench" ~doc:"Reproduce the paper's tables and figures")
     Term.(
       const run $ full $ only $ micro $ replications $ duration $ seed $ out
       $ json $ smoke $ bench_domains $ compare_base $ gate_candidate $ tolerance
-      $ gate_metrics $ obs $ minor_heap_mb)
-
-let () =
-  (* Re-exec'd dist-bench worker child: serve the wire protocol on stdin
-     (the socketpair end Coordinator.Spawn installs there) and exit
-     before cmdliner ever parses. *)
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = dist_worker_arg then
-    match Remy_dist.Worker.serve Unix.stdin with
-    | () -> exit 0
-    | exception Remy_dist.Worker.Protocol_error m ->
-        prerr_endline m;
-        exit 1
+      $ gate_metrics $ obs)
 
 let () = exit (Cmd.eval cmd)

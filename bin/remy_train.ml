@@ -52,14 +52,8 @@ let install_signal_handlers () =
 let run model topology objective delta epochs specimens multipliers rounds
     prune no_incremental domains wall seed sim_duration task_retries
     stall_timeout checkpoint_dir resume checkpoint_every stop_after output
-    telemetry quiet verify minor_heap_mb dashboard profile manifest workers
-    worker_timeout chaos_kill_worker =
-  (* Training is allocation-sensitive: a larger nursery means fewer minor
-     collections per simulated second on every worker domain (each domain
-     gets its own minor heap of this size). *)
-  (match minor_heap_mb with
-  | Some mb -> Gc.set { (Gc.get ()) with Gc.minor_heap_size = mb * 1024 * 1024 / 8 }
-  | None -> ());
+    telemetry quiet verify dashboard profile manifest workers worker_timeout
+    chaos_kill_worker =
   let model =
     match model with
     | `General -> Net_model.general ?sim_duration ()
@@ -155,7 +149,7 @@ let run model topology objective delta epochs specimens multipliers rounds
         ( "dist_mode",
           Remy_obs.Record.Str
             (match specs with
-            | Remy_dist.Coordinator.Fork :: _ -> "fork"
+            | Remy_dist.Coordinator.Spawn _ :: _ -> "spawn"
             | _ -> "socket") );
       ]
   in
@@ -243,9 +237,8 @@ let run model topology objective delta epochs specimens multipliers rounds
         Remy_analysis.Verify.pp rep
     end
   in
-  (* Distributed mode: fork/connect the workers BEFORE anything spawns a
-     domain (fork and running domains do not mix); design skips its
-     in-process pool when handed a backend. *)
+  (* Distributed mode: spawn/connect the workers up front; design skips
+     its in-process pool when handed a backend. *)
   let dist_event ev =
     (match (ev, sink) with
     | Remy_dist.Coordinator.Worker_joined { worker; addr; pid }, Some s ->
@@ -583,17 +576,6 @@ let cmd =
              interpretation).  Each check emits a table_verified telemetry \
              event; an unsound table fails the run with exit 4.")
   in
-  let minor_heap_mb =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "minor-heap-mb" ]
-          ~doc:
-            "Set the GC minor heap to $(docv) MiB before designing (worker \
-             domains inherit the setting).  Purely a throughput knob; results \
-             are identical either way."
-          ~docv:"MIB")
-  in
   let dashboard =
     Arg.(
       value & flag
@@ -633,10 +615,11 @@ let cmd =
       & info [ "workers" ]
           ~doc:
             "Distribute evaluation across worker processes: an integer $(docv) \
-             forks that many local workers; a comma-separated host:port list \
-             connects to running $(b,remy_worker) instances.  Results are \
-             bit-identical to a single-process run — the coordinator owns all \
-             training state and reduces scores in fixed task order."
+             spawns that many local workers (this binary, re-executed); a \
+             comma-separated host:port list connects to running \
+             $(b,remy_worker) instances.  Results are bit-identical to a \
+             single-process run — the coordinator owns all training state and \
+             reduces scores in fixed task order."
           ~docv:"SPEC")
   in
   let worker_timeout =
@@ -655,7 +638,7 @@ let cmd =
       & opt (some int) None
       & info [ "chaos-kill-worker" ]
           ~doc:
-            "Fault-injection hook: SIGKILL one forked worker right after the \
+            "Fault-injection hook: SIGKILL one spawned worker right after the \
              $(docv)-th task dispatch, exercising the reissue path (the run \
              must still produce bit-identical results).  Used by CI."
           ~docv:"N")
@@ -667,8 +650,10 @@ let cmd =
       $ multipliers
       $ rounds $ prune $ no_incremental $ domains $ wall $ seed $ sim_duration
       $ task_retries $ stall_timeout $ checkpoint_dir $ resume $ checkpoint_every
-      $ stop_after $ output $ telemetry $ quiet $ verify $ minor_heap_mb
-      $ dashboard $ profile $ manifest $ workers $ worker_timeout
-      $ chaos_kill_worker)
+      $ stop_after $ output $ telemetry $ quiet $ verify $ dashboard $ profile
+      $ manifest $ workers $ worker_timeout $ chaos_kill_worker)
 
-let () = exit (Cmd.eval cmd)
+let () =
+  (* --workers N re-execs this binary as each local worker. *)
+  Remy_dist.Worker.serve_if_child ();
+  exit (Cmd.eval cmd)

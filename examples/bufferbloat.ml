@@ -21,7 +21,7 @@ let () =
   in
   let remy =
     Schemes.remy ~name:"RemyCC d=10"
-      (Tables.load_or_train ~progress:print_endline Tables.delta10)
+      (Tables.tree Tables.delta10)
   in
   let cubic_codel =
     { Schemes.cubic with Schemes.name = "Cubic/CoDel"; qdisc = Schemes.Q_sfqcodel }

@@ -25,7 +25,7 @@ let () =
     (Cell_trace.mean_rate_mbps trace);
   let remy =
     Schemes.remy ~name:"RemyCC d=1"
-      (Tables.load_or_train ~progress:print_endline Tables.delta1)
+      (Tables.tree Tables.delta1)
   in
   let scenario =
     Scenario.make

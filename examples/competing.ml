@@ -48,7 +48,7 @@ let race ~tree ~off =
   (Stats.mean (Array.of_list !remy_t), Stats.mean (Array.of_list !cubic_t))
 
 let () =
-  let tree = Tables.load_or_train ~progress:print_endline Tables.coexist in
+  let tree = Tables.tree Tables.coexist in
   Format.printf
     "One RemyCC (coexistence-trained: RTT design range 100 ms - 10 s) vs one\n\
      Cubic flow on a 15 Mbps / 150 ms DropTail bottleneck, ICSI flow sizes:@.@.";

@@ -13,7 +13,7 @@ open Remy_sim
 let () =
   let remy =
     Schemes.remy ~name:"RemyCC (DropTail)"
-      (Tables.load_or_train ~progress:print_endline Tables.datacenter)
+      (Tables.tree Tables.datacenter)
   in
   let scenario =
     Scenario.make

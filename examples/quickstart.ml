@@ -4,9 +4,8 @@
 
      dune exec examples/quickstart.exe
 
-   If data/delta1.rules is missing, a small table is trained on the fly
-   (about two minutes); `dune exec bin/remy_train.exe` builds better
-   ones. *)
+   If data/delta1.rules is missing, the example stops with the
+   `remy_train` command that rebuilds it. *)
 
 open Remy_scenarios
 open Remy_sim
@@ -16,7 +15,7 @@ let () =
   Format.printf "100-200 ms RTTs, 1-16 senders)...@.";
   let remy =
     Schemes.remy ~name:"RemyCC d=1"
-      (Tables.load_or_train ~progress:print_endline Tables.delta1)
+      (Tables.tree Tables.delta1)
   in
   (* The Fig. 4 scenario: eight senders, 15 Mbps, 150 ms, exponential
      100 kB transfers with 0.5 s think times. *)

@@ -101,7 +101,8 @@ let score ?override ?tally ?topology ~domains ~objective ~queue_capacity
     ~duration tree specimens =
   let specs = Array.of_list specimens in
   let per_spec =
-    Par.map ~domains
+    Par.Pool.with_pool ~domains @@ fun pool ->
+    Par.Pool.map pool
       (fun (s : Net_model.specimen) ->
         (* Each specimen gets a private tally (merged afterwards) so the
            parallel workers never share mutable state. *)

@@ -9,7 +9,8 @@
 
     Two evaluation paths:
 
-    - {!score}: one-shot, spawning domains per call (CLI tools, tests).
+    - {!score}: one-shot, on a {!Par.Pool} that lives for the call (CLI
+      tools, tests).
     - {!baseline} + {!candidate_scores}: the optimizer's hot path over a
       persistent {!Par.Pool}.  [baseline] records, per specimen, which
       rules the run consulted and what each sender scored; a later

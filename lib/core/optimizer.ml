@@ -491,7 +491,7 @@ let design ?backend ?(progress = fun (_ : event) -> ()) ?checkpoint ?resume
               score = !last_score;
               wall_s = Remy_obs.Clock.now_s () -. started;
               domains = config.domains;
-              par_tasks = par.Par.tasks + par.Par.pool_tasks;
+              par_tasks = par.Par.pool_tasks;
               par_spawns = par.Par.spawns;
               par_jobs = par.Par.pool_jobs;
               par_helper_tasks = par.Par.pool_helper_tasks;

@@ -1,8 +1,6 @@
 let recommended_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
 type stats = {
-  calls : int;
-  tasks : int;
   spawns : int;
   pool_jobs : int;
   pool_tasks : int;
@@ -13,8 +11,6 @@ type stats = {
 exception Task_failed of { index : int; attempts : int; error : string }
 exception Stalled of { completed : int; total : int; waited_s : float }
 
-let calls = Atomic.make 0
-let tasks = Atomic.make 0
 let spawns = Atomic.make 0
 let pool_jobs = Atomic.make 0
 let pool_tasks = Atomic.make 0
@@ -23,8 +19,6 @@ let pool_retries = Atomic.make 0
 
 let stats () =
   {
-    calls = Atomic.get calls;
-    tasks = Atomic.get tasks;
     spawns = Atomic.get spawns;
     pool_jobs = Atomic.get pool_jobs;
     pool_tasks = Atomic.get pool_tasks;
@@ -54,36 +48,6 @@ let () =
    slowdown at domains=4 on a 1-core box).  Results never depend on the
    domain count, so clamping is invisible except in wall time. *)
 let hw_clamp domains = max 1 (min domains (Domain.recommended_domain_count ()))
-
-let map ~domains f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let domains = max 1 (min (hw_clamp domains) n) in
-    Atomic.incr calls;
-    ignore (Atomic.fetch_and_add tasks n);
-    ignore (Atomic.fetch_and_add spawns (domains - 1));
-    let results = Array.make n None in
-    let error = Atomic.make None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n && Atomic.get error = None then begin
-          (match f xs.(i) with
-          | v -> results.(i) <- Some v
-          | exception e -> ignore (Atomic.compare_and_set error None (Some e)));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let helpers = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join helpers;
-    (match Atomic.get error with Some e -> raise e | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
-  end
 
 module Pool = struct
   type job = { run : int -> unit; n : int; next : int Atomic.t; finished : int Atomic.t }

@@ -2,32 +2,18 @@
 
     Remy's inner loop — evaluating ~100 candidate actions on the same
     specimen networks — is "embarrassingly parallel" (Section 4.3); the
-    paper burned CPU-weeks on 48-80-core machines.  Two entry points:
+    paper burned CPU-weeks on 48-80-core machines.  One entry point,
+    {!Pool}: it keeps the domains alive between batches, so the training
+    hot loop (hundreds of thousands of small task grids) pays the spawn
+    cost once per [design] run instead of once per candidate round.
 
-    - {!map} spawns fresh domains per call — fine for one-shot batches
-      (scenario replications, CLI tools).
-    - {!Pool} keeps the domains alive between batches, so the training
-      hot loop (hundreds of thousands of small task grids) pays the
-      spawn cost once per [design] run instead of once per candidate
-      round.
-
-    Both schedule through a shared atomic cursor (work stealing), and
-    both are deterministic: every task owns its own seeds and writes
+    Tasks are claimed off a shared atomic cursor (work stealing), and
+    results are deterministic: every task owns its own seeds and writes
     only its own result slot, so scheduling order cannot influence
     results. *)
 
 val recommended_domains : unit -> int
 (** Physical core count minus one (at least 1). *)
-
-val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~domains f xs] applies [f] to every element, using up to
-    [domains] total domains (the calling domain participates).  Any
-    exception raised by [f] is re-raised after all domains finish.
-
-    [domains] is clamped to the hardware's recommended domain count:
-    OCaml 5's minor GC synchronizes all running domains, so
-    oversubscribing physical cores only adds scheduling barriers.
-    Results are unaffected — tasks are deterministic per index. *)
 
 exception Task_failed of { index : int; attempts : int; error : string }
 (** A pool task kept failing after its configured retries; [error] is
@@ -57,7 +43,10 @@ module Pool : sig
     t
   (** Spawn helper domains (parked until work arrives) so that
       [domains] total serve each job — clamped to the hardware's
-      recommended domain count, like {!val:map}.
+      recommended domain count.  OCaml 5's minor GC synchronizes all
+      running domains, so oversubscribing physical cores only adds
+      scheduling barriers; results are unaffected, since tasks are
+      deterministic per index.
 
       [retries] (default 0): a raising task is re-run up to this many
       times before the batch fails; tasks are pure, so retries cannot
@@ -78,10 +67,11 @@ module Pool : sig
       the hardware clamp). *)
 
   val map : t -> ('a -> 'b) -> 'a array -> 'b array
-  (** Like {!val:map} but reusing the pool's domains.  The caller
-      participates; returns when every task has finished.  Any exception
-      raised by [f] is re-raised after the batch drains (remaining tasks
-      are skipped), subject to the pool's retry policy. *)
+  (** [map t f xs] applies [f] to every element on the pool's domains,
+      preserving order.  The caller participates; returns when every
+      task has finished.  Any exception raised by [f] is re-raised after
+      the batch drains (remaining tasks are skipped), subject to the
+      pool's retry policy. *)
 
   val shutdown : t -> unit
   (** Wake and join every helper.  The pool must not be used after. *)
@@ -97,9 +87,7 @@ module Pool : sig
 end
 
 type stats = {
-  calls : int;  (** transient {!val:map} invocations *)
-  tasks : int;  (** tasks executed by transient maps *)
-  spawns : int;  (** helper domains spawned ({!val:map} + pool creation) *)
+  spawns : int;  (** helper domains spawned by pool creation *)
   pool_jobs : int;  (** {!Pool.map} submissions *)
   pool_tasks : int;  (** tasks executed through pools *)
   pool_helper_tasks : int;

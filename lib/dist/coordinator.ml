@@ -1,11 +1,12 @@
 open Remy
 
-type worker_spec = Fork | Connect of string | Spawn of string list
+type worker_spec = Connect of string | Spawn of string list
 
 let specs_of_string s =
   let s = String.trim s in
   match int_of_string_opt s with
-  | Some n when n >= 1 -> Ok (List.init n (fun _ -> Fork))
+  | Some n when n >= 1 ->
+      Ok (List.init n (fun _ -> Spawn [ Sys.executable_name; Worker.child_arg ]))
   | Some n -> Error (Printf.sprintf "--workers %d: need at least 1" n)
   | None ->
       let parts =
@@ -44,7 +45,7 @@ type wstate = {
   id : int;
   addr : string;
   fd : Unix.file_descr;
-  pid : int;  (* forked child pid; 0 for socket workers *)
+  pid : int;  (* spawned child pid; 0 for socket workers *)
   mutable alive : bool;
   mutable gen_sent : int;
   mutable last_heard : float;
@@ -73,35 +74,9 @@ let live_workers t = List.length (live_list t)
 
 (* --- worker spawning --- *)
 
-let fork_worker () =
-  let parent_fd, child_fd =
-    Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
-  in
-  match Unix.fork () with
-  | 0 ->
-      (* Child: terminal signals are the coordinator's to handle — a ^C
-         must let the parent finish its round (which needs us alive) and
-         checkpoint; we exit on Shutdown or socket EOF instead.  _exit
-         skips the parent's at_exit machinery and buffered output. *)
-      Sys.set_signal Sys.sigint Sys.Signal_ignore;
-      Sys.set_signal Sys.sigterm Sys.Signal_ignore;
-      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      Unix.close parent_fd;
-      let code =
-        try
-          Worker.serve child_fd;
-          0
-        with _ -> 1
-      in
-      Unix._exit code
-  | pid ->
-      Unix.close child_fd;
-      (parent_fd, pid)
-
-(* Unlike [fork_worker] this goes through posix_spawn, which the runtime
-   permits even after the process has created domains (OCaml 5's
-   [Unix.fork] is gated on a sticky is-multicore flag, not the live
-   domain count).  The child reads the wire protocol on stdin; the
+(* Through posix_spawn, which the runtime permits even after this
+   process has created domains (OCaml 5 refuses to fork once any domain
+   has existed).  The child reads the wire protocol on stdin; the
    socketpair is bidirectional, so its replies come back the same fd. *)
 let spawn_worker argv =
   let prog =
@@ -252,9 +227,6 @@ let create ?(on_event = fun (_ : event) -> ()) ?(heartbeat_s = 10.)
        (fun id spec ->
          let fd, addr, pid =
            match spec with
-           | Fork ->
-               let fd, pid = fork_worker () in
-               (fd, Printf.sprintf "fork:%d" pid, pid)
            | Connect ep -> (connect_with_retry ep ~retry_s:connect_retry_s, ep, 0)
            | Spawn argv ->
                let fd, pid = spawn_worker argv in

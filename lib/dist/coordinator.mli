@@ -22,17 +22,18 @@
     point, exactly as for {!Remy.Par} pool failures. *)
 
 type worker_spec =
-  | Fork  (** fork a worker child connected by socketpair *)
   | Connect of string  (** connect to a [remy_worker] at ["host:port"] *)
   | Spawn of string list
       (** exec [argv] as a worker child serving the protocol on stdin
-          (a socketpair end).  Goes through posix_spawn, so — unlike
-          [Fork] — it stays usable after this process has created
-          domains. *)
+          (a socketpair end).  Goes through posix_spawn, so it works
+          whether or not this process has created domains. *)
 
 val specs_of_string : string -> (worker_spec list, string) result
-(** Parse a [--workers] argument: a bare integer [N] means [N] forked
-    workers; otherwise a comma-separated list of [host:port] endpoints. *)
+(** Parse a [--workers] argument: a bare integer [N] means [N] local
+    workers, each a [Spawn] that re-execs the running binary with
+    {!Worker.child_arg} (so that binary must call
+    {!Worker.serve_if_child} first thing); otherwise a comma-separated
+    list of [host:port] endpoints. *)
 
 type event =
   | Worker_joined of { worker : int; addr : string; pid : int }
@@ -57,18 +58,13 @@ val create :
   unit ->
   t
 (** Spawn/connect and handshake every worker (raises {!Dist_error} if
-    any handshake fails).  [Fork] workers must be created before any
-    domain is spawned in this process (fork + running domains do not
-    mix); [remy_train] therefore builds the coordinator before
-    {!Remy.Optimizer.design}, which skips its pool when given a
-    backend.  [Spawn] workers have no such restriction (posix_spawn
-    does not care about domains).  [Connect] endpoints are retried for
-    [connect_retry_s]
-    (default 10 s) to absorb worker startup races.  A worker with tasks
-    in flight is pinged after [heartbeat_s] (default 10 s) of silence
-    and declared lost after [timeout_s] (default 120 s).
+    any handshake fails).  [Connect] endpoints are retried for
+    [connect_retry_s] (default 10 s) to absorb worker startup races.  A
+    worker with tasks in flight is pinged after [heartbeat_s] (default
+    10 s) of silence and declared lost after [timeout_s] (default
+    120 s).
 
-    [chaos_kill_after n] SIGKILLs a forked worker right after the
+    [chaos_kill_after n] SIGKILLs a spawned worker right after the
     [n]-th task dispatch (only while another worker survives) — the CI
     hook that proves the reissue path preserves bit-identity. *)
 
@@ -83,5 +79,5 @@ val live_workers : t -> int
 (** Workers currently connected and healthy. *)
 
 val shutdown : t -> unit
-(** Send [Shutdown] to every live worker, close sockets, reap forked
+(** Send [Shutdown] to every live worker, close sockets, reap spawned
     children.  Idempotent. *)

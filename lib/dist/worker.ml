@@ -92,3 +92,23 @@ let serve ?expect_config ?(log = fun _ -> ()) fd =
         | Ok (Wire.Welcome _ | Wire.Reject _ | Wire.Result _ | Wire.Pong _) ->
             raise (Protocol_error "unexpected coordinator-bound message"))
   done
+
+let child_arg = "--remy-dist-worker-child"
+
+let serve_if_child () =
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = child_arg then begin
+    (* Terminal signals are the coordinator's to handle: a ^C to the
+       process group must let it finish its round (which needs us alive)
+       and checkpoint.  We exit on Shutdown or socket EOF instead. *)
+    Sys.set_signal Sys.sigint Sys.Signal_ignore;
+    Sys.set_signal Sys.sigterm Sys.Signal_ignore;
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    match serve Unix.stdin with
+    | () -> exit 0
+    | exception Protocol_error m ->
+        prerr_endline ("worker child: protocol error: " ^ m);
+        exit 1
+    | exception Unix.Unix_error _ ->
+        (* The coordinator went away while we were replying. *)
+        exit 1
+  end

@@ -24,3 +24,19 @@ val serve : ?expect_config:string -> ?log:(string -> unit) -> Unix.file_descr ->
     {!Protocol_error} is raised, so a worker started for run A can never
     silently contribute bits to run B.  [log] receives one line per
     lifecycle event (handshake, task counts at shutdown). *)
+
+val child_arg : string
+(** The internal [argv.(1)] that marks a process as a local worker
+    child.  {!Coordinator.specs_of_string} ["N"] re-execs the running
+    binary with it. *)
+
+val serve_if_child : unit -> unit
+(** When this process was started with {!child_arg}, serve the
+    coordinator on stdin (the socketpair end the coordinator installs
+    there) and exit: 0 after [Shutdown] or EOF, 1 on a protocol error.
+    Otherwise return at once.  Every binary that can coordinate local
+    workers calls it before parsing its own arguments.
+
+    The child ignores SIGINT, SIGTERM and SIGPIPE: a terminal ^C reaches
+    the whole process group, and the coordinator needs its workers alive
+    to finish the round and checkpoint. *)

@@ -64,7 +64,6 @@ let crossing_table =
   [
     ([ "Domain"; "spawn" ], Nth 0, "Domain.spawn");
     ([ "Thread"; "create" ], Nth 0, "Thread.create");
-    ([ "Par"; "map" ], Fun_args, "Par.map");
     ([ "Pool"; "map" ], Fun_args, "Par.Pool.map");
     ([ "Pool"; "run" ], Fun_args, "Par.Pool.run");
     ([ "Pool"; "submit" ], Record_run, "Par.Pool.submit");

@@ -2,8 +2,8 @@
 
     Rule [domain-safety] — mutable state (refs, mutable record fields,
     arrays, Hashtbl, Buffer, Queue, Stack) operated on by a closure that
-    crosses a domain boundary ([Domain.spawn], [Par.map], [Par.Pool.map]
-    / [submit] / [create ?on_retry], [Domain.DLS.new_key],
+    crosses a domain boundary ([Domain.spawn], [Par.Pool.map] /
+    [submit] / [create ?on_retry], [Domain.DLS.new_key],
     [Thread.create]) without Atomic / Mutex / [Domain.DLS] protection.
     The escape analysis is intra-unit: closures are chased through
     let-bindings (including partial applications and [Some f] wrappers,

@@ -67,10 +67,6 @@ let scatter_artifact opts name summaries =
 let header fmt title note =
   Format.fprintf fmt "@.==== %s ====@.%s@.@." title note
 
-let remy_scheme opts spec =
-  Schemes.remy ~name:(Tables.default_label spec)
-    (Tables.load_or_train ~progress:opts.progress spec)
-
 let load_trace opts name profile =
   let path = Filename.concat (Tables.data_dir ()) (name ^ ".trace") in
   match Cell_trace.load path with
@@ -130,9 +126,10 @@ let throughput_delay_experiment fmt ~title ~note ~scenario ~schemes ~sigma =
   List.iter (fun s -> pp_ellipse_row fmt s ~sigma) summaries;
   summaries
 
-let standard_schemes opts =
-  Schemes.fig4_baselines
-  @ List.map (remy_scheme opts) [ Tables.delta01; Tables.delta1; Tables.delta10 ]
+let delta_schemes () =
+  List.map (fun spec -> Tables.scheme spec) [ Tables.delta01; Tables.delta1; Tables.delta10 ]
+
+let standard_schemes () = Schemes.fig4_baselines @ delta_schemes ()
 
 let summary_table fmt summaries ~reference =
   match List.find_opt (fun s -> s.Scenario.scheme = reference) summaries with
@@ -167,7 +164,7 @@ let fig4 fmt opts =
         "100 kB exponential flows, 0.5 s exponential off times, 1000-pkt DropTail.\n\
          Paper shape: RemyCCs define the efficient frontier; Vegas lowest delay &\n\
          throughput; Cubic most throughput-hungry of the TCPs; XCP/sfqCoDel between."
-      ~scenario ~schemes:(standard_schemes opts) ~sigma:1.
+      ~scenario ~schemes:(standard_schemes ()) ~sigma:1.
   in
   (* The paper's Section 1 table quotes one RemyCC against each scheme;
      print the two ends of our frontier. *)
@@ -191,7 +188,7 @@ let fig5 fmt opts =
         "Heavy-tailed (Fig. 3) transfers, 0.2 s off times; 1/2-sigma ellipses\n\
          because of the sending distribution's variance.  Paper shape: RemyCCs\n\
          again mark the efficient frontier."
-      ~scenario ~schemes:(standard_schemes opts) ~sigma:0.5
+      ~scenario ~schemes:(standard_schemes ()) ~sigma:0.5
   in
   scatter_artifact opts "fig5" summaries
 
@@ -214,7 +211,7 @@ let cellular_experiment fmt opts ~id ~title ~trace_name ~profile ~n =
             lies outside the RemyCC design range.  Paper shape: RemyCCs stay on or\n\
             near the frontier at n <= 8; XCP gets the long-run mean rate (footnote 6)."
            (Cell_trace.mean_rate_mbps trace))
-      ~scenario ~schemes:(standard_schemes opts) ~sigma:1.
+      ~scenario ~schemes:(standard_schemes ()) ~sigma:1.
   in
   summary_table fmt summaries ~reference:"Remy d=0.1";
   summary_table fmt summaries ~reference:"Remy d=10";
@@ -318,10 +315,10 @@ let fig6 fmt opts =
      the window below the solo-flow BDP, muting the doubling; the 1x\n\
      table shows the paper's behavior exactly.";
   fig6_one fmt opts ~id:"fig6_general" ~label:"general RemyCC (delta = 1)"
-    (Tables.load_or_train ~progress:opts.progress Tables.delta1);
+    (Tables.tree Tables.delta1);
   fig6_one fmt opts ~id:"fig6_onex"
     ~label:"link-specific RemyCC (1x, 15 Mbps known a priori)"
-    (Tables.load_or_train ~progress:opts.progress Tables.onex)
+    (Tables.tree Tables.onex)
 
 (* --- Fig. 10: RTT unfairness ----------------------------------------- *)
 
@@ -339,10 +336,7 @@ let fig10 fmt opts =
       ~duration:opts.duration ~replications:opts.replications
       ~base_seed:opts.base_seed ()
   in
-  let schemes =
-    Schemes.cubic_sfqcodel
-    :: List.map (remy_scheme opts) [ Tables.delta01; Tables.delta1; Tables.delta10 ]
-  in
+  let schemes = Schemes.cubic_sfqcodel :: delta_schemes () in
   Format.fprintf fmt "%-16s %22s %22s %22s %22s@." "scheme" "RTT 50ms" "100ms"
     "150ms" "200ms";
   let rows = ref [] in
@@ -404,7 +398,7 @@ let tbl_datacenter fmt opts =
       ~workload:(Workload.by_bytes ~mean_bytes:2e6 ~mean_off:0.1)
       ~duration ~replications ~base_seed:opts.base_seed ()
   in
-  let dc_remy = remy_scheme opts Tables.datacenter in
+  let dc_remy = Tables.scheme Tables.datacenter in
   Format.fprintf fmt "%-20s %10s %10s %12s %12s@." "scheme" "tput mean"
     "tput med" "rtt mean" "rtt med";
   Format.fprintf fmt "%-20s %10s %10s %12s %12s@." "" "(Mbps)" "(Mbps)" "(ms)" "(ms)";
@@ -472,7 +466,7 @@ let tbl_competing fmt opts =
      the 15 Mbps / 150 ms bottleneck with one conventional flow.  Paper shape:\n\
      RemyCC wins at low duty cycles (it grabs spare bandwidth faster); at high\n\
      duty cycles the buffer-filling protocol takes the larger share.";
-  let tree = Tables.load_or_train ~progress:opts.progress Tables.coexist in
+  let tree = Tables.tree Tables.coexist in
   Format.fprintf fmt "@.vs Compound, ICSI flows, varying mean off time:@.";
   Format.fprintf fmt "%-14s %18s %18s@." "mean off" "RemyCC tput (sd)"
     "Compound tput (sd)";
@@ -513,8 +507,8 @@ let fig11 fmt opts =
      Paper shape: the 1x RemyCC peaks at its design point (15 Mbps) and falls\n\
      off; the 10x RemyCC beats Cubic/sfqCoDel across its design decade but\n\
      deteriorates outside it.";
-  let onex = remy_scheme opts Tables.onex in
-  let tenx = remy_scheme opts Tables.tenx in
+  let onex = Tables.scheme Tables.onex in
+  let tenx = Tables.scheme Tables.tenx in
   let objective = Remy.Objective.proportional ~delta:1.0 in
   let speeds = [ 4.74; 6.7; 9.5; 13.4; 15.0; 19.0; 26.8; 37.9; 47.4 ] in
   Format.fprintf fmt "%12s %14s %14s %16s@." "link (Mbps)" "Remy 1x" "Remy 10x"
@@ -569,7 +563,7 @@ let ablation_loss fmt opts =
      15 Mbps / 150 ms, on/off traffic; median per-sender throughput (Mbps).";
   let remy =
     Schemes.remy ~name:"Remy d=1"
-      (Tables.load_or_train ~progress:opts.progress Tables.delta1)
+      (Tables.tree Tables.delta1)
   in
   let schemes = [ Schemes.newreno; Schemes.cubic; remy ] in
   Format.fprintf fmt "%-12s" "loss rate";
@@ -640,7 +634,7 @@ let ablation_signals fmt opts =
     "The delta = 1 RemyCC re-run with each of its three congestion signals\n\
      (Section 4.1) pinned to zero, on the Fig. 4 dumbbell.  A signal whose\n\
      removal hurts was load-bearing for this table.";
-  let tree = Tables.load_or_train ~progress:opts.progress Tables.delta1 in
+  let tree = Tables.tree Tables.delta1 in
   let scenario =
     Scenario.make
       ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)

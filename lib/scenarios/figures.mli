@@ -10,7 +10,7 @@ type opts = {
   replications : int;
   duration : float;  (** seconds per simulation run *)
   base_seed : int;
-  progress : string -> unit;  (** training-fallback and status messages *)
+  progress : string -> unit;  (** status messages *)
   artifact_dir : string option;
       (** when set, each experiment also writes gnuplot-ready TSV data
           files (one per figure) into this directory *)

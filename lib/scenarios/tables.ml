@@ -24,19 +24,13 @@ let data_dir () =
 let path name = Filename.concat (data_dir ()) (name ^ ".rules")
 let load name = Rule_tree.load (path name)
 
-type spec = {
-  table : string;
-  model : Net_model.t;
-  objective : Objective.t;
-  train_budget_s : float;
-}
+type spec = { table : string; model : Net_model.t; objective : Objective.t }
 
 let delta01 =
   {
     table = "delta01";
     model = Net_model.general ();
     objective = Objective.proportional ~delta:0.1;
-    train_budget_s = 120.;
   }
 
 let delta1 = { delta01 with table = "delta1"; objective = Objective.proportional ~delta:1.0 }
@@ -45,12 +39,7 @@ let delta10 =
   { delta01 with table = "delta10"; objective = Objective.proportional ~delta:10.0 }
 
 let onex =
-  {
-    table = "onex";
-    model = Net_model.onex ();
-    objective = Objective.proportional ~delta:1.0;
-    train_budget_s = 90.;
-  }
+  { table = "onex"; model = Net_model.onex (); objective = Objective.proportional ~delta:1.0 }
 
 let tenx = { onex with table = "tenx"; model = Net_model.tenx () }
 
@@ -59,7 +48,6 @@ let datacenter =
     table = "datacenter";
     model = Net_model.datacenter ();
     objective = Objective.min_potential_delay;
-    train_budget_s = 120.;
   }
 
 let coexist =
@@ -67,32 +55,39 @@ let coexist =
     table = "coexist";
     model = Net_model.coexist ();
     objective = Objective.proportional ~delta:1.0;
-    train_budget_s = 90.;
   }
 
 let all = [ delta01; delta1; delta10; onex; tenx; datacenter; coexist ]
 
-let load_or_train ?(progress = fun _ -> ()) spec =
+(* The remy_train flags that design [spec]'s table: the model preset
+   whose parameters equal the spec's, and its objective. *)
+let train_command spec =
+  let model =
+    List.find_map
+      (fun (flag, m) -> if m = spec.model then Some flag else None)
+      [
+        ("general", Net_model.general ());
+        ("onex", Net_model.onex ());
+        ("tenx", Net_model.tenx ());
+        ("datacenter", Net_model.datacenter ());
+        ("coexist", Net_model.coexist ());
+      ]
+  in
+  let objective =
+    if spec.objective = Objective.min_potential_delay then "--objective mpd"
+    else Printf.sprintf "--delta %g" spec.objective.Objective.delta
+  in
+  Printf.sprintf "remy_train --model %s %s -o %s"
+    (Option.value model ~default:"<model>")
+    objective (path spec.table)
+
+let tree spec =
   match load spec.table with
   | Ok tree -> tree
-  | Error _ ->
-    progress
-      (Printf.sprintf
-         "table %s missing under %s; training a fallback (%.0f s budget) — run \
-          bin/remy_train for a better one"
-         spec.table (data_dir ()) spec.train_budget_s);
-    let config =
-      Optimizer.default_config ~specimens_per_step:8
-        ~candidate_multipliers:[ 1.; 8. ] ~wall_budget_s:spec.train_budget_s
-        ~seed:20130812 ~model:spec.model ~objective:spec.objective ()
-    in
-    let report =
-      Optimizer.design
-        ~progress:(fun ev -> progress (Format.asprintf "%a" Optimizer.pp_event ev))
-        config
-    in
-    Rule_tree.save (path spec.table) report.Optimizer.tree;
-    report.Optimizer.tree
+  | Error e ->
+    failwith
+      (Printf.sprintf "cannot load rule table (%s); regenerate it with: %s" e
+         (train_command spec))
 
 let default_label spec =
   match spec.table with
@@ -106,4 +101,4 @@ let default_label spec =
 
 let scheme ?label spec =
   let name = match label with Some l -> l | None -> default_label spec in
-  Schemes.remy ~name (load_or_train spec)
+  Schemes.remy ~name (tree spec)

@@ -3,10 +3,10 @@
     Tables live in [data/*.rules] at the repository root.  The data
     directory is found via the [REMY_DATA_DIR] environment variable or
     by walking up from the working directory — so [dune exec] works from
-    any subdirectory.  If a table is missing, [load_or_train] designs a
-    small replacement on the fly (with a tight wall budget) and saves
-    it, so benchmarks remain runnable from a fresh checkout; properly
-    trained tables should be produced with [bin/remy_train]. *)
+    any subdirectory.  Nothing here trains or writes a table: a missing
+    one is an error naming the [bin/remy_train] command that designs
+    it, so no figure ever runs on a table whose content depends on how
+    fast the host was. *)
 
 val data_dir : unit -> string
 (** Directory holding [*.rules] (created if absent). *)
@@ -20,7 +20,6 @@ type spec = {
   table : string;  (** base name, e.g. "delta1" *)
   model : Remy.Net_model.t;
   objective : Remy.Objective.t;
-  train_budget_s : float;  (** fallback training budget *)
 }
 
 val delta01 : spec
@@ -32,12 +31,14 @@ val datacenter : spec
 val coexist : spec
 val all : spec list
 
-val load_or_train : ?progress:(string -> unit) -> spec -> Remy.Rule_tree.t
-(** Load the checked-in table, or train-and-save a fallback. *)
+val tree : spec -> Remy.Rule_tree.t
+(** Load the checked-in table.  Raises [Failure] naming the path and a
+    [remy_train] command for the spec's model and objective when the
+    table is missing or unreadable. *)
 
 val default_label : spec -> string
 (** Display label: "Remy d=0.1" for the delta tables, etc. *)
 
 val scheme : ?label:string -> spec -> Schemes.t
-(** [load_or_train] wrapped as a {!Schemes.t}; default label is
+(** {!tree} wrapped as a {!Schemes.t}; default label is
     "Remy d=0.1"-style for the delta tables, else the table name. *)

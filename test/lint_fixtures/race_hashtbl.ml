@@ -1,10 +1,10 @@
 (* Seeded domain-safety violations: a hashtable shared by the closures
-   Par.map / Pool.map fan out across domains. *)
+   Pool.map fans out across domains. *)
 
-let tally_lengths xs =
+let tally_lengths pool xs =
   let seen = Hashtbl.create 8 in
   let _ =
-    Remy.Par.map ~domains:2 (fun s -> Hashtbl.replace seen s (String.length s); s) xs
+    Remy.Par.Pool.map pool (fun s -> Hashtbl.replace seen s (String.length s); s) xs
   in
   Hashtbl.length seen
 

@@ -2,13 +2,10 @@
    `dune runtest` runs everything; ALCOTEST_QUICK_TESTS=1 skips the
    slower integration simulations. *)
 
-(* Re-exec'd worker child for the remy-dist coordinator tests: serve the
-   wire protocol on stdin and exit before alcotest ever runs.  See the
-   note at the top of test_remy_dist.ml for why the tests spawn rather
-   than fork. *)
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--remy-dist-worker-child"
-  then Test_remy_dist.worker_child ()
+(* The remy-dist coordinator tests start their workers the way
+   [remy_train --workers N] does, by re-execing this binary: serve the
+   wire protocol on stdin and exit before alcotest ever runs. *)
+let () = Remy_dist.Worker.serve_if_child ()
 
 let () =
   Alcotest.run "remy"

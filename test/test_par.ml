@@ -1,35 +1,5 @@
 open Remy
 
-let test_identity_map () =
-  let xs = Array.init 100 Fun.id in
-  let ys = Par.map ~domains:4 (fun x -> x * 2) xs in
-  Alcotest.(check (array int)) "order preserved" (Array.map (fun x -> x * 2) xs) ys
-
-let test_empty () =
-  Alcotest.(check (array int)) "empty" [||] (Par.map ~domains:4 Fun.id [||])
-
-let test_single_domain () =
-  let xs = Array.init 10 Fun.id in
-  Alcotest.(check (array int)) "domains=1 works" xs (Par.map ~domains:1 Fun.id xs)
-
-let test_more_domains_than_work () =
-  let xs = [| 1; 2 |] in
-  Alcotest.(check (array int)) "clamped" [| 2; 4 |]
-    (Par.map ~domains:64 (fun x -> x * 2) xs)
-
-let test_exception_propagates () =
-  (try
-     ignore (Par.map ~domains:2 (fun x -> if x = 5 then failwith "boom" else x)
-               (Array.init 10 Fun.id));
-     Alcotest.fail "expected exception"
-   with Failure msg -> Alcotest.(check string) "message" "boom" msg)
-
-let test_matches_sequential () =
-  let xs = Array.init 200 (fun i -> float_of_int i) in
-  let f x = sin x +. sqrt x in
-  Alcotest.(check (array (float 0.))) "parallel = sequential" (Array.map f xs)
-    (Par.map ~domains:3 f xs)
-
 (* --- persistent pool ------------------------------------------------- *)
 
 let test_pool_identity () =
@@ -197,16 +167,12 @@ let test_pool_watchdog_catches_stall () =
 let test_pool_size_clamped () =
   Par.Pool.with_pool ~domains:64 (fun pool ->
       Alcotest.(check bool) "clamped to hardware" true
-        (Par.Pool.size pool <= max 1 (Domain.recommended_domain_count ())))
+        (Par.Pool.size pool <= max 1 (Domain.recommended_domain_count ()));
+      Alcotest.(check (array int)) "more domains than work" [| 2; 4 |]
+        (Par.Pool.map pool (fun x -> x * 2) [| 1; 2 |]))
 
 let tests =
   [
-    Alcotest.test_case "identity map" `Quick test_identity_map;
-    Alcotest.test_case "empty input" `Quick test_empty;
-    Alcotest.test_case "single domain" `Quick test_single_domain;
-    Alcotest.test_case "more domains than work" `Quick test_more_domains_than_work;
-    Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
-    Alcotest.test_case "matches sequential" `Quick test_matches_sequential;
     Alcotest.test_case "pool: identity map" `Quick test_pool_identity;
     Alcotest.test_case "pool: empty input" `Quick test_pool_empty;
     Alcotest.test_case "pool: reuse across batches" `Quick test_pool_reuse_across_batches;

@@ -11,25 +11,14 @@ module Sexp = Remy_util.Sexp
    processes — even through a mid-batch SIGKILL — produces results
    bit-identical to the in-process evaluator. *)
 
-(* Coordinator tests spawn real worker processes by re-execing this test
-   binary with a sentinel argument (see [worker_child] and the dispatch
-   in test_main).  [Coordinator.Fork] would be simpler, but earlier
-   suites spawn domains directly, and OCaml 5's [Unix.fork] is gated on
-   a sticky is-multicore flag — once any domain has ever existed, fork
-   is refused for the life of the process.  [Spawn] goes through
-   posix_spawn, which has no such gate, and exercises the same
-   handshake, dispatch, chaos-kill and reissue paths. *)
-let worker_child_arg = "--remy-dist-worker-child"
-let spawn_spec = Coordinator.Spawn [ Sys.executable_name; worker_child_arg ]
-
-(* Entry point for the re-exec'd child: serve one coordinator connection
-   on stdin (the socketpair end [Coordinator.Spawn] installs there). *)
-let worker_child () =
-  match Remy_dist.Worker.serve Unix.stdin with
-  | () -> exit 0
-  | exception Remy_dist.Worker.Protocol_error m ->
-    prerr_endline m;
-    exit 1
+(* Coordinator tests start real worker processes from the spec that
+   [remy_train --workers N] uses: [specs_of_string] re-execs this test
+   binary with [Worker.child_arg], and test_main hands such a child to
+   [Worker.serve_if_child] before alcotest runs. *)
+let local_workers n =
+  match Coordinator.specs_of_string (string_of_int n) with
+  | Ok specs -> specs
+  | Error e -> failwith e
 
 (* --- frame layer ------------------------------------------------------ *)
 
@@ -380,8 +369,10 @@ let test_worker_task_discipline () =
 
 let test_specs_of_string () =
   (match Coordinator.specs_of_string "3" with
-  | Ok [ Coordinator.Fork; Coordinator.Fork; Coordinator.Fork ] -> ()
-  | Ok _ -> Alcotest.fail "bare 3 should mean three forks"
+  | Ok specs ->
+    let local = Coordinator.Spawn [ Sys.executable_name; Worker.child_arg ] in
+    Alcotest.(check bool) "bare 3 means three re-execs of this binary" true
+      (specs = [ local; local; local ])
   | Error e -> Alcotest.failf "bare 3 rejected: %s" e);
   (match Coordinator.specs_of_string "127.0.0.1:9101,host:9102" with
   | Ok [ Coordinator.Connect "127.0.0.1:9101"; Coordinator.Connect "host:9102" ] ->
@@ -416,7 +407,7 @@ let test_chaos_kill_reissues () =
     Coordinator.create
       ~on_event:(fun e -> events := e :: !events)
       ~chaos_kill_after:2 ~params:dist_params ~config_hash:"test-chaos"
-      ~workers:[ spawn_spec; spawn_spec ] ()
+      ~workers:(local_workers 2) ()
   in
   Fun.protect
     ~finally:(fun () -> Coordinator.shutdown coord)
@@ -468,6 +459,42 @@ let test_chaos_kill_reissues () =
             (Tally.samples ref_tally id = Tally.samples dist_tally id))
         (Rule_tree.live_ids tree))
 
+let test_workers_survive_terminal_signals () =
+  (* A terminal ^C reaches the whole process group.  Local workers must
+     outlive it, since the coordinator needs them to finish its round
+     and checkpoint; they leave only on Shutdown or EOF. *)
+  let tree = interesting_tree () in
+  let specs = Net_model.draw_many model (Remy_util.Prng.create 17) 4 in
+  let events = ref [] in
+  let coord =
+    Coordinator.create
+      ~on_event:(fun e -> events := e :: !events)
+      ~params:dist_params ~config_hash:"test-signals" ~workers:(local_workers 2) ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Coordinator.shutdown coord)
+    (fun () ->
+      let pids =
+        List.filter_map
+          (function Coordinator.Worker_joined { pid; _ } -> Some pid | _ -> None)
+          !events
+      in
+      Alcotest.(check int) "both workers joined" 2 (List.length pids);
+      List.iter2 Unix.kill pids [ Sys.sigint; Sys.sigterm ];
+      let backend = Coordinator.backend coord ~incremental:true in
+      let result, _ = backend.Optimizer.eval_baseline tree specs in
+      let reference =
+        Evaluator.score ~domains:1 ~objective:dist_params.Wire.objective
+          ~queue_capacity:dist_params.Wire.queue_capacity
+          ~duration:dist_params.Wire.duration tree specs
+      in
+      Alcotest.(check bool) "no worker lost" false
+        (List.exists (function Coordinator.Worker_lost _ -> true | _ -> false) !events);
+      Alcotest.(check (float 0.)) "mean bit-identical to single-process"
+        reference.Evaluator.mean_score result.Evaluator.mean_score;
+      Alcotest.(check (list (float 0.))) "sender scores bit-identical"
+        reference.Evaluator.sender_scores result.Evaluator.sender_scores)
+
 let test_candidates_match_inprocess () =
   (* The sharded candidates x resim grid reduces to the pool path's
      exact floats, cache hits included. *)
@@ -481,7 +508,7 @@ let test_candidates_match_inprocess () =
   in
   let coord =
     Coordinator.create ~params:dist_params ~config_hash:"test-cand"
-      ~workers:[ spawn_spec; spawn_spec ] ()
+      ~workers:(local_workers 2) ()
   in
   Fun.protect
     ~finally:(fun () -> Coordinator.shutdown coord)
@@ -568,6 +595,8 @@ let tests =
     Alcotest.test_case "--workers spec parsing" `Quick test_specs_of_string;
     Alcotest.test_case "chaos kill reissues, result bit-identical" `Slow
       test_chaos_kill_reissues;
+    Alcotest.test_case "workers survive SIGINT and SIGTERM" `Slow
+      test_workers_survive_terminal_signals;
     Alcotest.test_case "sharded candidates match the pool path" `Slow
       test_candidates_match_inprocess;
     Alcotest.test_case "tally export/merge equivalence" `Quick

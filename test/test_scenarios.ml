@@ -58,6 +58,24 @@ let test_tables_path_shape () =
   Alcotest.(check bool) "ends with delta1.rules" true
     (Filename.check_suffix p "delta1.rules")
 
+let test_missing_table_raises () =
+  (* A missing table is an error that names the path and the command
+     that regenerates it; nothing is trained or written in its place. *)
+  let spec = { Tables.delta1 with Tables.table = "no-such-table" } in
+  let p = Tables.path spec.Tables.table in
+  let contains msg needle =
+    let n = String.length msg and m = String.length needle in
+    let rec go i = i + m <= n && (String.sub msg i m = needle || go (i + 1)) in
+    go 0
+  in
+  match Tables.tree spec with
+  | _ -> Alcotest.fail "loaded a table that does not exist"
+  | exception Failure msg ->
+    Alcotest.(check bool) ("names the path: " ^ msg) true (contains msg p);
+    Alcotest.(check bool) "names the command" true
+      (contains msg ("remy_train --model general --delta 1 -o " ^ p));
+    Alcotest.(check bool) "no table written" false (Sys.file_exists p)
+
 let test_rtts_broadcast () =
   let sc =
     Scenario.make
@@ -78,5 +96,6 @@ let tests =
     Alcotest.test_case "deterministic run" `Slow test_run_deterministic;
     Alcotest.test_case "remy scheme runs" `Slow test_remy_scheme_runs;
     Alcotest.test_case "tables path" `Quick test_tables_path_shape;
+    Alcotest.test_case "missing table raises" `Quick test_missing_table_raises;
     Alcotest.test_case "per-flow rtts" `Slow test_rtts_broadcast;
   ]
