@@ -1,9 +1,11 @@
-(* remy_run: simulate one dumbbell scenario and print per-scheme medians.
+(* remy_run: simulate one scenario — the dumbbell or a named topology —
+   across schemes and print per-scheme medians.
 
    Examples:
      remy_run --link 15 --rtt 150 --senders 8 --schemes newreno,vegas,remy:delta1
      remy_run --workload icsi --qdisc sfqcodel --loss 0.01
      remy_run --link-trace data/verizon-lte.trace --senders 4
+     remy_run --topology parking-lot --schemes cubic,remy:delta1
      remy_run --trace out.jsonl --probe-interval 0.01 --schemes cubic *)
 
 open Cmdliner
@@ -108,26 +110,23 @@ let run link rtt_ms senders workload_kind mean_kb mean_on mean_off duration
   | Some _ when link_trace <> None ->
     Printf.eprintf "error: --link-trace applies to the dumbbell only\n";
     exit 1
-  | Some _ when loss > 0. ->
+  | Some _ when loss <> 0. ->
     Printf.eprintf "error: --loss applies to the dumbbell only\n";
     exit 1
   | _ -> ());
   let scenario =
-    Scenario.make ~capacity ~service ~n:senders ~rtt:(rtt_ms /. 1e3) ~workload
-      ~start ~duration ~replications ~base_seed:seed ()
-  in
-  let topo_scenario =
-    Option.map
-      (fun topology ->
-        try
-          Topologies.make ~capacity ~replications ~base_seed:seed
-            ~link_mbps:link ~rtt_s:(rtt_ms /. 1e3) ~workload ~start ~topology
-            ~n:senders ~duration ()
-        with Invalid_argument msg ->
-          Printf.eprintf "error: %s (known: %s)\n" msg
-            (String.concat ", " Topologies.names);
-          exit 1)
-      topology
+    let rtt = rtt_ms /. 1e3 in
+    try
+      match topology with
+      | None ->
+        Scenario.make ~capacity ~loss ~service ~n:senders ~rtt ~workload ~start
+          ~duration ~replications ~base_seed:seed ()
+      | Some name ->
+        Scenario.topology ~capacity ~replications ~base_seed:seed ~start ~name
+          ~n:senders ~link_mbps:link ~rtt ~workload ~duration ()
+    with Invalid_argument msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1
   in
   let schemes = List.map (resolve_scheme ~force ?idle_restart_s) schemes in
   List.iter
@@ -135,69 +134,18 @@ let run link rtt_ms senders workload_kind mean_kb mean_on mean_off duration
       if Remy_obs.Trace.is_on tracer then
         Remy_obs.Trace.note tracer ~now:0.
           [ ("scheme", Remy_obs.Record.Str scheme.Schemes.name) ];
-      (* Override the scheme's qdisc pairing when asked, and wrap with
-         stochastic loss when requested. *)
+      (* Override the scheme's qdisc pairing when asked. *)
       let scheme =
         match qdisc_kind with
         | None -> scheme
         | Some q -> { scheme with Schemes.qdisc = q }
       in
-      let summary =
-        if loss > 0. then begin
-          (* Scenario drives the plain pairing; loss needs direct runs. *)
-          let points = ref [] in
-          for rep = 0 to replications - 1 do
-            let flows =
-              Array.init senders (fun _ ->
-                  {
-                    Remy_cc.Dumbbell.cc = scheme.Schemes.factory;
-                    rtt = rtt_ms /. 1e3;
-                    workload;
-                    start;
-                  })
-            in
-            let r =
-              Remy_cc.Topology.run
-                ~tracer:(if rep = 0 then tracer else Remy_obs.Trace.off)
-                ?probe_interval ~faults
-                (Remy_cc.Topology.dumbbell
-                   {
-                     Remy_cc.Dumbbell.service;
-                     qdisc =
-                       Remy_cc.Dumbbell.With_loss
-                         (loss, Schemes.qdisc_spec scheme ~capacity);
-                     flows;
-                     duration;
-                     seed = seed + rep;
-                     min_rto = Remy_cc.Dumbbell.default_min_rto;
-                   })
-            in
-            Array.iter
-              (fun (f : Metrics.flow_summary) ->
-                if f.Metrics.on_time > 0. && f.Metrics.packets > 0 then
-                  points :=
-                    (f.Metrics.throughput_mbps, f.Metrics.mean_queueing_delay_ms)
-                    :: !points)
-              r.Remy_cc.Topology.flows
-          done;
-          let tputs = Array.of_list (List.map fst !points) in
-          let delays = Array.of_list (List.map snd !points) in
-          Format.asprintf "%-16s %8.3f Mbps %10.2f ms   (with %.2f%% loss)"
-            scheme.Schemes.name
-            (if Array.length tputs > 0 then Remy_util.Stats.median tputs else 0.)
-            (if Array.length delays > 0 then Remy_util.Stats.median delays else 0.)
-            (loss *. 100.)
-        end
-        else
-          match topo_scenario with
-          | Some topo ->
-            Format.asprintf "%a" Scenario.pp_summary_row
-              (Topologies.run_scheme ~tracer ?probe_interval ~faults topo scheme)
-          | None ->
-            Format.asprintf "%a" Scenario.pp_summary_row
-              (Scenario.run_scheme ~tracer ?probe_interval ~faults scenario scheme)
-      in
-      Format.printf "%s@." summary)
+      let s = Scenario.run_scheme ~tracer ?probe_interval ~faults scenario scheme in
+      if loss > 0. then
+        Format.printf "%-16s %8.3f Mbps %10.2f ms   (with %.2f%% loss)@."
+          s.Scenario.scheme s.Scenario.median_tput s.Scenario.median_qdelay
+          (loss *. 100.)
+      else Format.printf "%a@." Scenario.pp_summary_row s)
     schemes;
   Remy_obs.Trace.close tracer;
   (match trace_out with
@@ -379,7 +327,8 @@ let cmd =
           ~docv:"SECONDS")
   in
   Cmd.v
-    (Cmd.info "remy_run" ~doc:"Run a dumbbell scenario across schemes")
+    (Cmd.info "remy_run"
+       ~doc:"Run a dumbbell or named-topology scenario across schemes")
     Term.(
       const run $ link $ rtt $ senders $ workload $ mean_kb $ mean_on $ mean_off
       $ duration $ replications $ seed $ qdisc $ capacity $ loss $ schemes

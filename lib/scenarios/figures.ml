@@ -347,11 +347,12 @@ let fig10 fmt opts =
          fair split is 1.0 (multiply by n). *)
       let shares =
         Array.map
-          (fun row ->
+          (fun flows ->
+            let row = Array.map (fun f -> f.Metrics.throughput_mbps) flows in
             let total = Array.fold_left ( +. ) 0. row in
             if total <= 0. then Array.map (fun _ -> nan) row
             else Array.map (fun t -> 4. *. t /. total) row)
-          s.Scenario.per_flow_tput
+          s.Scenario.flows
       in
       Format.fprintf fmt "%-16s" s.Scenario.scheme;
       for i = 0 to 3 do
@@ -418,7 +419,7 @@ let tbl_datacenter fmt opts =
 
 (* --- Section 5.6: competing protocols -------------------------------- *)
 
-let competing_run opts ~remy_tree ~other_name ~other_factory ~workload ~seed =
+let competing_run opts ~remy_tree ~other_factory ~workload ~seed =
   (* One RemyCC flow vs one [other] flow on the paper's 15 Mbps / 150 ms
      bottleneck; returns (remy_tputs, other_tputs) across replications. *)
   let remy_t = ref [] and other_t = ref [] in
@@ -457,7 +458,6 @@ let competing_run opts ~remy_tree ~other_name ~other_factory ~workload ~seed =
     if r.Remy_cc.Topology.flows.(1).Metrics.on_time > 0. then
       other_t := tput 1 :: !other_t
   done;
-  ignore other_name;
   (Array.of_list !remy_t, Array.of_list !other_t)
 
 let tbl_competing fmt opts =
@@ -473,7 +473,7 @@ let tbl_competing fmt opts =
   List.iteri
     (fun i off ->
       let remy, other =
-        competing_run opts ~remy_tree:tree ~other_name:"compound"
+        competing_run opts ~remy_tree:tree
           ~other_factory:(Remy_cc.Compound.factory ())
           ~workload:(Workload.icsi ~mean_off:off)
           ~seed:(opts.base_seed + (1000 * i))
@@ -488,7 +488,7 @@ let tbl_competing fmt opts =
   List.iteri
     (fun i size ->
       let remy, other =
-        competing_run opts ~remy_tree:tree ~other_name:"cubic"
+        competing_run opts ~remy_tree:tree
           ~other_factory:(Remy_cc.Cubic.factory ())
           ~workload:(Workload.by_bytes ~mean_bytes:size ~mean_off:0.5)
           ~seed:(opts.base_seed + 5000 + (1000 * i))
@@ -572,45 +572,29 @@ let ablation_loss fmt opts =
   let rows = ref [] in
   List.iter
     (fun loss ->
+      let scenario =
+        Scenario.make ~loss
+          ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+          ~n:2 ~rtt:0.150
+          ~workload:(Workload.by_time ~mean_on:2.0 ~mean_off:1.0)
+          ~duration:opts.duration ~replications:opts.replications
+          ~base_seed:opts.base_seed ()
+      in
       Format.fprintf fmt "%11.1f%%" (loss *. 100.);
       List.iter
         (fun scheme ->
-          (* Scenario does not know about loss wrapping; run directly,
-             wrapping the scheme's queue discipline with the Bernoulli
-             pre-drop. *)
-          let tputs = ref [] in
-          for rep = 0 to opts.replications - 1 do
-            let flows =
-              Array.init 2 (fun _ ->
-                  {
-                    Remy_cc.Dumbbell.cc = scheme.Schemes.factory;
-                    rtt = 0.150;
-                    workload = Workload.by_time ~mean_on:2.0 ~mean_off:1.0;
-                    start = `Off_draw;
-                  })
-            in
-            let r =
-              Remy_cc.Topology.run
-                (Remy_cc.Topology.dumbbell
-                   {
-                     Remy_cc.Dumbbell.service = Remy_cc.Dumbbell.Rate_mbps 15.;
-                     qdisc =
-                       Remy_cc.Dumbbell.With_loss
-                         (loss, Schemes.qdisc_spec scheme ~capacity:1000);
-                     flows;
-                     duration = opts.duration;
-                     seed = opts.base_seed + rep;
-                     min_rto = Remy_cc.Dumbbell.default_min_rto;
-                   })
-            in
-            Array.iter
-              (fun (f : Metrics.flow_summary) ->
-                if f.Metrics.on_time > 0. then
-                  tputs := f.Metrics.throughput_mbps :: !tputs)
-              r.Remy_cc.Topology.flows
-          done;
+          let s = Scenario.run_scheme scenario scheme in
+          (* Every sender that switched on counts, also one the loss
+             starved of any delivery (the summary's points skip it). *)
+          let tputs =
+            List.filter_map
+              (fun f ->
+                if f.Metrics.on_time > 0. then Some f.Metrics.throughput_mbps
+                else None)
+              (List.concat_map Array.to_list (Array.to_list s.Scenario.flows))
+          in
           let med =
-            match !tputs with
+            match tputs with
             | [] -> nan
             | l -> Stats.median (Array.of_list l)
           in

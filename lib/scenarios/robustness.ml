@@ -78,9 +78,14 @@ type report = {
 
 (* Mean per-sender objective over the pooled points.  The sweep builds
    uniform-RTT dumbbells, so every point's propagation RTT is the
-   scenario's broadcast one. *)
+   scenario's broadcast one (a named topology's total propagation). *)
 let score_of_summary objective (t : Scenario.t) (s : Scenario.summary) =
-  let prop_ms = Stats.mean t.Scenario.rtts *. 1e3 in
+  let prop_s =
+    match t.Scenario.network with
+    | Scenario.Dumbbell { rtts; _ } -> Stats.mean rtts
+    | Scenario.Topology { rtt; _ } -> rtt
+  in
+  let prop_ms = prop_s *. 1e3 in
   if Array.length s.Scenario.points = 0 then
     (* Nothing delivered at all (e.g. a blackout covering the run):
        score the floor, not 0, so "no throughput" ranks below any

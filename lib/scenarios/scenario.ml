@@ -2,11 +2,14 @@ open Remy_cc
 open Remy_sim
 open Remy_util
 
+type network =
+  | Dumbbell of { service : Dumbbell.service; rtts : float array; loss : float }
+  | Topology of { name : string; link_mbps : float; rtt : float }
+
 type t = {
-  service : Dumbbell.service;
+  network : network;
   capacity : int;
   n : int;
-  rtts : float array;
   workload : Workload.t;
   start : [ `Immediate | `Off_draw ];
   duration : float;
@@ -14,12 +17,72 @@ type t = {
   base_seed : int;
 }
 
-let make ?(capacity = Schemes.droptail_capacity) ?rtts ?(replications = 16)
-    ?(base_seed = 7000) ?(start = `Off_draw) ~service ~n ~rtt ~workload ~duration
-    () =
+let make ?(capacity = Schemes.droptail_capacity) ?rtts ?(loss = 0.)
+    ?(replications = 16) ?(base_seed = 7000) ?(start = `Off_draw) ~service ~n
+    ~rtt ~workload ~duration () =
   let rtts = match rtts with Some r -> r | None -> Array.make n rtt in
-  assert (Array.length rtts = n);
-  { service; capacity; n; rtts; workload; start; duration; replications; base_seed }
+  if Array.length rtts <> n then
+    invalid_arg
+      (Printf.sprintf "Scenario.make: %d rtts for %d senders" (Array.length rtts) n);
+  (* Written so that NaN fails too. *)
+  if not (loss >= 0. && loss < 1.) then
+    invalid_arg (Printf.sprintf "Scenario.make: loss rate %g outside [0, 1)" loss);
+  {
+    network = Dumbbell { service; rtts; loss };
+    capacity;
+    n;
+    workload;
+    start;
+    duration;
+    replications;
+    base_seed;
+  }
+
+let topology ?(capacity = Schemes.droptail_capacity) ?(replications = 16)
+    ?(base_seed = 7000) ?(start = `Off_draw) ~name ~n ~link_mbps ~rtt ~workload
+    ~duration () =
+  if Topology.builder_of_name name = None then
+    invalid_arg
+      (Printf.sprintf "Scenario.topology: unknown topology %S (known: %s)" name
+         (String.concat ", " Topology.names));
+  {
+    network = Topology { name; link_mbps; rtt };
+    capacity;
+    n;
+    workload;
+    start;
+    duration;
+    replications;
+    base_seed;
+  }
+
+(* The concrete network of one replication. *)
+let config t (scheme : Schemes.t) ~seed =
+  match t.network with
+  | Dumbbell { service; rtts; loss } ->
+    let qdisc = Schemes.qdisc_spec scheme ~capacity:t.capacity in
+    Topology.dumbbell
+      {
+        Dumbbell.service;
+        qdisc = (if loss > 0. then Dumbbell.With_loss (loss, qdisc) else qdisc);
+        flows =
+          Array.map
+            (fun rtt ->
+              {
+                Dumbbell.cc = scheme.Schemes.factory;
+                rtt;
+                workload = t.workload;
+                start = t.start;
+              })
+            rtts;
+        duration = t.duration;
+        seed;
+        min_rto = Dumbbell.default_min_rto;
+      }
+  | Topology { name; link_mbps; rtt } ->
+    let builder = Option.get (Topology.builder_of_name name) in
+    builder ~n:t.n ~cc:scheme.Schemes.factory ~workload:t.workload ~start:t.start
+      ~link_mbps ~rtt_s:rtt ~queue_capacity:t.capacity ~duration:t.duration ~seed ()
 
 type point = { tput_mbps : float; qdelay_ms : float }
 
@@ -31,26 +94,28 @@ type summary = {
   ellipse : Ellipse.t option;
   mean_tput : float;
   mean_rtt_ms : float;
-  per_flow_tput : float array array;
+  flows : Metrics.flow_summary array array;
 }
 
-let replicate ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
-    ?(faults = Remy_faults.Spec.empty) ~scheme ~replications ~base_seed config_of =
+let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
+    ?(faults = Remy_faults.Spec.empty) t (scheme : Schemes.t) =
+  (* The dumbbell keeps the scheme's own factory; on a named topology a
+     RemyCC runs on the structure-of-arrays fleet. *)
+  let fleet_tree =
+    match t.network with Topology _ -> scheme.Schemes.tree | Dumbbell _ -> None
+  in
   let points = ref [] in
   let rtt_sums = ref [] in
-  let per_flow = ref [] in
-  for rep = 0 to replications - 1 do
+  let flows = ref [] in
+  for rep = 0 to t.replications - 1 do
     (* Trace only the first replication: one representative run per
        scheme keeps trace files bounded; results are unaffected. *)
     let tracer = if rep = 0 then tracer else Remy_obs.Trace.off in
-    let config = config_of ~seed:(base_seed + rep) in
-    let sender_factory = Option.map (fun mk -> mk ()) sender_factory in
+    let config = config t scheme ~seed:(t.base_seed + rep) in
+    let sender_factory = Option.map (fun tree -> Remy.Fleet.factory tree) fleet_tree in
     let result = Topology.run ~tracer ?probe_interval ?sender_factory ~faults config in
     let rtts = Topology.flow_rtts config in
-    per_flow :=
-      Array.map (fun (f : Metrics.flow_summary) -> f.Metrics.throughput_mbps)
-        result.Topology.flows
-      :: !per_flow;
+    flows := result.Topology.flows :: !flows;
     Array.iteri
       (fun i (f : Metrics.flow_summary) ->
         if f.Metrics.on_time > 0. && f.Metrics.packets > 0 then begin
@@ -70,7 +135,7 @@ let replicate ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
   let delays = Array.map (fun p -> p.qdelay_ms) points in
   let non_empty = Array.length points > 0 in
   {
-    scheme;
+    scheme = scheme.Schemes.name;
     points;
     median_tput = (if non_empty then Stats.median tputs else 0.);
     median_qdelay = (if non_empty then Stats.median delays else 0.);
@@ -81,30 +146,8 @@ let replicate ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
     mean_tput = (if non_empty then Stats.mean tputs else 0.);
     mean_rtt_ms =
       (if !rtt_sums = [] then 0. else Stats.mean (Array.of_list !rtt_sums));
-    per_flow_tput = Array.of_list (List.rev !per_flow);
+    flows = Array.of_list (List.rev !flows);
   }
-
-let run_scheme ?tracer ?probe_interval ?faults t scheme =
-  replicate ?tracer ?probe_interval ?faults ~scheme:scheme.Schemes.name
-    ~replications:t.replications ~base_seed:t.base_seed (fun ~seed ->
-      Topology.dumbbell
-        {
-          Dumbbell.service = t.service;
-          qdisc = Schemes.qdisc_spec scheme ~capacity:t.capacity;
-          flows =
-            Array.init t.n (fun i ->
-                {
-                  Dumbbell.cc = scheme.Schemes.factory;
-                  rtt = t.rtts.(i);
-                  workload = t.workload;
-                  start = t.start;
-                });
-          duration = t.duration;
-          seed;
-          min_rto = Dumbbell.default_min_rto;
-        })
-
-let run_all t schemes = List.map (fun s -> run_scheme t s) schemes
 
 let pp_summary_row fmt s =
   let axes =

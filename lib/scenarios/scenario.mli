@@ -1,18 +1,38 @@
-(** Generic replicated experiment runner.
+(** The replicated experiment runner.
 
-    An experiment fixes a bottleneck (service model + buffer), a sender
-    population (count, per-flow RTTs, workload) and a horizon, then runs
-    each scheme over [replications] seeds, pooling one (queueing delay,
-    throughput) point per sender per run — the points behind the
-    paper's throughput-delay ellipse plots and median tables. *)
+    An experiment fixes a network, a sender population (count,
+    workload, start) and a horizon, then runs each scheme over
+    [replications] seeds, pooling one (queueing delay, throughput)
+    point per sender per run — the points behind the paper's
+    throughput-delay ellipse plots and median tables.  One scheme runs
+    per experiment; only Section 5.6's mixed pairs of schemes
+    replicate outside it. *)
+
+type network =
+  | Dumbbell of {
+      service : Remy_cc.Dumbbell.service;
+      rtts : float array;
+          (** per-flow two-way propagation delay, seconds; length [n] *)
+      loss : float;
+          (** i.i.d. non-congestive loss rate in front of the scheme's
+              queue ({!Remy_cc.Dumbbell.With_loss}); [0.] = no loss
+              stage *)
+    }
+      (** The paper's Fig. 2 dumbbell, queued by the scheme's pairing
+          ({!Schemes.qdisc_spec}). *)
+  | Topology of {
+      name : string;  (** a name from {!Remy_cc.Topology.names} *)
+      link_mbps : float;  (** bottleneck-tier rate *)
+      rtt : float;  (** total two-way propagation, seconds *)
+    }
+      (** A named multi-bottleneck {!Remy_cc.Topology} builder, with
+          per-link DropTail buffers in place of the scheme's qdisc
+          pairing. *)
 
 type t = {
-  service : Remy_cc.Dumbbell.service;
-  capacity : int;  (** bottleneck buffer, packets *)
+  network : network;
+  capacity : int;  (** buffer per queue, packets *)
   n : int;  (** senders *)
-  rtts : float array;
-      (** per-flow two-way propagation delay, seconds; length [n] or 1
-          (broadcast) *)
   workload : Remy_sim.Workload.t;
   start : [ `Immediate | `Off_draw ];
   duration : float;
@@ -23,6 +43,7 @@ type t = {
 val make :
   ?capacity:int ->
   ?rtts:float array ->
+  ?loss:float ->
   ?replications:int ->
   ?base_seed:int ->
   ?start:[ `Immediate | `Off_draw ] ->
@@ -33,9 +54,28 @@ val make :
   duration:float ->
   unit ->
   t
-(** Defaults: capacity 1000, 16 replications, base seed 7000, all flows
-    at [rtt], senders start with an off-time draw (use [`Immediate] for
-    saturating workloads). *)
+(** A dumbbell experiment.  Defaults: capacity 1000, no loss, 16
+    replications, base seed 7000, all flows at [rtt], senders start
+    with an off-time draw (use [`Immediate] for saturating workloads).
+    Raises [Invalid_argument] when [rtts] does not have length [n], or
+    when [loss] is outside [\[0, 1)] (NaN included). *)
+
+val topology :
+  ?capacity:int ->
+  ?replications:int ->
+  ?base_seed:int ->
+  ?start:[ `Immediate | `Off_draw ] ->
+  name:string ->
+  n:int ->
+  link_mbps:float ->
+  rtt:float ->
+  workload:Remy_sim.Workload.t ->
+  duration:float ->
+  unit ->
+  t
+(** A named-topology experiment, with the defaults of {!make}.  Raises
+    [Invalid_argument], listing every {!Remy_cc.Topology.names} entry,
+    on an unknown [name]. *)
 
 type point = { tput_mbps : float; qdelay_ms : float }
 
@@ -47,8 +87,9 @@ type summary = {
   ellipse : Remy_util.Ellipse.t option;  (** [None] with fewer than 2 points *)
   mean_tput : float;
   mean_rtt_ms : float;  (** mean queueing delay + propagation RTT *)
-  per_flow_tput : float array array;
-      (** [replications] rows of per-flow throughput (RTT-fairness plots) *)
+  flows : Remy_sim.Metrics.flow_summary array array;
+      (** every flow's summary, scored or not: one row per replication
+          (RTT-fairness shares, custom accounting) *)
 }
 
 val run_scheme :
@@ -58,34 +99,19 @@ val run_scheme :
   t ->
   Schemes.t ->
   summary
-(** Replication [i] uses seed [base_seed + i]; senders with zero on-time
-    are excluded, like the paper's "active during intervals" accounting.
-    [tracer]/[probe_interval] apply to replication 0 only (one
-    representative trace per scheme); they never affect results.
+(** Replication [i] simulates the network with seed [base_seed + i] on
+    {!Remy_cc.Topology.run}.  Points come from senders that went on and
+    delivered, like the paper's "active during intervals" accounting;
+    [mean_rtt_ms] adds each one's two-way propagation
+    ({!Remy_cc.Topology.flow_rtts}).  On a named topology a RemyCC
+    scheme runs on a fresh {!Remy.Fleet} per replication (identical
+    results, scales to 10k flows); everything else runs the scheme's
+    [factory].  [tracer]/[probe_interval] apply to replication 0 only
+    (one representative trace per scheme); they never affect results.
     [faults] installs the same fault schedule in every replication
     (fault draws are seeded per replication from the run seed, so each
     replication sees different drop/reorder realizations of the same
     schedule). *)
-
-val replicate :
-  ?tracer:Remy_obs.Trace.t ->
-  ?probe_interval:float ->
-  ?sender_factory:(unit -> Remy_cc.Sender_backend.factory) ->
-  ?faults:Remy_faults.Spec.t ->
-  scheme:string ->
-  replications:int ->
-  base_seed:int ->
-  (seed:int -> Remy_cc.Topology.config) ->
-  summary
-(** The replication loop behind {!run_scheme} and
-    [Topologies.run_scheme]: replication [i] simulates the network
-    [config_of ~seed:(base_seed + i)] with {!Remy_cc.Topology.run} (and
-    a fresh backend from [sender_factory], when given), and pools one
-    point per sender that went on and delivered; [mean_rtt_ms] adds
-    each sender's two-way propagation
-    ({!Remy_cc.Topology.flow_rtts}). *)
-
-val run_all : t -> Schemes.t list -> summary list
 
 val pp_summary_row : Format.formatter -> summary -> unit
 (** One aligned text row: scheme, median throughput, median delay,

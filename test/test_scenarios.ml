@@ -8,6 +8,11 @@ let quick_scenario ?(n = 2) () =
     ~workload:(Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3)
     ~duration:10. ~replications:3 ()
 
+let contains msg needle =
+  let n = String.length msg and m = String.length needle in
+  let rec go i = i + m <= n && (String.sub msg i m = needle || go (i + 1)) in
+  go 0
+
 let test_registry_names () =
   List.iter
     (fun name ->
@@ -36,7 +41,7 @@ let test_run_scheme_points () =
   Alcotest.(check bool) "points bounded" true (Array.length s.Scenario.points <= 6);
   Alcotest.(check bool) "median positive" true (s.Scenario.median_tput > 0.);
   Alcotest.(check bool) "ellipse present" true (s.Scenario.ellipse <> None);
-  Alcotest.(check int) "per-flow rows" 3 (Array.length s.Scenario.per_flow_tput)
+  Alcotest.(check int) "per-flow rows" 3 (Array.length s.Scenario.flows)
 
 let test_run_deterministic () =
   let sc = quick_scenario () in
@@ -63,11 +68,6 @@ let test_missing_table_raises () =
      that regenerates it; nothing is trained or written in its place. *)
   let spec = { Tables.delta1 with Tables.table = "no-such-table" } in
   let p = Tables.path spec.Tables.table in
-  let contains msg needle =
-    let n = String.length msg and m = String.length needle in
-    let rec go i = i + m <= n && (String.sub msg i m = needle || go (i + 1)) in
-    go 0
-  in
   match Tables.tree spec with
   | _ -> Alcotest.fail "loaded a table that does not exist"
   | exception Failure msg ->
@@ -84,9 +84,77 @@ let test_rtts_broadcast () =
       ~rtts:[| 0.05; 0.1; 0.15 |]
       ~workload:Workload.saturating ~start:`Immediate ~duration:5. ~replications:1 ()
   in
-  Alcotest.(check int) "explicit rtts kept" 3 (Array.length sc.Scenario.rtts);
+  (match sc.Scenario.network with
+  | Scenario.Dumbbell { rtts; _ } ->
+    Alcotest.(check int) "explicit rtts kept" 3 (Array.length rtts)
+  | Scenario.Topology _ -> Alcotest.fail "a dumbbell scenario");
   let s = Scenario.run_scheme sc Schemes.newreno in
   Alcotest.(check bool) "runs" true (Array.length s.Scenario.points > 0)
+
+let raises_invalid name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no exception" name
+  | exception Invalid_argument msg -> msg
+
+let test_rtts_length_checked () =
+  let msg =
+    raises_invalid "1 rtt for 3 senders" (fun () ->
+        Scenario.make
+          ~service:(Remy_cc.Dumbbell.Rate_mbps 10.)
+          ~n:3 ~rtt:0.1 ~rtts:[| 0.05 |] ~workload:Workload.saturating
+          ~duration:5. ())
+  in
+  Alcotest.(check bool) ("names both counts: " ^ msg) true
+    (contains msg "1 rtts" && contains msg "3 senders")
+
+let test_loss_rate_checked () =
+  let make loss () =
+    Scenario.make ~loss
+      ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+      ~n:2 ~rtt:0.15 ~workload:Workload.saturating ~duration:5. ()
+  in
+  List.iter
+    (fun loss -> ignore (raises_invalid (Printf.sprintf "loss %g" loss) (make loss)))
+    [ 1.; -0.1; nan ];
+  match (make 0.999 ()).Scenario.network with
+  | Scenario.Dumbbell { loss; _ } -> Alcotest.(check (float 0.)) "kept" 0.999 loss
+  | Scenario.Topology _ -> Alcotest.fail "a dumbbell scenario"
+
+let tiny_topology name =
+  Scenario.topology ~name ~n:4 ~link_mbps:15. ~rtt:0.15
+    ~workload:(Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3)
+    ~duration:2. ~replications:2 ()
+
+let test_unknown_topology () =
+  let msg = raises_invalid "unknown topology" (fun () -> tiny_topology "ring") in
+  List.iter
+    (fun name -> Alcotest.(check bool) ("lists " ^ name) true (contains msg name))
+    Remy_cc.Topology.names
+
+let test_named_topology name () =
+  let sc = tiny_topology name in
+  let tree = Remy.Rule_tree.create () in
+  Remy.Rule_tree.set_action tree 0
+    { Remy.Action.multiple = 0.8; increment = 5.; intersend_ms = 1. };
+  let remy = Schemes.remy ~name:"Remy test" tree in
+  List.iter
+    (fun (scheme : Schemes.t) ->
+      let s = Scenario.run_scheme sc scheme in
+      let label what = scheme.Schemes.name ^ ": " ^ what in
+      Alcotest.(check bool) (label "points") true (Array.length s.Scenario.points > 0);
+      Alcotest.(check int) (label "flows rows") 2 (Array.length s.Scenario.flows);
+      Array.iter
+        (fun row -> Alcotest.(check int) (label "flows per row") 4 (Array.length row))
+        s.Scenario.flows;
+      Alcotest.(check bool) (label "identical on a second call") true
+        (compare s (Scenario.run_scheme sc scheme) = 0))
+    [ Schemes.newreno; remy ];
+  (* The RemyCC ran on the fleet; the per-record backend gives the
+     same summary. *)
+  Alcotest.(check bool) "fleet = records" true
+    (compare (Scenario.run_scheme sc remy)
+       (Scenario.run_scheme sc { remy with Schemes.tree = None })
+    = 0)
 
 let tests =
   [
@@ -98,4 +166,11 @@ let tests =
     Alcotest.test_case "tables path" `Quick test_tables_path_shape;
     Alcotest.test_case "missing table raises" `Quick test_missing_table_raises;
     Alcotest.test_case "per-flow rtts" `Slow test_rtts_broadcast;
+    Alcotest.test_case "rtts length checked" `Quick test_rtts_length_checked;
+    Alcotest.test_case "loss rate checked" `Quick test_loss_rate_checked;
+    Alcotest.test_case "unknown topology" `Quick test_unknown_topology;
   ]
+  @ List.map
+      (fun name ->
+        Alcotest.test_case ("named topology " ^ name) `Slow (test_named_topology name))
+      Remy_cc.Topology.names
