@@ -38,13 +38,18 @@ let make ?(capacity = Schemes.droptail_capacity) ?rtts ?(loss = 0.)
     base_seed;
   }
 
+let builder name =
+  match Topology.builder_of_name name with
+  | Some b -> b
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Scenario.topology: unknown topology %S (known: %s)" name
+         (String.concat ", " Topology.names))
+
 let topology ?(capacity = Schemes.droptail_capacity) ?(replications = 16)
     ?(base_seed = 7000) ?(start = `Off_draw) ~name ~n ~link_mbps ~rtt ~workload
     ~duration () =
-  if Topology.builder_of_name name = None then
-    invalid_arg
-      (Printf.sprintf "Scenario.topology: unknown topology %S (known: %s)" name
-         (String.concat ", " Topology.names));
+  let (_ : Topology.builder) = builder name in
   {
     network = Topology { name; link_mbps; rtt };
     capacity;
@@ -80,9 +85,9 @@ let config t (scheme : Schemes.t) ~seed =
         min_rto = Dumbbell.default_min_rto;
       }
   | Topology { name; link_mbps; rtt } ->
-    let builder = Option.get (Topology.builder_of_name name) in
-    builder ~n:t.n ~cc:scheme.Schemes.factory ~workload:t.workload ~start:t.start
-      ~link_mbps ~rtt_s:rtt ~queue_capacity:t.capacity ~duration:t.duration ~seed ()
+    builder name ~n:t.n ~cc:scheme.Schemes.factory ~workload:t.workload
+      ~start:t.start ~link_mbps ~rtt_s:rtt ~queue_capacity:t.capacity
+      ~duration:t.duration ~seed ()
 
 type point = { tput_mbps : float; qdelay_ms : float }
 

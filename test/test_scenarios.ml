@@ -149,8 +149,8 @@ let test_named_topology name () =
       Alcotest.(check bool) (label "identical on a second call") true
         (compare s (Scenario.run_scheme sc scheme) = 0))
     [ Schemes.newreno; remy ];
-  (* The RemyCC ran on the fleet; the per-record backend gives the
-     same summary. *)
+  (* On a named topology the RemyCC runs on the fleet; without its tree
+     the scheme falls back to its record factory, which must agree. *)
   Alcotest.(check bool) "fleet = records" true
     (compare (Scenario.run_scheme sc remy)
        (Scenario.run_scheme sc { remy with Schemes.tree = None })
