@@ -50,7 +50,7 @@ let install_signal_handlers () =
     [ (Sys.sigint, "SIGINT"); (Sys.sigterm, "SIGTERM") ]
 
 let run model topology objective delta epochs specimens multipliers rounds
-    prune no_incremental domains wall seed sim_duration task_retries
+    prune domains wall seed sim_duration task_retries
     stall_timeout checkpoint_dir resume checkpoint_every stop_after output
     telemetry quiet verify dashboard profile manifest workers worker_timeout
     chaos_kill_worker =
@@ -77,7 +77,7 @@ let run model topology objective delta epochs specimens multipliers rounds
   let config =
     Optimizer.default_config ~specimens_per_step:specimens ~max_epochs:epochs
       ~candidate_multipliers:multipliers ~rounds_per_rule:rounds
-      ~prune_agreeing:prune ~incremental:(not no_incremental) ?domains
+      ~prune_agreeing:prune ?domains
       ~wall_budget_s:wall ~seed ~task_retries ?stall_timeout_s:stall_timeout
       ~model ~objective ()
   in
@@ -270,13 +270,7 @@ let run model topology objective delta epochs specimens multipliers rounds
         try
           Remy_dist.Coordinator.create ~on_event:dist_event
             ?timeout_s:worker_timeout ?chaos_kill_after:chaos_kill_worker
-            ~params:
-              {
-                Remy_dist.Wire.objective;
-                queue_capacity = model.Net_model.queue_capacity;
-                duration = model.Net_model.sim_duration;
-                topology = model.Net_model.topology;
-              }
+            ~params:(Optimizer.eval_params config)
             ~config_hash:(Optimizer.config_fingerprint config) ~workers:specs ()
         with Remy_dist.Coordinator.Dist_error e ->
           Printf.eprintf "error: distributed setup failed: %s\n" e;
@@ -284,11 +278,7 @@ let run model topology objective delta epochs specimens multipliers rounds
       worker_specs
   in
   let backend =
-    Option.map
-      (fun c ->
-        Remy_dist.Coordinator.backend c
-          ~incremental:config.Optimizer.incremental)
-      coord
+    Option.map (fun c -> Remy_dist.Coordinator.backend c ~incremental:true) coord
   in
   install_signal_handlers ();
   if not quiet then
@@ -460,15 +450,6 @@ let cmd =
       value & flag
       & info [ "prune" ]
           ~doc:"Collapse subdivisions whose children's actions still agree.")
-  in
-  let no_incremental =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:
-            "Re-simulate every specimen for every candidate instead of reusing \
-             cached scores for specimens the candidate's rule never touched \
-             (results are identical; this only slows the search).")
   in
   let domains =
     Arg.(
@@ -648,7 +629,7 @@ let cmd =
     Term.(
       const run $ model $ topology $ objective $ delta $ epochs $ specimens
       $ multipliers
-      $ rounds $ prune $ no_incremental $ domains $ wall $ seed $ sim_duration
+      $ rounds $ prune $ domains $ wall $ seed $ sim_duration
       $ task_retries $ stall_timeout $ checkpoint_dir $ resume $ checkpoint_every
       $ stop_after $ output $ telemetry $ quiet $ verify $ dashboard $ profile
       $ manifest $ workers $ worker_timeout $ chaos_kill_worker)

@@ -9,6 +9,24 @@ type spec_cache = {
   touched : bool array;
 }
 
+type params = {
+  objective : Objective.t;
+  queue_capacity : int;
+  duration : float;
+  topology : string option;
+}
+
+type task =
+  | Baseline of { spec : Net_model.specimen }
+  | Candidate of { rule : int; action : Action.t; spec : Net_model.specimen }
+
+type outcome =
+  | Baseline_result of {
+      scores : float list;
+      slots : (int * int * Memory.t list) list;
+    }
+  | Candidate_result of { scores : float list }
+
 let timed_sim run =
   Remy_obs.Profiler.span "sim" (fun () ->
       if Remy_obs.Metrics.enabled () then begin
@@ -62,11 +80,10 @@ let specimen_flow_summaries ?override ?tally ?topology ~queue_capacity ~duration
   let sender_factory = Fleet.factory ?override ?tally tree in
   (timed_sim (fun () -> Topology.run ~sender_factory config)).Topology.flows
 
-let specimen_scores ?override ?tally ?topology ~objective ~queue_capacity
-    ~duration tree s =
+let specimen_scores ?override ?tally p tree s =
   let flows =
-    specimen_flow_summaries ?override ?tally ?topology ~queue_capacity ~duration
-      tree s
+    specimen_flow_summaries ?override ?tally ?topology:p.topology
+      ~queue_capacity:p.queue_capacity ~duration:p.duration tree s
   in
   let min_rtt_ms = s.Net_model.rtt_s *. 1e3 in
   Array.to_list flows
@@ -74,13 +91,13 @@ let specimen_scores ?override ?tally ?topology ~objective ~queue_capacity
          if f.Metrics.on_time <= 0. then None
          else
            Some
-             (Objective.score objective ~throughput_mbps:f.Metrics.throughput_mbps
+             (Objective.score p.objective ~throughput_mbps:f.Metrics.throughput_mbps
                 ~mean_rtt_ms:(f.Metrics.mean_queueing_delay_ms +. min_rtt_ms)))
 
-(* Reduce per-specimen sender-score lists to the run's result.  Every
-   evaluation path funnels through this so the arithmetic (and therefore
-   the bits) is identical whether a specimen's scores came from a fresh
-   simulation or the incremental cache. *)
+(* Reduce per-specimen sender-score lists (in specimen order) to the
+   run's result.  Fresh and cached specimens both funnel through this,
+   so the arithmetic (and therefore the bits) cannot depend on where a
+   specimen's scores came from. *)
 let result_of_spec_scores (per_spec : float list array) =
   let sender_scores = List.concat_map Fun.id (Array.to_list per_spec) in
   let spec_means =
@@ -97,63 +114,38 @@ let result_of_spec_scores (per_spec : float list array) =
   in
   { mean_score; sender_scores }
 
-let score ?override ?tally ?topology ~domains ~objective ~queue_capacity
-    ~duration tree specimens =
-  let specs = Array.of_list specimens in
-  let per_spec =
-    Par.Pool.with_pool ~domains @@ fun pool ->
-    Par.Pool.map pool
-      (fun (s : Net_model.specimen) ->
-        (* Each specimen gets a private tally (merged afterwards) so the
-           parallel workers never share mutable state. *)
-        let local_tally =
-          Option.map
-            (fun _ ->
-              Tally.create ~capacity:(Rule_tree.capacity tree)
-                ~seed:(s.Net_model.spec_seed lxor 0x5EED) ())
-            tally
-        in
-        let scores =
-          specimen_scores ?override ?tally:local_tally ?topology ~objective
-            ~queue_capacity ~duration tree s
-        in
-        (scores, local_tally))
-      specs
-  in
-  (match tally with
-  | Some dst ->
-    Array.iter
-      (fun (_, local) -> match local with Some t -> Tally.merge_into dst t | None -> ())
-      per_spec
-  | None -> ());
-  result_of_spec_scores (Array.map fst per_spec)
+let run_task p tree = function
+  | Baseline { spec } ->
+    let tally =
+      Tally.create ~capacity:(Rule_tree.capacity tree)
+        ~seed:(spec.Net_model.spec_seed lxor 0x5EED) ()
+    in
+    let scores = specimen_scores ~tally p tree spec in
+    Baseline_result { scores; slots = Tally.export tally }
+  | Candidate { rule; action; spec } ->
+    let scores = specimen_scores ~override:(rule, action) p tree spec in
+    Candidate_result { scores }
 
-let baseline ~pool ?tally ?topology ~objective ~queue_capacity ~duration tree
-    specimens =
-  let specs = Array.of_list specimens in
-  let capacity = Rule_tree.capacity tree in
-  let per_spec =
-    Par.Pool.map pool
-      (fun (s : Net_model.specimen) ->
-        (* A private tally per specimen: it feeds the caller's merged
-           tally (when asked for) and, always, the touched-rule set that
-           licenses incremental candidate evaluation. *)
-        let local_tally =
-          Tally.create ~capacity ~seed:(s.Net_model.spec_seed lxor 0x5EED) ()
-        in
-        let scores =
-          specimen_scores ~tally:local_tally ?topology ~objective ~queue_capacity
-            ~duration tree s
-        in
-        let touched = Array.init capacity (fun id -> Tally.count local_tally id > 0) in
-        ({ spec = s; scores; touched }, local_tally))
-      specs
-  in
-  (match tally with
-  | Some dst -> Array.iter (fun (_, local) -> Tally.merge_into dst local) per_spec
-  | None -> ());
-  let cache = Array.map fst per_spec in
-  (result_of_spec_scores (Array.map (fun c -> c.scores) cache), cache)
+let scores_of = function
+  | Baseline_result { scores; _ } | Candidate_result { scores } -> scores
+
+let slots_of = function
+  | Baseline_result { slots; _ } -> slots
+  | Candidate_result _ -> invalid_arg "Evaluator: a candidate outcome carries no tally"
+
+type backend = {
+  eval_baseline :
+    ?tally:Tally.t ->
+    Rule_tree.t ->
+    Net_model.specimen list ->
+    result * spec_cache array;
+  eval_candidates :
+    Rule_tree.t ->
+    rule:int ->
+    Action.t array ->
+    spec_cache array ->
+    float array * (int * int);
+}
 
 let resim_indices ~incremental ~rule (cache : spec_cache array) =
   Array.to_list cache
@@ -162,40 +154,68 @@ let resim_indices ~incremental ~rule (cache : spec_cache array) =
          (not incremental) || (rule < Array.length c.touched && c.touched.(rule)))
   |> List.map fst |> Array.of_list
 
-let candidate_grid ~candidates ~resim =
-  let n_resim = Array.length resim in
-  Array.init
-    (Array.length candidates * n_resim)
-    (fun k -> (k / n_resim, resim.(k mod n_resim)))
-
-let reduce_candidates ~(candidates : Action.t array) ~(cache : spec_cache array)
-    ~resim ~(fresh : float list array) =
-  let n_spec = Array.length cache in
-  let n_resim = Array.length resim in
-  let scores =
-    Array.mapi
-      (fun ci _ ->
-        let per_spec = Array.init n_spec (fun si -> cache.(si).scores) in
-        Array.iteri (fun j si -> per_spec.(si) <- fresh.((ci * n_resim) + j)) resim;
-        (result_of_spec_scores per_spec).mean_score)
-      candidates
+let backend ~incremental ?(sync = ignore) map =
+  let eval_baseline ?tally tree specimens =
+    sync tree;
+    let specs = Array.of_list specimens in
+    let outcomes = map tree (Array.map (fun spec -> Baseline { spec }) specs) in
+    let capacity = Rule_tree.capacity tree in
+    let cache =
+      Array.mapi
+        (fun i outcome ->
+          let slots = slots_of outcome in
+          Option.iter (fun dst -> Tally.merge_exported dst slots) tally;
+          let touched = Array.make capacity false in
+          List.iter (fun (id, _, _) -> if id < capacity then touched.(id) <- true) slots;
+          { spec = specs.(i); scores = scores_of outcome; touched })
+        outcomes
+    in
+    (result_of_spec_scores (Array.map (fun c -> c.scores) cache), cache)
   in
-  let simulated = Array.length candidates * n_resim in
-  let skipped = (Array.length candidates * n_spec) - simulated in
-  (scores, (simulated, skipped))
-
-let candidate_scores ~pool ~incremental ?topology ~objective ~queue_capacity
-    ~duration tree ~rule (candidates : Action.t array) (cache : spec_cache array) =
-  let resim = resim_indices ~incremental ~rule cache in
-  (* One flat candidate x specimen grid: load balances across the whole
-     round instead of nesting sequential specimen sweeps inside an outer
-     per-candidate map. *)
-  let grid = candidate_grid ~candidates ~resim in
-  let fresh =
-    Par.Pool.map pool
-      (fun (ci, si) ->
-        specimen_scores ~override:(rule, candidates.(ci)) ?topology ~objective
-          ~queue_capacity ~duration tree cache.(si).spec)
-      grid
+  let eval_candidates tree ~rule candidates cache =
+    let resim = resim_indices ~incremental ~rule cache in
+    let n_resim = Array.length resim in
+    (* One flat candidate x specimen grid: load balances across the whole
+       round instead of nesting sequential specimen sweeps inside an outer
+       per-candidate map. *)
+    let grid =
+      Array.init
+        (Array.length candidates * n_resim)
+        (fun k ->
+          let spec = cache.(resim.(k mod n_resim)).spec in
+          Candidate { rule; action = candidates.(k / n_resim); spec })
+    in
+    let fresh = Array.map scores_of (map tree grid) in
+    let means =
+      Array.mapi
+        (fun ci _ ->
+          let per_spec = Array.map (fun c -> c.scores) cache in
+          Array.iteri (fun j si -> per_spec.(si) <- fresh.((ci * n_resim) + j)) resim;
+          (result_of_spec_scores per_spec).mean_score)
+        candidates
+    in
+    let simulated = Array.length grid in
+    (means, (simulated, (Array.length candidates * Array.length cache) - simulated))
   in
-  reduce_candidates ~candidates ~cache ~resim ~fresh
+  { eval_baseline; eval_candidates }
+
+let on_pool pool params ~incremental =
+  backend ~incremental (fun tree -> Par.Pool.map pool (run_task params tree))
+
+let score ?override ?tally ?topology ~domains ~objective ~queue_capacity ~duration
+    tree specimens =
+  let task =
+    match (override, tally) with
+    | None, _ -> fun spec -> Baseline { spec }
+    | Some (rule, action), None -> fun spec -> Candidate { rule; action; spec }
+    | Some _, Some _ -> invalid_arg "Evaluator.score: ~override with ~tally"
+  in
+  let params = { objective; queue_capacity; duration; topology } in
+  let outcomes =
+    Par.Pool.with_pool ~domains @@ fun pool ->
+    Par.Pool.map pool (run_task params tree) (Array.of_list (List.map task specimens))
+  in
+  Option.iter
+    (fun dst -> Array.iter (fun o -> Tally.merge_exported dst (slots_of o)) outcomes)
+    tally;
+  result_of_spec_scores (Array.map scores_of outcomes)

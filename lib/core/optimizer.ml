@@ -11,7 +11,6 @@ type config = {
   max_epochs : int;
   max_rules : int;
   prune_agreeing : bool;
-  incremental : bool;
   wall_budget_s : float;
   seed : int;
   task_retries : int;
@@ -21,7 +20,7 @@ type config = {
 let default_config ?(specimens_per_step = 16) ?domains ?(k_subdivide = 4)
     ?(candidate_multipliers = [ 1.; 8.; 64. ]) ?(rounds_per_rule = 40)
     ?(max_epochs = 16) ?(max_rules = 256) ?(prune_agreeing = false)
-    ?(incremental = true) ?(wall_budget_s = 600.) ?(seed = 1) ?(task_retries = 1)
+    ?(wall_budget_s = 600.) ?(seed = 1) ?(task_retries = 1)
     ?stall_timeout_s ~model ~objective () =
   {
     model;
@@ -32,7 +31,6 @@ let default_config ?(specimens_per_step = 16) ?domains ?(k_subdivide = 4)
     candidate_multipliers;
     rounds_per_rule;
     prune_agreeing;
-    incremental;
     max_epochs;
     max_rules;
     wall_budget_s;
@@ -43,11 +41,10 @@ let default_config ?(specimens_per_step = 16) ?domains ?(k_subdivide = 4)
 
 (* Canonical rendering of every config field that can influence the
    search trajectory.  Fields that provably cannot — [domains],
-   [incremental] (result-invariant by construction), [task_retries] and
-   [stall_timeout_s] (tasks are pure), and the extendable budgets
-   [max_epochs] / [wall_budget_s] — are deliberately excluded, so a
-   checkpoint can be resumed with more budget or different parallelism
-   and still continue bit-identically. *)
+   [task_retries] and [stall_timeout_s] (tasks are pure), and the
+   extendable budgets [max_epochs] / [wall_budget_s] — are deliberately
+   excluded, so a checkpoint can be resumed with more budget or
+   different parallelism and still continue bit-identically. *)
 let config_fingerprint config =
   let b = Buffer.create 256 in
   let s x = Buffer.add_string b x in
@@ -155,7 +152,7 @@ let pp_event ppf = function
     Format.fprintf ppf "worker task %d failed (attempt %d), retrying: %s" task
       attempt error
 
-type eval_backend = {
+type eval_backend = Evaluator.backend = {
   eval_baseline :
     ?tally:Tally.t ->
     Rule_tree.t ->
@@ -168,6 +165,15 @@ type eval_backend = {
     Evaluator.spec_cache array ->
     float array * (int * int);
 }
+
+let eval_params config =
+  let m = config.model in
+  {
+    Evaluator.objective = config.objective;
+    queue_capacity = m.Net_model.queue_capacity;
+    duration = m.Net_model.sim_duration;
+    topology = m.Net_model.topology;
+  }
 
 (* Internal: unwinds the design loops at the next round boundary after a
    stop request; never escapes [design]. *)
@@ -240,18 +246,17 @@ let design ?backend ?(progress = fun (_ : event) -> ()) ?checkpoint ?resume
         progress (Worker_retry { task; attempt; error }))
       pending
   in
-  let queue_capacity = config.model.Net_model.queue_capacity in
-  let duration = config.model.Net_model.sim_duration in
   (* With an external [backend] (e.g. a distributed coordinator) no
-     in-process pool exists: every evaluation goes through the backend,
-     which must reduce in task order just as the pool paths do. *)
-  let pool =
+     in-process pool exists. *)
+  let pool, backend =
     match backend with
-    | Some _ -> None
+    | Some b -> (None, b)
     | None ->
-      Some
-        (Par.Pool.create ~retries:config.task_retries ~on_retry:note_retry
-           ?stall_timeout_s:config.stall_timeout_s ~domains:config.domains ())
+      let pool =
+        Par.Pool.create ~retries:config.task_retries ~on_retry:note_retry
+          ?stall_timeout_s:config.stall_timeout_s ~domains:config.domains ()
+      in
+      (Some pool, Evaluator.on_pool pool (eval_params config) ~incremental:true)
   in
   let save_checkpoint position =
     match checkpoint with
@@ -292,20 +297,13 @@ let design ?backend ?(progress = fun (_ : event) -> ()) ?checkpoint ?resume
       save_checkpoint position
     | _ -> ()
   in
-  (* Whole-table evaluation on the pool; returns the per-specimen cache
-     that licenses incremental candidate scoring. *)
+  (* Whole-table evaluation; returns the per-specimen cache that
+     licenses incremental candidate scoring. *)
   let eval_baseline ?tally specimens =
     incr evaluations;
     let r, cache =
       Remy_obs.Profiler.span "baseline" (fun () ->
-          match (backend, pool) with
-          | Some b, _ -> b.eval_baseline ?tally tree specimens
-          | None, Some pool ->
-            Evaluator.baseline ~pool ?tally
-              ?topology:config.model.Net_model.topology
-              ~objective:config.objective ~queue_capacity ~duration tree
-              specimens
-          | None, None -> assert false)
+          backend.eval_baseline ?tally tree specimens)
     in
     (r.Evaluator.mean_score, cache)
   in
@@ -324,16 +322,7 @@ let design ?backend ?(progress = fun (_ : event) -> ()) ?checkpoint ?resume
              ~multipliers:config.candidate_multipliers
              (Rule_tree.action tree id))
       in
-      let run_eval () =
-        match (backend, pool) with
-        | Some b, _ -> b.eval_candidates tree ~rule:id candidates cache
-        | None, Some pool ->
-          Evaluator.candidate_scores ~pool ~incremental:config.incremental
-            ?topology:config.model.Net_model.topology
-            ~objective:config.objective ~queue_capacity ~duration tree ~rule:id
-            candidates cache
-        | None, None -> assert false
-      in
+      let run_eval () = backend.eval_candidates tree ~rule:id candidates cache in
       let scores, (sims, skips) =
         Remy_obs.Profiler.span "eval" (fun () ->
             if Remy_obs.Metrics.enabled () then begin

@@ -18,12 +18,12 @@
     Candidate evaluations run in parallel on a persistent domain pool
     ({!Par.Pool}) created once per {!design} run; each improvement round
     submits the whole candidate x specimen grid as one flat task array.
-    When [incremental] (the default), specimens whose baseline run never
-    consulted the rule under improvement are not re-simulated — their
-    cached scores are reused, which is exact: an overridden rule that is
-    never consulted cannot influence the simulation.  The procedure is
-    deterministic given [seed]; neither the domain count nor the
-    incremental cache affects results, only wall time.
+    Specimens whose baseline run never consulted the rule under
+    improvement are not re-simulated — their cached scores are reused,
+    which is exact: an overridden rule that is never consulted cannot
+    influence the simulation.  The procedure is deterministic given
+    [seed]; neither the domain count nor the executor ({!Par.Pool} or
+    distributed workers) affects results, only wall time.
 
     {2 Crash safety}
 
@@ -60,9 +60,6 @@ type config = {
       (** at each subdivision step, first collapse previous splits whose
           improved children still agree ({!Rule_tree.collapse_agreeing}) —
           the Section 4.3 future-work refinement *)
-  incremental : bool;
-      (** reuse cached baseline scores for specimens the candidate's rule
-          never touched (default true; results are identical either way) *)
   wall_budget_s : float;  (** stop after this much wall-clock time *)
   seed : int;
   task_retries : int;
@@ -83,7 +80,6 @@ val default_config :
   ?max_epochs:int ->
   ?max_rules:int ->
   ?prune_agreeing:bool ->
-  ?incremental:bool ->
   ?wall_budget_s:float ->
   ?seed:int ->
   ?task_retries:int ->
@@ -96,10 +92,10 @@ val default_config :
 val config_fingerprint : config -> string
 (** Hex hash ({!Checkpoint.hash_hex}) of every config field that can
     influence the search trajectory: model, objective, seed and search
-    parameters.  [domains], [incremental], [task_retries],
-    [stall_timeout_s], [max_epochs] and [wall_budget_s] are excluded —
-    they are provably result-invariant or extendable budgets — so a
-    resumed run may change them freely. *)
+    parameters.  [domains], [task_retries], [stall_timeout_s],
+    [max_epochs] and [wall_budget_s] are excluded — they are provably
+    result-invariant or extendable budgets — so a resumed run may change
+    them freely. *)
 
 type checkpoint_spec = {
   dir : string;  (** where [checkpoint.sexp] lives *)
@@ -153,7 +149,7 @@ type event =
 val pp_event : Format.formatter -> event -> unit
 (** Render an event as the one-line status message it replaces. *)
 
-type eval_backend = {
+type eval_backend = Evaluator.backend = {
   eval_baseline :
     ?tally:Tally.t ->
     Rule_tree.t ->
@@ -166,15 +162,16 @@ type eval_backend = {
     Evaluator.spec_cache array ->
     float array * (int * int);
 }
-(** Pluggable evaluation engine.  The default (no [backend] passed to
-    {!design}) is the in-process {!Par.Pool}; the distributed
-    coordinator substitutes socket workers.  The contract that keeps
-    results bit-identical across engines: [eval_baseline] must return
-    scores/caches in specimen order with per-specimen tallies (seeded
-    from the specimen seed) merged in specimen order, and
-    [eval_candidates] must reduce the flattened candidates x resim grid
-    with {!Evaluator.reduce_candidates} — i.e. both reduce in task
-    order, never arrival order. *)
+(** The evaluation engine {!design} drives.  Build one with
+    {!Evaluator.backend} over an executor: {!Evaluator.on_pool} (the
+    default, over {!design}'s own pool) or the distributed coordinator.
+    The task enumeration and the reduction then live in {!Evaluator}
+    alone, so results are bit-identical across executors.  A wrapper
+    that counts or times calls may sit in between. *)
+
+val eval_params : config -> Evaluator.params
+(** The task parameters of a run under [config]: its objective and its
+    model's queue capacity, simulated duration and topology. *)
 
 val design :
   ?backend:eval_backend ->
@@ -189,10 +186,12 @@ val design :
 (** Run the search.  [progress] receives structured {!event}s; use
     {!pp_event} to recover the legacy console lines.
 
-    [backend] replaces the in-process pool with an external evaluation
-    engine (distributed training); no pool is created, so [domains],
-    [task_retries] and [stall_timeout_s] are inert and failures surface
-    as the backend's own exceptions rather than {!Par.Task_failed}.
+    Without [backend], design evaluates on its own pool, through
+    [Evaluator.on_pool pool (eval_params config) ~incremental:true].
+    With one (distributed training, or a test's full re-simulation
+    oracle) no pool is created, so [domains], [task_retries] and
+    [stall_timeout_s] are inert and failures surface as the backend's
+    own exceptions rather than {!Par.Task_failed}.
 
     [now0] (a {!Remy_obs.Clock.now_s} reading, default: taken on entry)
     is the monotonic epoch base of the run: telemetry [wall_s] and the

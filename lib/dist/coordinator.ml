@@ -253,7 +253,7 @@ let create ?(on_event = fun (_ : event) -> ()) ?(heartbeat_s = 10.)
      raise e);
   t
 
-(* --- the evaluation engine --- *)
+(* --- the executor --- *)
 
 (* Pipeline depth per worker: one task computing, one queued behind it,
    so a worker never idles waiting for the coordinator's select loop. *)
@@ -361,6 +361,15 @@ let eval_grid t (tasks : Wire.task array) : Wire.outcome array =
                 (Dist_error
                    (Printf.sprintf "worker %d (%s): result index %d out of range"
                       w.id w.addr index));
+            (match (tasks.(index), outcome) with
+            | Wire.Baseline _, Wire.Baseline_result _
+            | Wire.Candidate _, Wire.Candidate_result _ -> ()
+            | _ ->
+                raise
+                  (Dist_error
+                     (Printf.sprintf
+                        "worker %d (%s): result %d does not match its task's kind"
+                        w.id w.addr index)));
             w.in_flight <- List.filter (fun j -> j <> index) w.in_flight;
             (match results.(index) with
             | Some _ -> ()  (* late duplicate after a reissue; ignored *)
@@ -419,71 +428,9 @@ let set_tree t tree =
   t.gen <- t.gen + 1;
   t.tree <- Some tree
 
+(* Baselines open every round: syncing the tree there lets the
+   generation tag cover all candidate tasks that follow (their override
+   shadows the only rule whose action changes within the round, and
+   structural changes always precede another baseline). *)
 let backend t ~incremental =
-  {
-    Optimizer.eval_baseline =
-      (fun ?tally tree specimens ->
-        (* Baselines open every round: sync the tree here and the
-           generation tag covers all candidate tasks that follow (their
-           override shadows the only rule whose action changes within
-           the round, and structural changes always precede another
-           baseline). *)
-        set_tree t tree;
-        let specs = Array.of_list specimens in
-        let outcomes =
-          eval_grid t (Array.map (fun s -> Wire.Baseline { spec = s }) specs)
-        in
-        let scored =
-          Array.map
-            (function
-              | Wire.Baseline_result { scores; slots } -> (scores, slots)
-              | Wire.Candidate_result _ ->
-                  raise (Dist_error "candidate result for a baseline task"))
-            outcomes
-        in
-        (* Tally merge in specimen order — same order [Evaluator.baseline]
-           merges its per-specimen tallies. *)
-        (match tally with
-        | Some dst ->
-            Array.iter (fun (_, slots) -> Tally.merge_exported dst slots) scored
-        | None -> ());
-        let capacity = Rule_tree.capacity tree in
-        let cache =
-          Array.mapi
-            (fun i (scores, slots) ->
-              let touched = Array.make capacity false in
-              List.iter
-                (fun (id, _, _) -> if id < capacity then touched.(id) <- true)
-                slots;
-              { Evaluator.spec = specs.(i); scores; touched })
-            scored
-        in
-        ( Evaluator.result_of_spec_scores
-            (Array.map (fun c -> c.Evaluator.scores) cache),
-          cache ));
-    eval_candidates =
-      (fun _tree ~rule candidates cache ->
-        let resim = Evaluator.resim_indices ~incremental ~rule cache in
-        let grid = Evaluator.candidate_grid ~candidates ~resim in
-        let outcomes =
-          eval_grid t
-            (Array.map
-               (fun (ci, si) ->
-                 Wire.Candidate
-                   {
-                     rule;
-                     action = candidates.(ci);
-                     spec = cache.(si).Evaluator.spec;
-                   })
-               grid)
-        in
-        let fresh =
-          Array.map
-            (function
-              | Wire.Candidate_result { scores } -> scores
-              | Wire.Baseline_result _ ->
-                  raise (Dist_error "baseline result for a candidate task"))
-            outcomes
-        in
-        Evaluator.reduce_candidates ~candidates ~cache ~resim ~fresh);
-  }
+  Evaluator.backend ~incremental ~sync:(set_tree t) (fun _tree -> eval_grid t)

@@ -1,25 +1,27 @@
 (** The stateful side of distributed training: owns the rule tree,
-    shards evaluation grids across worker processes, and reduces
-    results in fixed task order.
+    shards evaluation grids across worker processes, and returns their
+    outcomes in task order.
 
     Determinism argument, in full: the coordinator keeps every piece of
     trajectory-relevant state (tree, PRNG, counters) exactly where the
-    single-process optimizer keeps it; workers only ever compute the
-    pure function (tree, params, task) -> scores.  Results are buffered
-    into a slot array by task index and reduced with the same
-    {!Remy.Evaluator} arithmetic the in-process pool uses, only after
-    the whole grid completes — so neither worker count, nor scheduling,
-    nor worker loss (a reissued task recomputes the same pure function)
-    can change a single bit of the outcome.
+    single-process optimizer keeps it, and it is only an executor of
+    {!Remy.Evaluator.backend}: workers compute the pure
+    {!Remy.Evaluator.run_task} the in-process pool maps, outcomes are
+    buffered into a slot array by task index, and {!Remy.Evaluator}
+    builds the task grids and reduces them only after the whole grid
+    completes — so neither worker count, nor scheduling, nor worker loss
+    (a reissued task recomputes the same pure function) can change a
+    single bit of the outcome.
 
     Failure model: a worker that EOFs, resets, fails a write, or stays
     silent past the timeout is declared lost; its in-flight task
     indices are requeued at the front of the pending queue and reissued
     to surviving workers.  Corrupt frames are not survivable — they
     mean the transport or a peer is lying, and the run aborts with the
-    frame diagnostic ({!Dist_error}).  Losing the last worker likewise
-    aborts; the round-boundary checkpoint on disk remains the resume
-    point, exactly as for {!Remy.Par} pool failures. *)
+    frame diagnostic ({!Dist_error}); so does a result whose kind does
+    not match its task's, naming the worker.  Losing the last worker
+    likewise aborts; the round-boundary checkpoint on disk remains the
+    resume point, exactly as for {!Remy.Par} pool failures. *)
 
 type worker_spec =
   | Connect of string  (** connect to a [remy_worker] at ["host:port"] *)
@@ -69,11 +71,10 @@ val create :
     hook that proves the reissue path preserves bit-identity. *)
 
 val backend : t -> incremental:bool -> Remy.Optimizer.eval_backend
-(** The {!Remy.Optimizer.design} evaluation engine: baselines sync the
-    tree (generation-tagged, checkpoint-grade serialization) and merge
-    worker tallies in specimen order; candidate rounds shard the same
-    flattened candidates x resim grid the pool path enumerates and
-    reduce with {!Remy.Evaluator.reduce_candidates}. *)
+(** [Remy.Evaluator.backend ~incremental] with the workers as its
+    executor: each baseline first syncs the tree to them
+    (generation-tagged, checkpoint-grade serialization), and every task
+    grid is sharded across them. *)
 
 val live_workers : t -> int
 (** Workers currently connected and healthy. *)

@@ -3,18 +3,18 @@ open Remy_util
 
 let version = 1
 
-type eval_params = {
+type eval_params = Evaluator.params = {
   objective : Objective.t;
   queue_capacity : int;
   duration : float;
   topology : string option;
 }
 
-type task =
+type task = Evaluator.task =
   | Baseline of { spec : Net_model.specimen }
   | Candidate of { rule : int; action : Action.t; spec : Net_model.specimen }
 
-type outcome =
+type outcome = Evaluator.outcome =
   | Baseline_result of {
       scores : float list;
       slots : (int * int * Memory.t list) list;

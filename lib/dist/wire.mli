@@ -19,28 +19,29 @@ open Remy
 val version : int
 (** Protocol version; a [Hello] with any other version is rejected. *)
 
-type eval_params = {
+(** {2 Evaluation vocabulary}
+
+    The task types are {!Evaluator}'s, re-exported with the same labels
+    and constructors: a worker runs {!Evaluator.run_task} on exactly
+    what the in-process pool would run, and this module only gives the
+    types a wire form. *)
+
+type eval_params = Evaluator.params = {
   objective : Objective.t;
   queue_capacity : int;
-  duration : float;  (** seconds simulated per specimen *)
+  duration : float;
   topology : string option;
-      (** multi-bottleneck topology name, [None] = dumbbell *)
 }
-(** Everything a worker needs besides the tree and the specimen to run
-    {!Evaluator.specimen_scores} — fixed for a whole training run, so it
-    travels once in [Hello]. *)
+(** Fixed for a whole training run, so it travels once in [Hello]. *)
 
-type task =
+type task = Evaluator.task =
   | Baseline of { spec : Net_model.specimen }
-      (** simulate the current tree; return scores + the fired-rule tally *)
   | Candidate of { rule : int; action : Action.t; spec : Net_model.specimen }
-      (** simulate with [rule]'s action overridden *)
 
-type outcome =
+type outcome = Evaluator.outcome =
   | Baseline_result of {
       scores : float list;
       slots : (int * int * Memory.t list) list;
-          (** {!Tally.export} of the specimen's private tally *)
     }
   | Candidate_result of { scores : float list }
 

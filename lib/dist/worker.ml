@@ -2,34 +2,6 @@ open Remy
 
 exception Protocol_error of string
 
-(* Matches the in-process pool paths in [Evaluator.baseline]: a private
-   tally per specimen, seeded from the specimen seed. *)
-let tally_seed_salt = 0x5EED
-
-let eval_task (p : Wire.eval_params) tree (task : Wire.task) : Wire.outcome =
-  match task with
-  | Wire.Baseline { spec } ->
-      let tally =
-        Tally.create
-          ~capacity:(Rule_tree.capacity tree)
-          ~seed:(spec.Net_model.spec_seed lxor tally_seed_salt)
-          ()
-      in
-      let scores =
-        Evaluator.specimen_scores ~tally ?topology:p.Wire.topology
-          ~objective:p.Wire.objective ~queue_capacity:p.Wire.queue_capacity
-          ~duration:p.Wire.duration tree spec
-      in
-      Wire.Baseline_result { scores; slots = Tally.export tally }
-  | Wire.Candidate { rule; action; spec } ->
-      let scores =
-        Evaluator.specimen_scores ~override:(rule, action)
-          ?topology:p.Wire.topology ~objective:p.Wire.objective
-          ~queue_capacity:p.Wire.queue_capacity ~duration:p.Wire.duration tree
-          spec
-      in
-      Wire.Candidate_result { scores }
-
 let serve ?expect_config ?(log = fun _ -> ()) fd =
   let params = ref None in
   let tree = ref None in
@@ -82,7 +54,7 @@ let serve ?expect_config ?(log = fun _ -> ()) fd =
               | Some t -> t
               | None -> raise (Protocol_error "task before tree sync")
             in
-            let outcome = eval_task p t task in
+            let outcome = Evaluator.run_task p t task in
             incr tasks_done;
             send (Wire.Result { index; outcome })
         | Ok (Wire.Ping { seq }) -> send (Wire.Pong { seq })

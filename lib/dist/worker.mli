@@ -3,12 +3,11 @@
     synced.
 
     A worker holds no training state — no PRNG, no tally across tasks,
-    no notion of rounds.  Determinism therefore cannot depend on which
-    worker ran a task: a [Baseline] task seeds its private tally from
-    the specimen seed exactly as the in-process pool does, and a
-    [Candidate] task's override shadows the one rule the optimizer is
-    improving, so the generation-tagged tree stays valid for the whole
-    round. *)
+    no notion of rounds.  Each task is {!Remy.Evaluator.run_task}, the
+    function the in-process pool maps, so determinism cannot depend on
+    which worker ran it; a [Candidate] task's override shadows the one
+    rule the optimizer is improving, so the generation-tagged tree stays
+    valid for the whole round. *)
 
 exception Protocol_error of string
 (** A malformed frame or out-of-order message.  The payload names the

@@ -634,6 +634,7 @@ let ablation_signals fmt opts =
       qdisc = Schemes.Q_droptail;
       (* Masked RemyCCs must not be swapped for the unmasked fleet. *)
       tree = None;
+      idle_restart_s = None;
     }
   in
   Format.fprintf fmt "%-24s %10s %12s@." "variant" "tput" "qdelay (ms)";

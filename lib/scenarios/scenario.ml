@@ -117,7 +117,12 @@ let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
        scheme keeps trace files bounded; results are unaffected. *)
     let tracer = if rep = 0 then tracer else Remy_obs.Trace.off in
     let config = config t scheme ~seed:(t.base_seed + rep) in
-    let sender_factory = Option.map (fun tree -> Remy.Fleet.factory tree) fleet_tree in
+    let sender_factory =
+      Option.map
+        (fun tree ->
+          Remy.Fleet.factory ?idle_restart_s:scheme.Schemes.idle_restart_s tree)
+        fleet_tree
+    in
     let result = Topology.run ~tracer ?probe_interval ?sender_factory ~faults config in
     let rtts = Topology.flow_rtts config in
     flows := result.Topology.flows :: !flows;

@@ -7,36 +7,22 @@ type t = {
   factory : Cc.factory;
   qdisc : qdisc_kind;
   tree : Remy.Rule_tree.t option;
+  idle_restart_s : float option;
 }
 
 let droptail_capacity = 1000
 let dctcp_threshold = 65
 
-let newreno =
-  { name = "NewReno"; factory = Newreno.factory (); qdisc = Q_droptail; tree = None }
-let vegas =
-  { name = "Vegas"; factory = Vegas.factory (); qdisc = Q_droptail; tree = None }
-let cubic =
-  { name = "Cubic"; factory = Cubic.factory (); qdisc = Q_droptail; tree = None }
-let compound =
-  {
-    name = "Compound";
-    factory = Compound.factory ();
-    qdisc = Q_droptail;
-    tree = None;
-  }
+let baseline name factory qdisc =
+  { name; factory; qdisc; tree = None; idle_restart_s = None }
 
-let cubic_sfqcodel =
-  {
-    name = "Cubic/sfqCoDel";
-    factory = Cubic.factory ();
-    qdisc = Q_sfqcodel;
-    tree = None;
-  }
-
-let xcp = { name = "XCP"; factory = Xcp.factory (); qdisc = Q_xcp; tree = None }
-let dctcp =
-  { name = "DCTCP"; factory = Dctcp.factory (); qdisc = Q_dctcp_red; tree = None }
+let newreno = baseline "NewReno" (Newreno.factory ()) Q_droptail
+let vegas = baseline "Vegas" (Vegas.factory ()) Q_droptail
+let cubic = baseline "Cubic" (Cubic.factory ()) Q_droptail
+let compound = baseline "Compound" (Compound.factory ()) Q_droptail
+let cubic_sfqcodel = baseline "Cubic/sfqCoDel" (Cubic.factory ()) Q_sfqcodel
+let xcp = baseline "XCP" (Xcp.factory ()) Q_xcp
+let dctcp = baseline "DCTCP" (Dctcp.factory ()) Q_dctcp_red
 
 let end_to_end = [ newreno; vegas; cubic; compound ]
 let fig4_baselines = end_to_end @ [ cubic_sfqcodel; xcp ]
@@ -47,6 +33,7 @@ let remy ?idle_restart_s ~name tree =
     factory = Remy.Remycc.factory ?idle_restart_s tree;
     qdisc = Q_droptail;
     tree = Some tree;
+    idle_restart_s;
   }
 
 let qdisc_spec t ~capacity =

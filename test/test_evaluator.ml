@@ -7,6 +7,14 @@ let specimens seed =
 
 let objective = Objective.proportional ~delta:1.0
 
+let params =
+  {
+    Evaluator.objective;
+    queue_capacity = model.Net_model.queue_capacity;
+    duration = model.Net_model.sim_duration;
+    topology = None;
+  }
+
 let eval ?override ?tally tree specs =
   Evaluator.score ?override ?tally ~domains:1 ~objective
     ~queue_capacity:model.Net_model.queue_capacity
@@ -42,7 +50,11 @@ let test_tally_collected () =
   let tally = Tally.create ~capacity:(Rule_tree.capacity tree) ~seed:2 () in
   ignore (eval ~tally tree (specimens 5));
   Alcotest.(check bool) "rule usage observed" true (Tally.count tally 0 > 0);
-  Alcotest.(check bool) "memory samples kept" true (Tally.samples tally 0 <> [])
+  Alcotest.(check bool) "memory samples kept" true (Tally.samples tally 0 <> []);
+  (* A candidate task records no tally, so the pair is refused. *)
+  match eval ~override:(0, Action.default) ~tally tree (specimens 5) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "score ~override ~tally should raise Invalid_argument"
 
 let test_scores_finite () =
   let tree = Rule_tree.create () in
@@ -77,9 +89,8 @@ let test_baseline_matches_score () =
   let one_shot = eval tree specs in
   Par.Pool.with_pool ~domains:2 (fun pool ->
       let pooled, cache =
-        Evaluator.baseline ~pool ~objective
-          ~queue_capacity:model.Net_model.queue_capacity
-          ~duration:model.Net_model.sim_duration tree specs
+        (Evaluator.on_pool pool params ~incremental:true).Evaluator.eval_baseline tree
+          specs
       in
       Alcotest.(check (float 0.)) "identical mean" one_shot.Evaluator.mean_score
         pooled.Evaluator.mean_score;
@@ -100,22 +111,16 @@ let test_candidates_incremental_identical () =
   in
   let candidates = [| cand_of 0.5; cand_of 1.0; cand_of 1.5 |] in
   Par.Pool.with_pool ~domains:2 (fun pool ->
-      let _, cache =
-        Evaluator.baseline ~pool ~objective
-          ~queue_capacity:model.Net_model.queue_capacity
-          ~duration:model.Net_model.sim_duration tree specs
-      in
+      let cached = Evaluator.on_pool pool params ~incremental:true
+      and uncached = Evaluator.on_pool pool params ~incremental:false in
+      let _, cache = cached.Evaluator.eval_baseline tree specs in
       List.iter
         (fun rule ->
           let on, (sims_on, skips_on) =
-            Evaluator.candidate_scores ~pool ~incremental:true ~objective
-              ~queue_capacity:model.Net_model.queue_capacity
-              ~duration:model.Net_model.sim_duration tree ~rule candidates cache
+            cached.Evaluator.eval_candidates tree ~rule candidates cache
           in
           let off, (sims_off, skips_off) =
-            Evaluator.candidate_scores ~pool ~incremental:false ~objective
-              ~queue_capacity:model.Net_model.queue_capacity
-              ~duration:model.Net_model.sim_duration tree ~rule candidates cache
+            uncached.Evaluator.eval_candidates tree ~rule candidates cache
           in
           Alcotest.(check (array (float 0.)))
             (Printf.sprintf "rule %d: cache on = cache off" rule)
@@ -141,19 +146,13 @@ let test_candidates_skip_untouched () =
   let tree = subdivided_tree () in
   let specs = specimens 11 in
   Par.Pool.with_pool ~domains:1 (fun pool ->
-      let _, cache =
-        Evaluator.baseline ~pool ~objective
-          ~queue_capacity:model.Net_model.queue_capacity
-          ~duration:model.Net_model.sim_duration tree specs
-      in
+      let backend = Evaluator.on_pool pool params ~incremental:true in
+      let _, cache = backend.Evaluator.eval_baseline tree specs in
       let total_skips =
         List.fold_left
           (fun acc rule ->
             let _, (_, skips) =
-              Evaluator.candidate_scores ~pool ~incremental:true ~objective
-                ~queue_capacity:model.Net_model.queue_capacity
-                ~duration:model.Net_model.sim_duration tree ~rule
-                [| Action.default |] cache
+              backend.Evaluator.eval_candidates tree ~rule [| Action.default |] cache
             in
             acc + skips)
           0 (Rule_tree.live_ids tree)

@@ -6,11 +6,10 @@ open Remy
 let tiny_model =
   { (Net_model.onex ~sim_duration:2.0 ()) with Net_model.max_senders = 1 }
 
-let config ?(max_epochs = 1) ?(wall = 300.) ?(rounds = 6) ?(domains = 1)
-    ?(incremental = true) () =
+let config ?(max_epochs = 1) ?(wall = 300.) ?(rounds = 6) ?(domains = 1) () =
   Optimizer.default_config ~specimens_per_step:3 ~domains
     ~candidate_multipliers:[ 1. ] ~rounds_per_rule:rounds ~max_epochs
-    ~incremental ~wall_budget_s:wall ~seed:5 ~model:tiny_model
+    ~wall_budget_s:wall ~seed:5 ~model:tiny_model
     ~objective:(Objective.proportional ~delta:1.0) ()
 
 let test_improves_score () =
@@ -65,20 +64,27 @@ let check_same_design label (a : Optimizer.report) (b : Optimizer.report) =
 
 (* A config that subdivides (k_subdivide 1) so the incremental cache has
    rules to skip and the tree shape can expose divergence. *)
-let invariance_config ~domains ~incremental =
+let invariance_config ~domains =
   Optimizer.default_config ~specimens_per_step:3 ~domains
     ~candidate_multipliers:[ 1. ] ~rounds_per_rule:2 ~k_subdivide:1
-    ~max_epochs:2 ~incremental ~wall_budget_s:300. ~seed:5 ~model:tiny_model
+    ~max_epochs:2 ~wall_budget_s:300. ~seed:5 ~model:tiny_model
     ~objective:(Objective.proportional ~delta:1.0) ()
 
 let test_domain_count_invariant () =
-  let r1 = Optimizer.design (invariance_config ~domains:1 ~incremental:true) in
-  let r4 = Optimizer.design (invariance_config ~domains:4 ~incremental:true) in
+  let r1 = Optimizer.design (invariance_config ~domains:1) in
+  let r4 = Optimizer.design (invariance_config ~domains:4) in
   check_same_design "domains 1 vs 4" r1 r4
 
 let test_incremental_invariant () =
-  let on = Optimizer.design (invariance_config ~domains:2 ~incremental:true) in
-  let off = Optimizer.design (invariance_config ~domains:2 ~incremental:false) in
+  let cfg = invariance_config ~domains:2 in
+  let on = Optimizer.design cfg in
+  (* The full re-simulation engine is the cache's oracle. *)
+  let off =
+    Par.Pool.with_pool ~domains:2 (fun pool ->
+        Optimizer.design
+          ~backend:(Evaluator.on_pool pool (Optimizer.eval_params cfg) ~incremental:false)
+          cfg)
+  in
   check_same_design "incremental on vs off" on off;
   Alcotest.(check int) "cache off skips nothing" 0 off.Optimizer.spec_skips;
   Alcotest.(check int) "same specimen grid covered"
@@ -162,7 +168,7 @@ let tmp_dir =
    acceptance criterion, exercised at the library level (the CI resume
    job drives the same property through the remy_train binary). *)
 let check_resume_bit_identical ~stop_after_rounds =
-  let cfg = invariance_config ~domains:2 ~incremental:true in
+  let cfg = invariance_config ~domains:2 in
   let straight = Optimizer.design cfg in
   let dir = tmp_dir () in
   let rounds_seen = ref 0 in
@@ -200,7 +206,7 @@ let test_resume_bit_identical_round3 () = check_resume_bit_identical ~stop_after
 let test_resume_chain () =
   (* Interrupt twice in the same run: resume(resume(interrupt)) must
      still match straight-through. *)
-  let cfg = invariance_config ~domains:1 ~incremental:true in
+  let cfg = invariance_config ~domains:1 in
   let straight = Optimizer.design cfg in
   let dir = tmp_dir () in
   let stop_at k =
@@ -234,7 +240,7 @@ let test_resume_chain () =
   check_same_design "straight vs twice-interrupted" straight final
 
 let test_resume_rejects_mismatched_config () =
-  let cfg = invariance_config ~domains:1 ~incremental:true in
+  let cfg = invariance_config ~domains:1 in
   let dir = tmp_dir () in
   let seen = ref 0 in
   let _ =
@@ -259,12 +265,10 @@ let test_resume_rejects_mismatched_config () =
     (r.Optimizer.epochs = extended.Optimizer.max_epochs)
 
 let test_config_fingerprint_scope () =
-  let base = invariance_config ~domains:2 ~incremental:true in
+  let base = invariance_config ~domains:2 in
   let fp = Optimizer.config_fingerprint in
   Alcotest.(check string) "domains excluded" (fp base)
     (fp { base with Optimizer.domains = 7 });
-  Alcotest.(check string) "incremental excluded" (fp base)
-    (fp { base with Optimizer.incremental = false });
   Alcotest.(check string) "budgets excluded" (fp base)
     (fp { base with Optimizer.max_epochs = 99; wall_budget_s = 1e9 });
   Alcotest.(check string) "retry policy excluded" (fp base)
@@ -277,7 +281,7 @@ let test_config_fingerprint_scope () =
     (fp base <> fp { base with Optimizer.objective = Objective.min_potential_delay })
 
 let test_checkpoint_events_emitted () =
-  let cfg = invariance_config ~domains:1 ~incremental:true in
+  let cfg = invariance_config ~domains:1 in
   let dir = tmp_dir () in
   let saves = ref 0 in
   let seen = ref 0 in

@@ -496,8 +496,10 @@ let test_workers_survive_terminal_signals () =
         reference.Evaluator.sender_scores result.Evaluator.sender_scores)
 
 let test_candidates_match_inprocess () =
-  (* The sharded candidates x resim grid reduces to the pool path's
-     exact floats, cache hits included. *)
+  (* A baseline and a candidate round sharded over worker processes
+     reduce to the pool executor's exact floats, cache hits and tallies
+     included: on the dumbbell, and on a named topology, whose name
+     reaches the workers only through [Hello]'s params. *)
   let tree = interesting_tree () in
   let specs = Net_model.draw_many model (Remy_util.Prng.create 13) 4 in
   let candidates =
@@ -506,30 +508,106 @@ let test_candidates_match_inprocess () =
       { Action.multiple = 1.0; increment = -1.; intersend_ms = 0.5 };
     |]
   in
+  let rule = List.hd (Rule_tree.live_ids tree) in
+  let round (backend : Optimizer.eval_backend) =
+    let tally = Tally.create ~capacity:(Rule_tree.capacity tree) ~seed:1 () in
+    let result, cache = backend.Optimizer.eval_baseline ~tally tree specs in
+    (result, cache, tally, backend.Optimizer.eval_candidates tree ~rule candidates cache)
+  in
+  let means =
+    List.map
+      (fun (params : Wire.eval_params) ->
+        let label what =
+          Option.value params.Wire.topology ~default:"dumbbell" ^ ": " ^ what
+        in
+        let coord =
+          Coordinator.create ~params ~config_hash:"test-cand" ~workers:(local_workers 2) ()
+        in
+        let d_result, d_cache, d_tally, (d_scores, (d_sims, d_skips)) =
+          Fun.protect
+            ~finally:(fun () -> Coordinator.shutdown coord)
+            (fun () -> round (Coordinator.backend coord ~incremental:true))
+        in
+        let p_result, p_cache, p_tally, (p_scores, (p_sims, p_skips)) =
+          Par.Pool.with_pool ~domains:1 (fun pool ->
+              round (Evaluator.on_pool pool params ~incremental:true))
+        in
+        Alcotest.(check (list (float 0.))) (label "baseline sender scores bit-identical")
+          p_result.Evaluator.sender_scores d_result.Evaluator.sender_scores;
+        Alcotest.(check (float 0.)) (label "baseline mean bit-identical")
+          p_result.Evaluator.mean_score d_result.Evaluator.mean_score;
+        Array.iter2
+          (fun (p : Evaluator.spec_cache) (d : Evaluator.spec_cache) ->
+            Alcotest.(check (array bool)) (label "touched rules") p.Evaluator.touched
+              d.Evaluator.touched)
+          p_cache d_cache;
+        List.iter
+          (fun id ->
+            Alcotest.(check int) (label (Printf.sprintf "rule %d count" id))
+              (Tally.count p_tally id) (Tally.count d_tally id);
+            Alcotest.(check bool) (label (Printf.sprintf "rule %d samples" id)) true
+              (Tally.samples p_tally id = Tally.samples d_tally id))
+          (Rule_tree.live_ids tree);
+        Alcotest.(check (array (float 0.))) (label "candidate scores bit-identical")
+          p_scores d_scores;
+        Alcotest.(check int) (label "same simulations") p_sims d_sims;
+        Alcotest.(check int) (label "same skips") p_skips d_skips;
+        p_result.Evaluator.mean_score)
+      [ dist_params; { dist_params with Wire.topology = Some "parking-lot" } ]
+  in
+  Alcotest.(check bool) "the topology changes the score" true
+    (List.nth means 0 <> List.nth means 1)
+
+let test_mismatched_result_kind () =
+  (* Outcomes arrive from outside the process, so the coordinator checks
+     each one's kind against its task.  A lying worker answers every
+     task with a candidate result; a baseline grid must fail naming it. *)
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 1;
+  let port =
+    match Unix.getsockname listener with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "no port"
+  in
+  let liar =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept listener in
+        let reply m = Frame.write fd (Wire.to_sexp m) in
+        let rec serve () =
+          match Result.map Wire.of_sexp (Frame.read fd) with
+          | Ok (Ok (Wire.Hello { config_hash; _ })) ->
+            reply (Wire.Welcome { config_hash; pid = 0 });
+            serve ()
+          | Ok (Ok (Wire.Task { index; _ })) ->
+            reply (Wire.Result { index; outcome = Wire.Candidate_result { scores = [] } });
+            serve ()
+          | Ok (Ok (Wire.Tree _ | Wire.Ping _)) -> serve ()
+          | _ -> ()
+        in
+        (try serve () with Unix.Unix_error _ -> ());
+        Unix.close fd)
+  in
   let coord =
-    Coordinator.create ~params:dist_params ~config_hash:"test-cand"
-      ~workers:(local_workers 2) ()
+    Coordinator.create ~params:dist_params ~config_hash:"test-liar"
+      ~workers:[ Coordinator.Connect (Printf.sprintf "127.0.0.1:%d" port) ]
+      ()
   in
   Fun.protect
-    ~finally:(fun () -> Coordinator.shutdown coord)
+    ~finally:(fun () ->
+      Coordinator.shutdown coord;
+      Domain.join liar;
+      Unix.close listener)
     (fun () ->
-      let backend = Coordinator.backend coord ~incremental:true in
-      let _, cache = backend.Optimizer.eval_baseline tree specs in
-      let rule = List.hd (Rule_tree.live_ids tree) in
-      let dist_scores, (dist_sims, dist_skips) =
-        backend.Optimizer.eval_candidates tree ~rule candidates cache
-      in
-      Par.Pool.with_pool ~domains:1 (fun pool ->
-          let pool_scores, (pool_sims, pool_skips) =
-            Evaluator.candidate_scores ~pool ~incremental:true
-              ~objective:dist_params.Wire.objective
-              ~queue_capacity:dist_params.Wire.queue_capacity
-              ~duration:dist_params.Wire.duration tree ~rule candidates cache
-          in
-          Alcotest.(check (array (float 0.))) "candidate scores bit-identical"
-            pool_scores dist_scores;
-          Alcotest.(check int) "same simulations" pool_sims dist_sims;
-          Alcotest.(check int) "same skips" pool_skips dist_skips))
+      let specs = Net_model.draw_many model (Remy_util.Prng.create 3) 2 in
+      match
+        (Coordinator.backend coord ~incremental:true).Optimizer.eval_baseline
+          (interesting_tree ()) specs
+      with
+      | exception Coordinator.Dist_error msg ->
+        Alcotest.(check bool) ("names the worker: " ^ msg) true
+          (contains msg "worker 0" && contains msg "does not match")
+      | _ -> Alcotest.fail "a candidate result for a baseline task was accepted")
 
 (* --- tally export ----------------------------------------------------- *)
 
@@ -599,6 +677,8 @@ let tests =
       test_workers_survive_terminal_signals;
     Alcotest.test_case "sharded candidates match the pool path" `Slow
       test_candidates_match_inprocess;
+    Alcotest.test_case "mismatched result kind is a named error" `Quick
+      test_mismatched_result_kind;
     Alcotest.test_case "tally export/merge equivalence" `Quick
       test_tally_export_equivalence;
   ]

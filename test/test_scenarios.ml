@@ -154,7 +154,31 @@ let test_named_topology name () =
   Alcotest.(check bool) "fleet = records" true
     (compare (Scenario.run_scheme sc remy)
        (Scenario.run_scheme sc { remy with Schemes.tree = None })
-    = 0)
+    = 0);
+  (* The same must hold with idle restart across an outage.  A split
+     table with a different action per rule, because restarting the
+     memory of a single-rule table changes nothing. *)
+  let split = Remy.Rule_tree.create () in
+  ignore
+    (Remy.Rule_tree.subdivide split 0
+       ~at:(Remy.Memory.make ~ack_ewma:20. ~send_ewma:20. ~rtt_ratio:1.2));
+  List.iteri
+    (fun i id ->
+      Remy.Rule_tree.set_action split id
+        {
+          Remy.Action.multiple = 0.5 +. (0.1 *. float_of_int i);
+          increment = float_of_int (i + 1);
+          intersend_ms = 0.5 *. float_of_int (i + 1);
+        })
+    (Remy.Rule_tree.live_ids split);
+  let faults = Result.get_ok (Remy_faults.Spec.parse "outage:0.5+0.8") in
+  let run scheme = Scenario.run_scheme ~faults sc scheme in
+  let restarting = Schemes.remy ~idle_restart_s:0.2 ~name:"Remy test" split in
+  let fleet = run restarting in
+  Alcotest.(check bool) "idle restart: fleet = records" true
+    (compare fleet (run { restarting with Schemes.tree = None }) = 0);
+  Alcotest.(check bool) "idle restart changes the run" true
+    (compare fleet (run (Schemes.remy ~name:"Remy test" split)) <> 0)
 
 let tests =
   [
