@@ -312,26 +312,34 @@ let pp_sim fmt (s : sim_result) =
 
 (* The classic "hold" benchmark for event queues: preload N pending
    events, then repeatedly pop the minimum and push a replacement a
-   random delta later, which is exactly the steady-state access pattern
-   of the simulator agenda (amortized O(1) per hold on the wheel). *)
-type hold_result = { hd_pending : int; hd_ops : int; hd_wheel_ops_per_sec : float }
+   random delta later, which is the steady-state access pattern of the
+   simulator agenda.  It drives [Engine] itself with one registered
+   handle, so every hold is a pop whose callback's push replaces the
+   root entry, as a link or delay line does in a simulation.  The
+   clock stops at the [ops]-th event; the remaining [pending] entries
+   then drain untimed. *)
+type hold_result = { hd_pending : int; hd_ops : int; hd_ops_per_sec : float }
 
-let hold_wheel ~pending ~ops =
+let hold_agenda ~pending ~ops =
   let open Remy_util in
   let rng = Prng.create 7 in
-  let w = Timing_wheel.create () in
-  for i = 0 to pending - 1 do
-    Timing_wheel.push w (Prng.float rng 1.0) i
+  let e = Remy_sim.Engine.create () in
+  let fired = ref 0 and t_end = ref 0. in
+  let self = ref Remy_sim.Engine.no_handle in
+  let h =
+    Remy_sim.Engine.register e (fun () ->
+        incr fired;
+        if !fired < ops then
+          Remy_sim.Engine.schedule_handle_in e (Prng.float rng 0.01) !self
+        else if !fired = ops then t_end := Unix.gettimeofday ())
+  in
+  self := h;
+  for _ = 1 to pending do
+    Remy_sim.Engine.schedule_handle e (Prng.float rng 1.0) h
   done;
   let t0 = Unix.gettimeofday () in
-  for _ = 1 to ops do
-    let p = Timing_wheel.min_prio w in
-    let v = Timing_wheel.pop_exn w in
-    Timing_wheel.push w (p +. Prng.float rng 0.01) v
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  ignore (Sys.opaque_identity (Timing_wheel.size w));
-  float_of_int ops /. wall
+  Remy_sim.Engine.run e ~until:Float.infinity;
+  float_of_int ops /. (!t_end -. t0)
 
 let run_hold ~smoke =
   List.map
@@ -340,15 +348,15 @@ let run_hold ~smoke =
         let base = if pending >= 65536 then 1_000_000 else 2_000_000 in
         if smoke then base / 4 else base
       in
-      { hd_pending = pending; hd_ops = ops; hd_wheel_ops_per_sec = hold_wheel ~pending ~ops })
+      { hd_pending = pending; hd_ops = ops; hd_ops_per_sec = hold_agenda ~pending ~ops })
     [ 64; 4096; 65536 ]
 
 let pp_hold fmt (rows : hold_result list) =
   Format.fprintf fmt
     "@.==== Agenda hold benchmark (pop-min + push replacement) ====@.@.%-10s %14s@."
-    "pending" "wheel ops/s";
+    "pending" "agenda ops/s";
   List.iter
-    (fun r -> Format.fprintf fmt "%-10d %14.0f@." r.hd_pending r.hd_wheel_ops_per_sec)
+    (fun r -> Format.fprintf fmt "%-10d %14.0f@." r.hd_pending r.hd_ops_per_sec)
     rows
 
 (* --- flow-scale simulator benchmark ----------------------------------- *)
@@ -426,11 +434,11 @@ let run_sim_scale ~smoke =
   let reps = if smoke then 2 else 5 in
   (* Incast cells model synchronized single-segment responders over a
      metro-scale fan-in: 1.5 kB bursts every 20 ms across a 4 ms RTT.
-     The long RTT is deliberate — it keeps tens of thousands of events
-     pending at 4096 flows, which is the regime the timing wheel and
-     the SoA fleet exist for.  Durations shrink as flow counts grow so
-     every cell costs seconds, not minutes; events/s is a rate, so
-     cells remain comparable. *)
+     The long RTT is deliberate — it keeps tens of thousands of packets
+     and ACKs in flight at 4096 flows, which is the regime the SoA
+     fleet and the shared delay lines exist for.  Durations shrink as
+     flow counts grow so every cell costs seconds, not minutes;
+     events/s is a rate, so cells remain comparable. *)
   let rtt_s = 8e-3 and burst_kb = 1.5 and period_s = 0.02 in
   let cells = [ (16, 4.0, 8.0); (256, 2.0, 4.0); (4096, 2.0, 2.0) ] in
   List.concat_map
@@ -472,7 +480,7 @@ let run_sim_scale ~smoke =
 
 let pp_scale fmt (rows : scale_row list) =
   Format.fprintf fmt
-    "@.==== Flow-scale benchmark (timing wheel + SoA fleet) ====@.@.%-12s %6s %6s \
+    "@.==== Flow-scale benchmark (SoA fleet) ====@.@.%-12s %6s %6s \
      %13s %9s@."
     "scenario" "flows" "sim s" "events/s" "pool hit";
   List.iter
@@ -518,8 +526,8 @@ let hold_json oc (rows : hold_result list) =
   List.iteri
     (fun i (r : hold_result) ->
       out "    \"hold%d_ops\": %d,\n" r.hd_pending r.hd_ops;
-      out "    \"wheel_hold%d_ops_per_sec\": %s%s\n" r.hd_pending
-        (json_float r.hd_wheel_ops_per_sec)
+      out "    \"agenda_hold%d_ops_per_sec\": %s%s\n" r.hd_pending
+        (json_float r.hd_ops_per_sec)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  },\n"
@@ -639,7 +647,7 @@ let gated_metrics =
     "acks_per_sec";
     "lookups_per_sec";
     (* Agenda hold throughput at a simulator-scale pending count. *)
-    "wheel_hold4096_ops_per_sec";
+    "agenda_hold4096_ops_per_sec";
     (* Flow-scale end-to-end throughput at the 4096-flow target. *)
     "incast4096_events_per_sec";
     "incast4096_acks_per_sec";

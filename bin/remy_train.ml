@@ -456,7 +456,9 @@ let cmd =
       value
       & opt (some int) None
       & info [ "domains" ]
-          ~doc:"Worker domains for the evaluation pool (default: cores - 1).")
+          ~doc:
+            "Domains for the evaluation pool, counting the submitting one \
+             (default: the core count).")
   in
   let wall =
     Arg.(value & opt float 600. & info [ "wall-budget" ] ~doc:"Wall budget, s.")

@@ -33,7 +33,7 @@ let make ?(g = 0.0625) () =
     if a.cum_ack >= !window_end then begin
       end_of_window ();
       (* Next observation window: roughly one cwnd of data ahead. *)
-      window_end := a.cum_ack + max 1 (int_of_float !cwnd)
+      window_end := a.cum_ack + Int.max 1 (int_of_float !cwnd)
     end;
     if a.newly_acked > 0 && not a.in_recovery then begin
       let n = float_of_int a.newly_acked in

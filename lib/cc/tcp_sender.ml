@@ -55,7 +55,10 @@ type t = {
   (* Pacing *)
   mutable last_send : float;
   mutable wake_armed : bool;
-  mutable wake_cb : unit -> unit;  (* preallocated pacing-stall callback *)
+  (* Registered callbacks: the pacing-stall wake and the end of an off
+     period. *)
+  mutable wake : Engine.handle;
+  mutable off_end : Engine.handle;
 }
 
 let max_rto = 60.
@@ -91,12 +94,13 @@ let create ?pool engine config ~transmit ~metrics ~rng =
       timeout_count = 0;
       last_send = neg_infinity;
       wake_armed = false;
-      wake_cb = ignore;
+      wake = Engine.no_handle;
+      off_end = Engine.no_handle;
     }
   in
   t
-(* [wake_cb] is knotted in [make_sender] below, after the recursive
-   send/ack functions exist. *)
+(* [wake] and [off_end] are registered in the second [create] below,
+   after the recursive send/ack functions exist. *)
 
 let is_on t = t.on
 let next_seq t = t.next_seq
@@ -109,7 +113,7 @@ let cwnd t = t.config.cc.Cc.window ()
 let pacing_gap t = t.config.cc.Cc.intersend ()
 let rto_backoff t = t.rto_backoff
 
-let in_flight t = max 0 (t.next_seq - t.cum_acked - t.dup_acks)
+let in_flight t = Int.max 0 (t.next_seq - t.cum_acked - t.dup_acks)
 
 let current_rto t =
   let base =
@@ -166,7 +170,7 @@ and send_packet t ~seq =
         ()
   in
   if retx then t.retx_count <- t.retx_count + 1;
-  t.highest_sent <- max t.highest_sent (seq + 1);
+  t.highest_sent <- Int.max t.highest_sent (seq + 1);
   t.last_send <- now;
   t.transmit pkt;
   if not t.timer_armed then arm_timer t
@@ -174,7 +178,7 @@ and send_packet t ~seq =
 and try_send t =
   if t.on then begin
     let now = Engine.now t.engine in
-    let window = max 1 (int_of_float (Float.max 0. (t.config.cc.Cc.window ()))) in
+    let window = Int.max 1 (int_of_float (Float.max 0. (t.config.cc.Cc.window ()))) in
     if in_flight t < window && segments_remaining t > 0 then begin
       let gap = t.config.cc.Cc.intersend () in
       let allowed_at = t.last_send +. gap in
@@ -185,7 +189,7 @@ and try_send t =
       end
       else if not t.wake_armed then begin
         t.wake_armed <- true;
-        Engine.schedule t.engine allowed_at t.wake_cb
+        Engine.schedule_handle t.engine allowed_at t.wake
       end
     end
   end
@@ -255,21 +259,22 @@ and switch_off t =
   disarm_timer t;
   Metrics.flow_off t.metrics t.config.flow now;
   let off = Workload.sample_off t.config.workload t.rng in
-  if Float.is_finite off then Engine.schedule_in t.engine off (fun () -> switch_on t)
+  if Float.is_finite off then Engine.schedule_handle_in t.engine off t.off_end
 
 let start t =
   match t.config.start with
   | `Immediate -> switch_on t
   | `Off_draw ->
     let off = Workload.sample_off t.config.workload t.rng in
-    if Float.is_finite off then Engine.schedule_in t.engine off (fun () -> switch_on t)
+    if Float.is_finite off then Engine.schedule_handle_in t.engine off t.off_end
 
 let create ?pool engine config ~transmit ~metrics ~rng =
   let t = create ?pool engine config ~transmit ~metrics ~rng in
-  t.wake_cb <-
-    (fun () ->
-      t.wake_armed <- false;
-      try_send t);
+  t.wake <-
+    Engine.register engine (fun () ->
+        t.wake_armed <- false;
+        try_send t);
+  t.off_end <- Engine.register engine (fun () -> switch_on t);
   t
 
 (* --- ACK processing ------------------------------------------------ *)
@@ -341,7 +346,7 @@ let handle_ack t (ack : Packet.ack) =
       {
         Cc.now;
         rtt = (if Float.is_nan rtt_s then None else Some rtt_s);
-        newly_acked = max 0 newly;
+        newly_acked = Int.max 0 newly;
         cum_ack = ack.cum_ack;
         acked_seq = ack.acked_seq;
         acked_sent_at = ack.acked_sent_at;

@@ -153,12 +153,26 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
      tied through option cells. *)
   let link_arr : Link.t option array = Array.make nl None in
   let bank_ref : Receiver_bank.t option ref = ref None in
-  (* Fixed propagation delays are delay lines (ring buffer plus one
-     shared callback), not a fresh closure per packet.  A packet leaving
-     link [li] crosses the link's exit delay to its next hop or, on its
-     last hop, the exit delay plus its flow's access delay to the
-     receiver.  Flows with equal delivery delays share a line, so the
-     dumbbell gets one line per distinct RTT. *)
+  (* Fixed propagation delays are delay lines (a ring buffer and one
+     agenda entry each), not a fresh closure per packet.  A packet
+     leaving link [li] crosses the link's exit delay to its next hop or,
+     on its last hop, the exit delay plus its flow's access delay to the
+     receiver.  Flows with equal delays share a line (a line's firing
+     order is that of one event per value, so sharing changes nothing),
+     and the handler reads the flow off the packet: the dumbbell gets
+     one delivery line and one ACK line per distinct RTT. *)
+  let shared_lines delays create =
+    let lines = ref [] in
+    Array.map
+      (fun delay ->
+        match List.find_opt (fun (d, _) -> Float.equal d delay) !lines with
+        | Some (_, line) -> line
+        | None ->
+          let line = create delay in
+          lines := (delay, line) :: !lines;
+          line)
+      delays
+  in
   let forward_lines =
     Array.init nl (fun li ->
         Delay_line.create engine ~delay:config.links.(li).delay_s
@@ -172,19 +186,13 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
     | Some bank -> Receiver_bank.receive bank ~now:(Engine.now engine) pkt.Packet.flow pkt
     | None -> assert false
   in
-  let delivery_lines = ref [] in
   let delivery_line =
-    Array.map
-      (fun (f : flow_spec) ->
-        let last = f.route.(Array.length f.route - 1) in
-        let delay = config.links.(last).delay_s +. f.access_delay_s in
-        match List.find_opt (fun (d, _) -> Float.equal d delay) !delivery_lines with
-        | Some (_, line) -> line
-        | None ->
-          let line = Delay_line.create engine ~delay ~filler:Packet.dummy receive in
-          delivery_lines := (delay, line) :: !delivery_lines;
-          line)
-      config.flows
+    shared_lines
+      (Array.map
+         (fun (f : flow_spec) ->
+           config.links.(f.route.(Array.length f.route - 1)).delay_s +. f.access_delay_s)
+         config.flows)
+      (fun delay -> Delay_line.create engine ~delay ~filler:Packet.dummy receive)
   in
   Array.iteri
     (fun li (l : link_spec) ->
@@ -213,11 +221,10 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
     match link_arr.(li) with Some l -> l | None -> assert false
   in
   let ops_arr : Sender_backend.ops option array = Array.make n None in
-  let ack_lines =
-    Array.init n (fun i ->
-        Delay_line.create engine ~delay:fwd_delay.(i) ~filler:Packet.dummy_ack
-          (fun ack ->
-            (match ops_arr.(i) with
+  let ack_line =
+    shared_lines fwd_delay (fun delay ->
+        Delay_line.create engine ~delay ~filler:Packet.dummy_ack (fun ack ->
+            (match ops_arr.(ack.Packet.ack_flow) with
             | Some ops ->
               incr acks_handled;
               ops.Sender_backend.handle_ack ack
@@ -228,7 +235,7 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
   in
   let bank =
     Receiver_bank.create ?delivery_hook ?delack engine ~metrics ~pool
-      ~ack_sink:(fun flow ack -> Delay_line.push ack_lines.(flow) ack)
+      ~ack_sink:(fun flow ack -> Delay_line.push ack_line.(flow) ack)
       ~fwd_delay
   in
   bank_ref := Some bank;

@@ -18,8 +18,8 @@ open Remy_cc
    Every arithmetic expression below is copied verbatim from
    [Tcp_sender], [Remycc] and [Memory] so that runs are bit-identical
    to the per-record backend — test_fleet holds this equivalence on
-   multi-flow lossy scenarios, and the timing-wheel/heap oracle makes
-   it transitive to the seed implementation.  When changing one side,
+   multi-flow lossy scenarios, and the engine's heap oracle makes it
+   transitive to the seed implementation.  When changing one side,
    change the other. *)
 
 type bank = {
@@ -38,7 +38,10 @@ type bank = {
   transmit : (Packet.t -> unit) array;
   start_mode : [ `Immediate | `Off_draw ] array;
   min_rto : float array;
-  wake_cbs : (unit -> unit) array;
+  (* Registered per-flow callbacks: the pacing-stall wake and the end of
+     an off period. *)
+  mutable wake : Engine.handle array;
+  mutable off_end : Engine.handle array;
   (* Workload state *)
   on : bool array;
   demand_is_time : bool array;
@@ -97,7 +100,8 @@ let make_bank ~tree ~override ~tally ~idle_restart_s (env : Sender_backend.env) 
     transmit = Array.make n env.transmit;
     start_mode = Array.make n env.start;
     min_rto = Array.make n env.min_rto;
-    wake_cbs = Array.make n ignore;
+    wake = [||];
+    off_end = [||];
     on = Array.make n false;
     demand_is_time = Array.make n false;
     demand_seg = Array.make n 0;
@@ -202,7 +206,7 @@ let cc_on_ack b i ~now ~rtt_s ~acked_sent_at ~receiver_ts =
 
 (* --- sender (Tcp_sender, inlined over the bank) -------------------- *)
 
-let in_flight b i = max 0 (b.next_seq.(i) - b.cum_acked.(i) - b.dup_acks.(i))
+let in_flight b i = Int.max 0 (b.next_seq.(i) - b.cum_acked.(i) - b.dup_acks.(i))
 
 let current_rto b i =
   let base =
@@ -245,7 +249,7 @@ and send_packet b i ~seq =
     Packet.Pool.acquire b.pool ~flow:i ~seq ~conn:b.conn.(i) ~now ~retx
       ~ecn_capable:false ()
   in
-  b.highest_sent.(i) <- max b.highest_sent.(i) (seq + 1);
+  b.highest_sent.(i) <- Int.max b.highest_sent.(i) (seq + 1);
   b.last_send.(i) <- now;
   b.transmit.(i) pkt;
   if not b.timer_armed.(i) then arm_timer b i
@@ -253,7 +257,7 @@ and send_packet b i ~seq =
 and try_send b i =
   if b.on.(i) then begin
     let now = Engine.now b.engine in
-    let window = max 1 (int_of_float (Float.max 0. b.cwnd.(i))) in
+    let window = Int.max 1 (int_of_float (Float.max 0. b.cwnd.(i))) in
     if in_flight b i < window && segments_remaining b i > 0 then begin
       let gap = b.intersend.(i) in
       let allowed_at = b.last_send.(i) +. gap in
@@ -264,7 +268,7 @@ and try_send b i =
       end
       else if not b.wake_armed.(i) then begin
         b.wake_armed.(i) <- true;
-        Engine.schedule b.engine allowed_at b.wake_cbs.(i)
+        Engine.schedule_handle b.engine allowed_at b.wake.(i)
       end
     end
   end
@@ -325,16 +329,14 @@ and switch_off b i =
   disarm_timer b i;
   Metrics.flow_off b.metrics i now;
   let off = Workload.sample_off b.workload.(i) b.rng.(i) in
-  if Float.is_finite off then
-    Engine.schedule_in b.engine off (fun () -> switch_on b i)
+  if Float.is_finite off then Engine.schedule_handle_in b.engine off b.off_end.(i)
 
 let start b i =
   match b.start_mode.(i) with
   | `Immediate -> switch_on b i
   | `Off_draw ->
     let off = Workload.sample_off b.workload.(i) b.rng.(i) in
-    if Float.is_finite off then
-      Engine.schedule_in b.engine off (fun () -> switch_on b i)
+    if Float.is_finite off then Engine.schedule_handle_in b.engine off b.off_end.(i)
 
 let complete_if_done b i =
   if
@@ -416,12 +418,13 @@ let factory ?override ?tally ?(idle_restart_s = Float.infinity) tree :
       | Some b -> b
       | None ->
         let b = make_bank ~tree ~override ~tally ~idle_restart_s env in
-        for i = 0 to b.n - 1 do
-          b.wake_cbs.(i) <-
-            (fun () ->
-              b.wake_armed.(i) <- false;
-              try_send b i)
-        done;
+        b.wake <-
+          Array.init b.n (fun i ->
+              Engine.register b.engine (fun () ->
+                  b.wake_armed.(i) <- false;
+                  try_send b i));
+        b.off_end <-
+          Array.init b.n (fun i -> Engine.register b.engine (fun () -> switch_on b i));
         bank := Some b;
         b
     in

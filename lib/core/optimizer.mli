@@ -49,6 +49,8 @@ type config = {
   objective : Objective.t;
   specimens_per_step : int;  (** >= 16 in the paper *)
   domains : int;
+      (** pool size, counting the submitting domain (default: the core
+          count) *)
   k_subdivide : int;  (** K; the paper uses 4 *)
   candidate_multipliers : float list;  (** geometric ladder, e.g. [1.;8.;64.] *)
   rounds_per_rule : int;

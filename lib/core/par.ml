@@ -1,4 +1,6 @@
-let recommended_domains () = max 1 (Domain.recommended_domain_count () - 1)
+(* A pool's [domains] counts the submitting domain, which runs tasks
+   too, so one domain per core keeps every core busy. *)
+let recommended_domains () = Domain.recommended_domain_count ()
 
 type stats = {
   spawns : int;

@@ -13,7 +13,9 @@
     results. *)
 
 val recommended_domains : unit -> int
-(** Physical core count minus one (at least 1). *)
+(** The hardware's recommended domain count (at least 1), the default
+    pool size: a pool's [domains] counts the submitting domain, which
+    runs tasks too. *)
 
 exception Task_failed of { index : int; attempts : int; error : string }
 (** A pool task kept failing after its configured retries; [error] is

@@ -2,39 +2,67 @@ type 'a t = {
   engine : Engine.t;
   delay : float;
   handler : 'a -> unit;
+  (* Ring of values in flight, with each value's agenda key (due time
+     and packed seq) in two parallel columns. *)
   mutable buf : 'a array;
+  mutable dues : float array;
+  mutable keys : int array;
   mutable head : int;  (* index of the oldest element *)
   mutable len : int;
-  mutable pop_cb : unit -> unit;  (* preallocated; shared by every event *)
+  mutable pop : Engine.handle;
   filler : 'a;
 }
 
+(* Only the head is in the agenda.  Due times are nondecreasing in push
+   order (constant delay, monotone clock) and seqs increase, so each
+   firing consumes exactly the oldest element; it files the next head
+   before calling the handler, which makes that push replace the
+   firing entry in the agenda's root slot.  The wrap is a compare, not
+   a [mod] — integer division is a hot-path cost. *)
+(* remy-lint: hot *)
+let pop t =
+  let v = t.buf.(t.head) in
+  t.buf.(t.head) <- t.filler;
+  let h = t.head + 1 in
+  let h = if h >= Array.length t.buf then 0 else h in
+  t.head <- h;
+  t.len <- t.len - 1;
+  if t.len > 0 then Engine.file t.engine t.dues t.keys h;
+  t.handler v
+
 let create engine ~delay ~filler handler =
+  if not (delay >= 0.) then
+    invalid_arg (Printf.sprintf "Delay_line.create: delay %g is not >= 0" delay);
   let t =
-    { engine; delay; handler; buf = Array.make 16 filler; head = 0; len = 0;
-      pop_cb = ignore; filler }
+    {
+      engine;
+      delay;
+      handler;
+      buf = Array.make 16 filler;
+      dues = Array.make 16 0.;
+      keys = Array.make 16 0;
+      head = 0;
+      len = 0;
+      pop = Engine.no_handle;
+      filler;
+    }
   in
-  t.pop_cb <-
-    (fun () ->
-      (* Events fire in push order (constant delay keeps due times
-         monotone, and the agenda is FIFO within a timestamp), so each
-         firing consumes exactly the oldest element.  The wrap is a
-         compare, not a [mod] — integer division is a hot-path cost. *)
-      let v = t.buf.(t.head) in
-      t.buf.(t.head) <- t.filler;
-      let h = t.head + 1 in
-      t.head <- (if h >= Array.length t.buf then 0 else h);
-      t.len <- t.len - 1;
-      t.handler v);
+  t.pop <- Engine.register engine (fun () -> pop t);
   t
 
 let grow t =
   let cap = Array.length t.buf in
-  let bigger = Array.make (2 * cap) t.filler in
+  let buf = Array.make (2 * cap) t.filler in
+  let dues = Array.make (2 * cap) 0. and keys = Array.make (2 * cap) 0 in
   for i = 0 to t.len - 1 do
-    bigger.(i) <- t.buf.((t.head + i) mod cap)
+    let j = (t.head + i) mod cap in
+    buf.(i) <- t.buf.(j);
+    dues.(i) <- t.dues.(j);
+    keys.(i) <- t.keys.(j)
   done;
-  t.buf <- bigger;
+  t.buf <- buf;
+  t.dues <- dues;
+  t.keys <- keys;
   t.head <- 0
 
 (* remy-lint: hot *)
@@ -43,8 +71,12 @@ let push t v =
   let cap = Array.length t.buf in
   (* head < cap and len <= cap, so one conditional subtract wraps. *)
   let i = t.head + t.len in
-  t.buf.(if i >= cap then i - cap else i) <- v;
+  let i = if i >= cap then i - cap else i in
+  t.buf.(i) <- v;
+  (* delay >= 0, so the due time is never before now. *)
+  t.dues.(i) <- Engine.now t.engine +. t.delay;
+  t.keys.(i) <- Engine.key t.engine t.pop;
   t.len <- t.len + 1;
-  Engine.schedule_in t.engine t.delay t.pop_cb
+  if t.len = 1 then Engine.file t.engine t.dues t.keys i
 
 let length t = t.len

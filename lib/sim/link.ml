@@ -4,7 +4,7 @@ type t = {
   sink : Packet.t -> unit;
   mutable busy : bool;  (* constant-rate links only *)
   mutable in_service : Packet.t;  (* meaningful only while busy *)
-  mutable complete : unit -> unit;  (* preallocated tx-done callback *)
+  mutable complete : Engine.handle;  (* registered tx-done callback *)
   mutable delivered_pkts : int;
   mutable delivered_bytes : int;
   mutable corrupt_drops : int;
@@ -61,12 +61,12 @@ let start_service t =
           Remy_obs.Metrics.record Remy_obs.Metrics.Sojourn
             (Engine.now t.engine -. pkt.Packet.sent_at);
         (* Single packet in service at a time, so the in-flight packet
-           lives in a field and every transmission reuses one completion
-           callback instead of allocating a closure per packet. *)
+           lives in a field and every transmission schedules the one
+           registered completion handle. *)
         t.busy <- true;
         t.in_service <- pkt;
         let tx_time = float_of_int pkt.Packet.size /. rate in
-        Engine.schedule_in t.engine tx_time t.complete)
+        Engine.schedule_handle_in t.engine tx_time t.complete)
 
 let create_constant engine ~qdisc ~bytes_per_sec ~sink =
   let t =
@@ -76,7 +76,7 @@ let create_constant engine ~qdisc ~bytes_per_sec ~sink =
       sink;
       busy = false;
       in_service = Packet.dummy;
-      complete = ignore;
+      complete = Engine.no_handle;
       delivered_pkts = 0;
       delivered_bytes = 0;
       corrupt_drops = 0;
@@ -85,12 +85,12 @@ let create_constant engine ~qdisc ~bytes_per_sec ~sink =
     }
   in
   t.complete <-
-    (fun () ->
-      let pkt = t.in_service in
-      t.busy <- false;
-      t.in_service <- Packet.dummy;
-      deliver t pkt;
-      start_service t);
+    Engine.register engine (fun () ->
+        let pkt = t.in_service in
+        t.busy <- false;
+        t.in_service <- Packet.dummy;
+        deliver t pkt;
+        start_service t);
   t
 
 let create_trace engine ~qdisc ~next_gap ~sink =
@@ -101,7 +101,7 @@ let create_trace engine ~qdisc ~next_gap ~sink =
       sink;
       busy = false;
       in_service = Packet.dummy;
-      complete = ignore;
+      complete = Engine.no_handle;
       delivered_pkts = 0;
       delivered_bytes = 0;
       corrupt_drops = 0;

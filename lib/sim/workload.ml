@@ -18,7 +18,7 @@ let icsi ~mean_off = { off_time = Dist.Exponential mean_off; on_spec = Icsi_flow
 let sample_off t rng = Dist.sample t.off_time rng
 
 let packets_of_bytes b =
-  max 1 (int_of_float (Float.ceil (b /. float_of_int Packet.default_size)))
+  Int.max 1 (int_of_float (Float.ceil (b /. float_of_int Packet.default_size)))
 
 let sample_on t rng =
   match t.on_spec with

@@ -73,6 +73,38 @@ let test_schedule_now_during_event () =
   Alcotest.(check (list string)) "same-instant follow-up runs" [ "outer"; "inner" ]
     (List.rev !log)
 
+(* A callback that raises is consumed: the exception propagates out of
+   [run], the clock stays at the raising event, what the callback
+   scheduled before raising stays scheduled, and the next [run] fires
+   the rest in (time, seq) order, including an event scheduled between
+   the two runs. *)
+let test_raising_callback () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note i () = log := (Engine.now e, i) :: !log in
+  Engine.schedule e 1. (note 1);
+  Engine.schedule e 2. (fun () ->
+      note 2 ();
+      Engine.schedule_in e 0.5 (note 6);
+      failwith "boom");
+  Engine.schedule e 2. (note 3);
+  Engine.schedule e 3. (note 4);
+  Engine.schedule e 2. (fun () -> failwith "boom again");
+  Alcotest.check_raises "the exception propagates" (Failure "boom") (fun () ->
+      Engine.run e ~until:10.);
+  Alcotest.(check (float 0.)) "clock at the raising event" 2. (Engine.now e);
+  Alcotest.(check int) "the raising event is consumed" 4 (Engine.pending e);
+  Engine.schedule e 2.25 (note 5);
+  Alcotest.check_raises "the second raise" (Failure "boom again") (fun () ->
+      Engine.run e ~until:10.);
+  Alcotest.(check int) "consumed again" 3 (Engine.pending e);
+  Engine.run e ~until:10.;
+  Alcotest.(check (list (pair (float 0.) int)))
+    "the rest fire in (time, seq) order"
+    [ (1., 1); (2., 2); (2., 3); (2.25, 5); (2.5, 6); (3., 4) ]
+    (List.rev !log);
+  Alcotest.(check int) "drained" 0 (Engine.pending e)
+
 let prop_random_schedule_fires_in_order =
   QCheck.Test.make ~name:"random schedules fire in nondecreasing time order"
     ~count:200
@@ -85,6 +117,112 @@ let prop_random_schedule_fires_in_order =
       let fired = List.rev !fired in
       List.length fired = List.length times
       && List.for_all2 ( = ) fired (List.sort compare times))
+
+(* --- the heap oracle ---------------------------------------------------- *)
+
+(* The same program must fire in the same order on the engine as on a
+   minimal scheduler over {!Remy_util.Heap} (clamped times, FIFO ties,
+   clock set on pop), where a registered handle is just its closure and
+   a delay-line push is one event [delay] later.  A program mixes
+   one-shot events, registered handles and pushes onto three delay
+   lines (two with equal delays, one with zero delay), and callbacks
+   schedule, fire handles and push at the same instant.  Firing order
+   is observed as the exact (now, id) stream. *)
+type sched = {
+  now : unit -> float;
+  at : float -> (unit -> unit) -> unit;
+  handle : (unit -> unit) -> float -> unit; (* register; then schedule_in *)
+  line : float -> (int -> unit) -> int -> unit; (* create; then push *)
+  run : unit -> unit;
+}
+
+let line_delays = [| 0.5; 0.5; 0. |]
+
+let run_program s prog =
+  let log = ref [] in
+  let note id = log := (s.now (), id) :: !log in
+  (* Line [li] passes values [id * 4 + depth]; below depth 3 a value
+     moves on to the next line. *)
+  let pushes = Array.make 3 (fun (_ : int) -> ()) in
+  Array.iteri
+    (fun li delay ->
+      pushes.(li) <-
+        s.line delay (fun v ->
+            note ((100_000 * (li + 1)) + v);
+            if v land 3 < 2 then pushes.((li + 1) mod 3) (v + 1)))
+    line_delays;
+  let fired = Array.make 2 0 in
+  let handles =
+    Array.init 2 (fun j ->
+        s.handle (fun () ->
+            fired.(j) <- fired.(j) + 1;
+            note (500_000 + (j * 10_000) + fired.(j))))
+  in
+  List.iteri
+    (fun i (d, kind) ->
+      s.at d (fun () ->
+          note i;
+          match kind mod 5 with
+          | 0 ->
+            s.at (s.now ()) (fun () -> note (i + 10_000));
+            s.at (s.now () +. (d /. 7.) +. 3.5e-7) (fun () -> note (i + 20_000))
+          | 1 -> pushes.(kind / 5 mod 3) (i * 4)
+          | 2 -> handles.(i mod 2) 0.
+          | 3 -> handles.(i mod 2) (d /. 11.)
+          | _ ->
+            pushes.(0) (i * 4);
+            pushes.(1) (i * 4);
+            handles.(0) 0.))
+    prog;
+  s.run ();
+  List.rev !log
+
+let on_engine prog =
+  let e = Engine.create () in
+  run_program
+    {
+      now = (fun () -> Engine.now e);
+      at = Engine.schedule e;
+      handle =
+        (fun f ->
+          let h = Engine.register e f in
+          fun dt -> Engine.schedule_handle_in e dt h);
+      line =
+        (fun delay handler -> Delay_line.push (Delay_line.create e ~delay ~filler:(-1) handler));
+      run = (fun () -> Engine.run e ~until:1e9);
+    }
+    prog
+
+let on_heap prog =
+  let h = Remy_util.Heap.create () and clock = ref 0. in
+  let at t f = Remy_util.Heap.push h (Float.max t !clock) f in
+  let rec run () =
+    match Remy_util.Heap.pop h with
+    | Some (t, f) ->
+      clock := t;
+      f ();
+      run ()
+    | None -> ()
+  in
+  run_program
+    {
+      now = (fun () -> !clock);
+      at;
+      handle = (fun f dt -> at (!clock +. dt) f);
+      line = (fun delay handler v -> at (!clock +. delay) (fun () -> handler v));
+      run;
+    }
+    prog
+
+let program_arb =
+  QCheck.(
+    list_of_size
+      Gen.(int_range 0 120)
+      (pair (oneof [ float_range 0. 1200.; map float_of_int (int_range 0 10) ]) small_nat))
+
+let prop_engine_matches_heap =
+  QCheck.Test.make ~name:"agenda matches the heap oracle" ~count:100 program_arb
+    (fun prog -> on_engine prog = on_heap prog)
 
 let test_stress_many_events () =
   let e = Engine.create () in
@@ -100,6 +238,7 @@ let tests =
   [
     Alcotest.test_case "events fire in time order" `Quick test_order;
     QCheck_alcotest.to_alcotest prop_random_schedule_fires_in_order;
+    QCheck_alcotest.to_alcotest prop_engine_matches_heap;
     Alcotest.test_case "50k-event stress" `Quick test_stress_many_events;
     Alcotest.test_case "same-time events are FIFO" `Quick test_same_time_fifo;
     Alcotest.test_case "clock advances with events" `Quick test_clock_advances;
@@ -108,4 +247,5 @@ let tests =
     Alcotest.test_case "scheduling in the past rejected" `Quick test_past_scheduling_rejected;
     Alcotest.test_case "scheduling at NaN rejected" `Quick test_nan_scheduling_rejected;
     Alcotest.test_case "same-instant follow-up" `Quick test_schedule_now_during_event;
+    Alcotest.test_case "a raising callback is consumed" `Quick test_raising_callback;
   ]

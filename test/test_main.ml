@@ -14,7 +14,6 @@ let () =
       ("dist", Test_dist.tests);
       ("stats", Test_stats.tests);
       ("heap", Test_heap.tests);
-      ("timing-wheel", Test_timing_wheel.tests);
       ("ewma", Test_ewma.tests);
       ("sexp", Test_sexp.tests);
       ("ellipse", Test_ellipse.tests);

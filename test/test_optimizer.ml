@@ -264,6 +264,16 @@ let test_resume_rejects_mismatched_config () =
   Alcotest.(check bool) "extended budget resumes fine" true
     (r.Optimizer.epochs = extended.Optimizer.max_epochs)
 
+(* A pool's [domains] counts the submitting domain, so the default must
+   be the core count itself: one less left a 2-core host on one domain. *)
+let test_default_domains () =
+  let c =
+    Optimizer.default_config ~model:tiny_model
+      ~objective:(Objective.proportional ~delta:1.0) ()
+  in
+  Alcotest.(check int) "one domain per core" (Domain.recommended_domain_count ())
+    c.Optimizer.domains
+
 let test_config_fingerprint_scope () =
   let base = invariance_config ~domains:2 in
   let fp = Optimizer.config_fingerprint in
@@ -454,6 +464,7 @@ let tests =
     Alcotest.test_case "resume guards the config fingerprint" `Slow
       test_resume_rejects_mismatched_config;
     Alcotest.test_case "config fingerprint scope" `Quick test_config_fingerprint_scope;
+    Alcotest.test_case "default domains is the core count" `Quick test_default_domains;
     Alcotest.test_case "checkpoint events emitted" `Slow
       test_checkpoint_events_emitted;
   ]
