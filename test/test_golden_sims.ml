@@ -89,6 +89,16 @@ let faults =
   | Ok f -> f
   | Error e -> invalid_arg e
 
+(* The same schedule plus duplication (the injector's packet copy) and
+   corruption (the link's drop at service completion). *)
+let faults_dup_corrupt =
+  match
+    Remy_faults.Spec.parse
+      "outage:1+0.5+2;ge:0.01,0.25,0.5;reorder:0.02,0.005;dup:0.01;corrupt:0.005"
+  with
+  | Ok f -> f
+  | Error e -> invalid_arg e
+
 let fig6_series () =
   let series = Buffer.create 4096 in
   let delivery_hook ~flow ~now ~seq = Printf.bprintf series "%d %.17g %d\n" flow now seq in
@@ -136,6 +146,26 @@ let specimen_path () =
            ~override:(1, { Action.multiple = 0.5; increment = 2.; intersend_ms = 3. })
            ()))
     specs;
+  Buffer.contents b
+
+(* A one-rule table that grows the window by half per ACK and paces at
+   2 us floods the design-phase unlimited queue: of these 1 s onex
+   specimens, two send over 65,536 packets each. *)
+let queue_flood () =
+  let open Remy in
+  let model = Net_model.onex ~sim_duration:1. () in
+  let tree =
+    Rule_tree.create
+      ~initial_action:{ Action.multiple = 1.5; increment = 1.; intersend_ms = 0.002 }
+      ()
+  in
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun s ->
+      render_flows b
+        (Evaluator.specimen_flow_summaries ~queue_capacity:Qdisc.unlimited_capacity
+           ~duration:model.Net_model.sim_duration tree s))
+    (Net_model.draw_many model (Remy_util.Prng.create 42) 8);
   Buffer.contents b
 
 let sim_cases =
@@ -203,8 +233,13 @@ let sim_cases =
     ( "faults",
       "ade6cff485cd9e26bfee5d1c932851b5",
       fun () -> render (run ~faults (config ~duration:6. (Newreno.factory ()))) );
+    ( "faults dup corrupt",
+      "bbe54c40b67eee59bff90c62acd53552",
+      fun () ->
+        render (run ~faults:faults_dup_corrupt (config ~duration:6. (Newreno.factory ()))) );
     ("traced with probes", "dc78fb233a4cd62879bdcdfd9b64b4b8", traced_run);
     ("specimen path", "eef62ee64ef09db7021de4fe915adc1b", specimen_path);
+    ("queue flood", "5df6380267d2d5e5080d70fac1567422", queue_flood);
   ]
 
 let sim_case (name, expected, f) =
