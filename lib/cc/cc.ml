@@ -21,10 +21,10 @@ type t = {
   on_timeout : now:float -> unit;
   window : unit -> float;
   intersend : unit -> float;
-  stamp : now:float -> Remy_sim.Packet.xcp_header option;
+  stamp : Remy_sim.Packet.table -> int -> unit;
 }
 
 type factory = unit -> t
 
-let no_stamp ~now:_ = None
+let no_stamp _ _ = ()
 let rtt_of (a : ack_info) = a.rtt

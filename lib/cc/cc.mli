@@ -34,15 +34,16 @@ type t = {
   window : unit -> float;  (** congestion window, packets *)
   intersend : unit -> float;
       (** minimum seconds between transmissions; [0.] = unpaced *)
-  stamp : now:float -> Remy_sim.Packet.xcp_header option;
-      (** congestion header for outgoing packets (XCP senders only) *)
+  stamp : Remy_sim.Packet.table -> int -> unit;
+      (** write a congestion header into an outgoing packet's columns
+          (XCP senders only) *)
 }
 
 type factory = unit -> t
 (** Fresh algorithm state for one flow. *)
 
-val no_stamp : now:float -> Remy_sim.Packet.xcp_header option
-(** [fun ~now:_ -> None], the default for end-to-end schemes. *)
+val no_stamp : Remy_sim.Packet.table -> int -> unit
+(** Writes nothing: the default for end-to-end schemes. *)
 
 val rtt_of : ack_info -> float option
 (** Convenience accessor for the optional RTT sample. *)

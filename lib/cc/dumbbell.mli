@@ -47,23 +47,21 @@ val default_min_rto : float
 
 val service_rate_mbps : service -> float
 (** The link rate a service model offers: the constant rate, or a
-    trace's long-run mean.  Sizes XCP's capacity estimate, the packet
-    pool and the utilization denominator. *)
+    trace's long-run mean.  Sizes XCP's capacity estimate and the
+    utilization denominator. *)
 
 val qdisc_of_spec :
   Remy_sim.Engine.t ->
   tracer:Remy_obs.Trace.t ->
+  table:Remy_sim.Packet.table ->
   rate_mbps:float ->
   seed:int ->
   qdisc_spec ->
   Remy_sim.Qdisc.t
-(** Instantiate one queue discipline from its spec.  [rate_mbps] sizes
+(** Instantiate one queue discipline from its spec, holding handles into
+    [table].  [rate_mbps] sizes
     XCP's capacity estimate; [seed] derives the stochastic-loss stream
     of {!With_loss}. *)
-
-val pool_presize : rate_mbps:float -> max_rtt:float -> n_flows:int -> int
-(** Packet/ack pool pre-size for a scenario: a few records per flow
-    plus the bottleneck's bandwidth-delay product, capped at 65536. *)
 
 val fault_seed : seed:int -> link:int -> int
 (** The PRNG seed for link [link]'s fault injector, derived from the run

@@ -7,9 +7,10 @@
     and ECN mark — exactly the feedback a RemyCC memory consumes.  A new
     connection (higher [conn] counter) resets the flow's reorder state;
     duplicate segments are acknowledged but not recounted in metrics.
-    Always pooled: arriving packets are released back to the pool on
-    every path, and ACKs are acquired from it (the sender side must
-    release them after [handle_ack], as {!Topology.run} does). *)
+    An acknowledged packet's handle becomes its ACK (see
+    {!Remy_sim.Packet}), which the ACK sink then owns and must release
+    after the sender has handled it, as {!Topology.run} does; every
+    other arrival is released to the table here. *)
 
 type t
 
@@ -18,11 +19,12 @@ val create :
   ?delack:int * float ->
   Remy_sim.Engine.t ->
   metrics:Remy_sim.Metrics.t ->
-  pool:Remy_sim.Packet.Pool.pool ->
-  ack_sink:(int -> Remy_sim.Packet.ack -> unit) ->
+  table:Remy_sim.Packet.table ->
+  ack_sink:(int -> int -> unit) ->
   fwd_delay:float array ->
   t
-(** [fwd_delay.(flow)] is the flow's total forward propagation delay in
+(** [ack_sink flow h] receives each ACK's handle.
+    [fwd_delay.(flow)] is the flow's total forward propagation delay in
     seconds (its length fixes the number of receivers); queueing delay
     of an arrival is [now - sent_at - fwd_delay].  [delivery_hook]
     observes every fresh data arrival (Fig. 6's sequence plot).
@@ -32,11 +34,14 @@ val create :
     flushing stragglers; out-of-order, duplicate and hole-filling
     arrivals are acknowledged at once so fast retransmit still works. *)
 
-val receive : t -> now:float -> int -> Remy_sim.Packet.t -> unit
-(** [receive t ~now flow pkt] takes ownership of [pkt]. *)
+val receive : t -> now:float -> int -> int -> unit
+(** [receive t ~now flow h] takes ownership of the packet handle [h]. *)
 
 val expected : t -> int -> int
 (** Next in-order sequence number for a flow. *)
 
 val delivered : t -> int
 (** Fresh data packets accepted across all flows. *)
+
+val pending : t -> int
+(** Packets held for a delayed ACK, across all flows. *)

@@ -8,7 +8,7 @@ open Remy_util
 
 type ops = {
   start_flow : unit -> unit;
-  handle_ack : Packet.ack -> unit;
+  handle_ack : int -> unit;
   cwnd : unit -> float;
   pacing_gap : unit -> float;
   srtt : unit -> float option;
@@ -16,7 +16,7 @@ type ops = {
 
 type env = {
   engine : Engine.t;
-  pool : Packet.Pool.pool;
+  table : Packet.table;
   metrics : Metrics.t;
   n_flows : int;
   flow : int;
@@ -25,7 +25,7 @@ type env = {
   start : [ `Immediate | `Off_draw ];
   min_rto : float;
   rng : Prng.t;
-  transmit : Packet.t -> unit;
+  transmit : int -> unit;
 }
 
 type factory = env -> ops
@@ -35,7 +35,7 @@ type factory = env -> ops
 let records cc_factory : factory =
  fun env ->
   let sender =
-    Tcp_sender.create ~pool:env.pool env.engine
+    Tcp_sender.create ~table:env.table env.engine
       {
         Tcp_sender.flow = env.flow;
         cc = cc_factory ();

@@ -10,9 +10,9 @@
 
 type ops = {
   start_flow : unit -> unit;
-  handle_ack : Remy_sim.Packet.ack -> unit;
-      (** The caller retains ownership of the ack record and releases
-          it to the pool after this returns. *)
+  handle_ack : int -> unit;
+      (** Deliver an ACK, by handle.  The caller retains ownership of the
+          handle and releases it to the table after this returns. *)
   cwnd : unit -> float;
   pacing_gap : unit -> float;
   srtt : unit -> float option;
@@ -20,7 +20,7 @@ type ops = {
 
 type env = {
   engine : Remy_sim.Engine.t;
-  pool : Remy_sim.Packet.Pool.pool;
+  table : Remy_sim.Packet.table;  (** the run's packets *)
   metrics : Remy_sim.Metrics.t;
   n_flows : int;
   flow : int;
@@ -29,7 +29,7 @@ type env = {
   start : [ `Immediate | `Off_draw ];
   min_rto : float;
   rng : Remy_util.Prng.t;
-  transmit : Remy_sim.Packet.t -> unit;
+  transmit : int -> unit;  (** hand a packet to the flow's first link *)
 }
 
 type factory = env -> ops

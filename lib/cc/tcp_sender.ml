@@ -15,10 +15,10 @@ type demand = Segments of int | Until of float
 type t = {
   engine : Engine.t;
   config : config;
-  transmit : Packet.t -> unit;
+  transmit : int -> unit;
   metrics : Metrics.t;
   rng : Prng.t;
-  pool : Packet.Pool.pool option;
+  table : Packet.table;
   (* Workload state *)
   mutable on : bool;
   mutable demand : demand;
@@ -63,7 +63,7 @@ type t = {
 
 let max_rto = 60.
 
-let create ?pool engine config ~transmit ~metrics ~rng =
+let create ~table engine config ~transmit ~metrics ~rng =
   let t =
     {
       engine;
@@ -71,7 +71,7 @@ let create ?pool engine config ~transmit ~metrics ~rng =
       transmit;
       metrics;
       rng;
-      pool;
+      table;
       on = false;
       demand = Segments 0;
       conn = -1;
@@ -156,23 +156,17 @@ and disarm_timer t = t.timer_armed <- false
 and send_packet t ~seq =
   let now = Engine.now t.engine in
   let retx = seq < t.highest_sent in
-  let pkt =
-    match t.pool with
-    | Some pool ->
-      Packet.Pool.acquire pool ~flow:t.config.flow ~seq ~conn:t.conn ~now ~retx
-        ~ecn_capable:t.config.cc.Cc.ecn_capable
-        ?xcp:(t.config.cc.Cc.stamp ~now)
-        ()
-    | None ->
-      Packet.make ~flow:t.config.flow ~seq ~conn:t.conn ~now ~retx
-        ~ecn_capable:t.config.cc.Cc.ecn_capable
-        ?xcp:(t.config.cc.Cc.stamp ~now)
-        ()
+  let cc = t.config.cc in
+  let flags =
+    (if retx then Packet.retx else 0)
+    lor if cc.Cc.ecn_capable then Packet.ecn_capable else 0
   in
+  let h = Packet.acquire t.table ~flow:t.config.flow ~seq ~conn:t.conn ~flags ~now in
+  cc.Cc.stamp t.table h;
   if retx then t.retx_count <- t.retx_count + 1;
   t.highest_sent <- Int.max t.highest_sent (seq + 1);
   t.last_send <- now;
-  t.transmit pkt;
+  t.transmit h;
   if not t.timer_armed then arm_timer t
 
 and try_send t =
@@ -268,8 +262,8 @@ let start t =
     let off = Workload.sample_off t.config.workload t.rng in
     if Float.is_finite off then Engine.schedule_handle_in t.engine off t.off_end
 
-let create ?pool engine config ~transmit ~metrics ~rng =
-  let t = create ?pool engine config ~transmit ~metrics ~rng in
+let create ~table engine config ~transmit ~metrics ~rng =
+  let t = create ~table engine config ~transmit ~metrics ~rng in
   t.wake <-
     Engine.register engine (fun () ->
         t.wake_armed <- false;
@@ -284,12 +278,17 @@ let complete_if_done t =
   | Segments total when t.cum_acked >= total && t.on -> switch_off t
   | Segments _ | Until _ -> ()
 
-let handle_ack t (ack : Packet.ack) =
-  if t.on && ack.ack_conn = t.conn then begin
+(* The ACK is its data packet's handle: the columns read here are the
+   echo of that packet (see Receiver_bank).  [send_packet] may grow the
+   table, so every column is read through [tbl] at its use. *)
+let handle_ack t h =
+  let tbl = t.table in
+  if t.on && tbl.Packet.conn.{h} = t.conn then begin
     let now = Engine.now t.engine in
     let cc = t.config.cc in
     let rtt_s =
-      if ack.acked_retx then Float.nan else now -. ack.acked_sent_at
+      if tbl.Packet.flags.{h} land Packet.retx <> 0 then Float.nan
+      else now -. tbl.Packet.sent_at.{h}
     in
     (* RFC 6298 estimator (NaN = no Karn-valid sample). *)
     if not (Float.is_nan rtt_s) then begin
@@ -302,9 +301,10 @@ let handle_ack t (ack : Packet.ack) =
         t.srtt_s <- (0.875 *. t.srtt_s) +. (0.125 *. rtt_s)
       end
     end;
-    let newly = ack.cum_ack - t.cum_acked in
+    let cum_ack = tbl.Packet.cum_ack.{h} in
+    let newly = cum_ack - t.cum_acked in
     if newly > 0 then begin
-      t.cum_acked <- ack.cum_ack;
+      t.cum_acked <- cum_ack;
       if t.next_seq < t.cum_acked then t.next_seq <- t.cum_acked;
       t.dup_acks <- 0;
       t.rto_backoff <- 1.;
@@ -347,12 +347,14 @@ let handle_ack t (ack : Packet.ack) =
         Cc.now;
         rtt = (if Float.is_nan rtt_s then None else Some rtt_s);
         newly_acked = Int.max 0 newly;
-        cum_ack = ack.cum_ack;
-        acked_seq = ack.acked_seq;
-        acked_sent_at = ack.acked_sent_at;
-        receiver_ts = ack.received_at;
-        ecn_echo = ack.ecn_echo;
-        xcp_feedback = ack.ack_xcp_feedback;
+        cum_ack;
+        acked_seq = tbl.Packet.seq.{h};
+        acked_sent_at = tbl.Packet.sent_at.{h};
+        receiver_ts = tbl.Packet.received_at.{h};
+        ecn_echo = tbl.Packet.flags.{h} land Packet.ecn_marked <> 0;
+        xcp_feedback =
+          (let fb = tbl.Packet.xcp_feedback.{h} in
+           if Float.is_nan fb then None else Some fb);
         in_flight = in_flight t;
         in_recovery = t.in_recovery;
       };

@@ -38,22 +38,23 @@ val max_rto : float
     a healed path within one minute instead of doubling unboundedly. *)
 
 val create :
-  ?pool:Remy_sim.Packet.Pool.pool ->
+  table:Remy_sim.Packet.table ->
   Remy_sim.Engine.t ->
   config ->
-  transmit:(Remy_sim.Packet.t -> unit) ->
+  transmit:(int -> unit) ->
   metrics:Remy_sim.Metrics.t ->
   rng:Remy_util.Prng.t ->
   t
-(** With [pool], outgoing data packets are acquired from the pool
-    instead of allocated; the receiving side is then responsible for
-    releasing them (see {!Receiver_bank.create}). *)
+(** Outgoing data packets are handles acquired from [table] and handed
+    to [transmit]; the receiving side releases them (see
+    {!Receiver_bank.create}). *)
 
 val start : t -> unit
 (** Arm the workload process (call once before [Engine.run]). *)
 
-val handle_ack : t -> Remy_sim.Packet.ack -> unit
-(** Deliver an ACK that has crossed the reverse path. *)
+val handle_ack : t -> int -> unit
+(** Deliver an ACK, by handle into the sender's table, that has crossed
+    the reverse path.  The caller keeps ownership of the handle. *)
 
 (** {2 Introspection (tests, Fig. 6 instrumentation)} *)
 

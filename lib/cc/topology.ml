@@ -39,6 +39,7 @@ type result = {
   delivered : int; (* packets through the bottleneck (min-rate) link *)
   received : int; (* fresh data packets accepted by receivers *)
   bottleneck_utilization : float;
+  in_flight : int; (* packets the run left queued, held, on a line or in service *)
 }
 
 let invalid fmt = Printf.ksprintf invalid_arg fmt
@@ -94,10 +95,10 @@ let forward_delays (config : config) =
 
 let flow_rtts config = Array.map (fun d -> 2. *. d) (forward_delays config)
 
-let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
-    ?sender_factory ?(faults = Remy_faults.Spec.empty) (config : config) =
-  let rates = link_rates config in
-  validate config ~rates;
+(* One run on [table], which holds every packet of the run as a handle:
+   the domain's table, reset on entry, or a private one when nested. *)
+let simulate ~table ~tracer ?probe_interval ?delivery_hook ?delack
+    ?sender_factory ~faults (config : config) ~rates =
   let n = Array.length config.flows in
   let nl = Array.length config.links in
   let engine = Engine.create ~tracer () in
@@ -112,12 +113,12 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
     Array.mapi
       (fun li (l : link_spec) ->
         let inner =
-          Dumbbell.qdisc_of_spec engine ~tracer ~rate_mbps:rates.(li)
+          Dumbbell.qdisc_of_spec engine ~tracer ~table ~rate_mbps:rates.(li)
             ~seed:(config.seed + (li * 7919))
             l.qdisc
         in
         let gate, inj =
-          Remy_faults.Injector.maybe engine ~tracer
+          Remy_faults.Injector.maybe engine ~tracer ~table
             ~seed:(Dumbbell.fault_seed ~seed:config.seed ~link:li)
             (Remy_faults.Spec.for_link faults li)
             ~inner
@@ -138,14 +139,6 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
       done)
     config.flows;
   let bi = min_index rates in
-  let max_rtt =
-    Array.fold_left (fun acc d -> Float.max acc (2. *. d)) 0. fwd_delay
-  in
-  (* One packet/ack pool per simulation, pre-sized from the flow count
-     and bandwidth-delay product so the steady state runs on recycled
-     records from the first RTT. *)
-  let presize = Dumbbell.pool_presize ~rate_mbps:rates.(bi) ~max_rtt ~n_flows:n in
-  let pool = Packet.Pool.create ~packets:presize ~acks:presize () in
   (* Local accumulator, flushed to the global atomic once per run. *)
   let acks_handled = ref 0 in
   (* The knots (links referenced from lines created before them, the
@@ -153,37 +146,43 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
      tied through option cells. *)
   let link_arr : Link.t option array = Array.make nl None in
   let bank_ref : Receiver_bank.t option ref = ref None in
-  (* Fixed propagation delays are delay lines (a ring buffer and one
+  (* Fixed propagation delays are delay lines (an int ring and one
      agenda entry each), not a fresh closure per packet.  A packet
      leaving link [li] crosses the link's exit delay to its next hop or,
      on its last hop, the exit delay plus its flow's access delay to the
      receiver.  Flows with equal delays share a line (a line's firing
-     order is that of one event per value, so sharing changes nothing),
+     order is that of one event per packet, so sharing changes nothing),
      and the handler reads the flow off the packet: the dumbbell gets
      one delivery line and one ACK line per distinct RTT. *)
-  let shared_lines delays create =
-    let lines = ref [] in
+  let lines = ref [] in
+  let line delay handler =
+    let l = Delay_line.create engine ~delay handler in
+    lines := l :: !lines;
+    l
+  in
+  let shared_lines delays handler =
+    let by_delay = ref [] in
     Array.map
       (fun delay ->
-        match List.find_opt (fun (d, _) -> Float.equal d delay) !lines with
-        | Some (_, line) -> line
+        match List.find_opt (fun (d, _) -> Float.equal d delay) !by_delay with
+        | Some (_, l) -> l
         | None ->
-          let line = create delay in
-          lines := (delay, line) :: !lines;
-          line)
+          let l = line delay handler in
+          by_delay := (delay, l) :: !by_delay;
+          l)
       delays
   in
   let forward_lines =
     Array.init nl (fun li ->
-        Delay_line.create engine ~delay:config.links.(li).delay_s
-          ~filler:Packet.dummy (fun pkt ->
-            match link_arr.(next_of.(li).(pkt.Packet.flow)) with
-            | Some l -> Link.send l pkt
+        line config.links.(li).delay_s (fun h ->
+            match link_arr.(next_of.(li).(table.Packet.flow.{h})) with
+            | Some l -> Link.send l h
             | None -> assert false))
   in
-  let receive pkt =
+  let receive h =
     match !bank_ref with
-    | Some bank -> Receiver_bank.receive bank ~now:(Engine.now engine) pkt.Packet.flow pkt
+    | Some bank ->
+      Receiver_bank.receive bank ~now:(Engine.now engine) table.Packet.flow.{h} h
     | None -> assert false
   in
   let delivery_line =
@@ -192,24 +191,25 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
          (fun (f : flow_spec) ->
            config.links.(f.route.(Array.length f.route - 1)).delay_s +. f.access_delay_s)
          config.flows)
-      (fun delay -> Delay_line.create engine ~delay ~filler:Packet.dummy receive)
+      receive
   in
   Array.iteri
     (fun li (l : link_spec) ->
-      let sink pkt =
-        let flow = pkt.Packet.flow in
-        if next_of.(li).(flow) >= 0 then Delay_line.push forward_lines.(li) pkt
-        else Delay_line.push delivery_line.(flow) pkt
+      let sink h =
+        let flow = table.Packet.flow.{h} in
+        if next_of.(li).(flow) >= 0 then Delay_line.push forward_lines.(li) h
+        else Delay_line.push delivery_line.(flow) h
       in
       let qdisc = qdiscs.(li) in
       link_arr.(li) <-
         Some
           (match l.service with
           | Dumbbell.Rate_mbps mbps ->
-            Link.create_constant engine ~qdisc
+            Link.create_constant engine ~table ~qdisc
               ~bytes_per_sec:(Link.bytes_per_sec_of_mbps mbps) ~sink
           | Dumbbell.Trace trace ->
-            Link.create_trace engine ~qdisc ~next_gap:(Cell_trace.gap_fn trace) ~sink))
+            Link.create_trace engine ~table ~qdisc ~next_gap:(Cell_trace.gap_fn trace)
+              ~sink))
     config.links;
   Array.iteri
     (fun li inj ->
@@ -222,20 +222,19 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
   in
   let ops_arr : Sender_backend.ops option array = Array.make n None in
   let ack_line =
-    shared_lines fwd_delay (fun delay ->
-        Delay_line.create engine ~delay ~filler:Packet.dummy_ack (fun ack ->
-            (match ops_arr.(ack.Packet.ack_flow) with
-            | Some ops ->
-              incr acks_handled;
-              ops.Sender_backend.handle_ack ack
-            | None -> assert false);
-            (* The sender copies what it needs; nothing retains the ack
-               past [handle_ack]. *)
-            Packet.Pool.release_ack pool ack))
+    shared_lines fwd_delay (fun h ->
+        (match ops_arr.(table.Packet.flow.{h}) with
+        | Some ops ->
+          incr acks_handled;
+          ops.Sender_backend.handle_ack h
+        | None -> assert false);
+        (* The sender copies what it needs; nothing retains the ACK
+           past [handle_ack]. *)
+        Packet.release table h)
   in
   let bank =
-    Receiver_bank.create ?delivery_hook ?delack engine ~metrics ~pool
-      ~ack_sink:(fun flow ack -> Delay_line.push ack_line.(flow) ack)
+    Receiver_bank.create ?delivery_hook ?delack engine ~metrics ~table
+      ~ack_sink:(fun flow h -> Delay_line.push ack_line.(flow) h)
       ~fwd_delay
   in
   bank_ref := Some bank;
@@ -247,7 +246,7 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
       let env =
         {
           Sender_backend.engine;
-          pool;
+          table;
           metrics;
           n_flows = n;
           flow = i;
@@ -256,7 +255,7 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
           start = f.start;
           min_rto = config.min_rto;
           rng;
-          transmit = (fun pkt -> Link.send (link_of first) pkt);
+          transmit = (fun h -> Link.send (link_of first) h);
         }
       in
       let ops =
@@ -302,21 +301,36 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
   done;
   Engine.run engine ~until:config.duration;
   Remy_obs.Counters.add Remy_obs.Counters.acks_processed !acks_handled;
-  Remy_obs.Counters.add Remy_obs.Counters.pool_hits (Packet.Pool.hits pool);
-  Remy_obs.Counters.add Remy_obs.Counters.pool_misses (Packet.Pool.misses pool);
+  Remy_obs.Counters.add Remy_obs.Counters.pool_hits (table.Packet.acquired - table.Packet.misses);
+  Remy_obs.Counters.add Remy_obs.Counters.pool_misses table.Packet.misses;
   Metrics.finish metrics config.duration;
   let bneck = link_of bi in
   let capacity_bytes = Link.bytes_per_sec_of_mbps rates.(bi) *. config.duration in
+  let sum f xs = Array.fold_left (fun acc x -> acc + f x) 0 xs in
   {
     flows = Metrics.summaries metrics;
-    drops = Array.fold_left (fun acc d -> acc + d.Qdisc.drops ()) 0 qdiscs;
+    drops = sum (fun d -> d.Qdisc.drops ()) qdiscs;
     delivered = Link.delivered_packets bneck;
     received = Receiver_bank.delivered bank;
     bottleneck_utilization =
       (if capacity_bytes > 0. then
          float_of_int (Link.delivered_bytes bneck) /. capacity_bytes
        else 0.);
+    in_flight =
+      sum (fun d -> d.Qdisc.length ()) qdiscs
+      + sum (function Some inj -> Remy_faults.Injector.held inj | None -> 0) injectors
+      + sum (fun l -> Link.in_service (Option.get l)) link_arr
+      + List.fold_left (fun acc l -> acc + Delay_line.length l) 0 !lines
+      + Receiver_bank.pending bank;
   }
+
+let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
+    ?sender_factory ?(faults = Remy_faults.Spec.empty) (config : config) =
+  let rates = link_rates config in
+  validate config ~rates;
+  Packet.with_domain_table (fun table ->
+      simulate ~table ~tracer ?probe_interval ?delivery_hook ?delack
+        ?sender_factory ~faults config ~rates)
 
 (* --- canonical topologies ------------------------------------------ *)
 

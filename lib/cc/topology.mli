@@ -48,6 +48,11 @@ type result = {
   bottleneck_utilization : float;
       (** delivered bytes / (bottleneck rate x duration); trace links
           use their long-run mean rate *)
+  in_flight : int;
+      (** packets the run left behind: queued, held by a fault injector
+          or a delayed ACK, on a propagation line, or in transmission.
+          Packet conservation: it equals the run's acquired minus
+          released handles. *)
 }
 
 val flow_rtts : config -> float array
@@ -81,7 +86,11 @@ val run :
     conforming backends.  [faults] (default {!Remy_faults.Spec.empty})
     installs a fault schedule per link; with the empty spec the wiring
     is skipped entirely and the run is bit-identical to one without the
-    fault layer. *)
+    fault layer.
+    Packets are handles into this domain's {!Remy_sim.Packet.table},
+    reset on entry, so back-to-back runs on one domain allocate no
+    packets; a run nested in another (from [delivery_hook]) gets a
+    private table. *)
 
 (** {1 Canonical topologies} *)
 

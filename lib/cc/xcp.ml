@@ -20,8 +20,11 @@ let make ?(initial_window = 2.) () =
   in
   let on_loss ~now:_ = cwnd := Float.max 1. (!cwnd /. 2.) in
   let on_timeout ~now:_ = cwnd := 1. in
-  let stamp ~now:_ =
-    Some { Remy_sim.Packet.xcp_cwnd = !cwnd; xcp_rtt = !srtt; xcp_feedback = infinity }
+  let stamp (tbl : Remy_sim.Packet.table) h =
+    tbl.flags.{h} <- tbl.flags.{h} lor Remy_sim.Packet.xcp;
+    tbl.xcp_cwnd.{h} <- !cwnd;
+    tbl.xcp_rtt.{h} <- !srtt;
+    tbl.xcp_feedback.{h} <- infinity
   in
   {
     Cc.name = "xcp";

@@ -10,7 +10,7 @@ open Remy_cc
    {!Tcp_sender} record + {!Remycc} closure set per flow.  At 10k flows
    this removes ~10k record/closure webs and, on the ack path, the
    per-ack [Cc.ack_info] record (the RemyCC update needs only four of
-   its fields, read here straight from the ack): without a tally,
+   its fields, read here straight from the ACK's columns): without a tally,
    steady-state ack processing builds no [Memory.t] ([apply3] hands
    the three signals to {!Rule_tree.lookup3}) and is cache-friendly
    across flows.
@@ -24,7 +24,7 @@ open Remy_cc
 
 type bank = {
   engine : Engine.t;
-  pool : Packet.Pool.pool;
+  table : Packet.table;
   metrics : Metrics.t;
   tree : Rule_tree.t;
   override : (int * Action.t) option;
@@ -35,7 +35,7 @@ type bank = {
      order. *)
   rng : Prng.t array;
   workload : Workload.t array;
-  transmit : (Packet.t -> unit) array;
+  transmit : (int -> unit) array;
   start_mode : [ `Immediate | `Off_draw ] array;
   min_rto : float array;
   (* Registered per-flow callbacks: the pacing-stall wake and the end of
@@ -88,7 +88,7 @@ let make_bank ~tree ~override ~tally ~idle_restart_s (env : Sender_backend.env) 
   if n < 1 then invalid_arg "Fleet: n_flows must be >= 1";
   {
     engine = env.engine;
-    pool = env.pool;
+    table = env.table;
     metrics = env.metrics;
     tree;
     override;
@@ -244,14 +244,11 @@ and disarm_timer b i = b.timer_armed.(i) <- false
 
 and send_packet b i ~seq =
   let now = Engine.now b.engine in
-  let retx = seq < b.highest_sent.(i) in
-  let pkt =
-    Packet.Pool.acquire b.pool ~flow:i ~seq ~conn:b.conn.(i) ~now ~retx
-      ~ecn_capable:false ()
-  in
+  let flags = if seq < b.highest_sent.(i) then Packet.retx else 0 in
+  let h = Packet.acquire b.table ~flow:i ~seq ~conn:b.conn.(i) ~flags ~now in
   b.highest_sent.(i) <- Int.max b.highest_sent.(i) (seq + 1);
   b.last_send.(i) <- now;
-  b.transmit.(i) pkt;
+  b.transmit.(i) h;
   if not b.timer_armed.(i) then arm_timer b i
 
 and try_send b i =
@@ -345,11 +342,16 @@ let complete_if_done b i =
     && b.on.(i)
   then switch_off b i
 
-let handle_ack b i (ack : Packet.ack) =
-  if b.on.(i) && ack.ack_conn = b.conn.(i) then begin
+(* [h] is the ACK's handle (its data packet's, see Receiver_bank);
+   [send_packet] may grow the table, so columns are read through
+   [b.table] at each use. *)
+let handle_ack b i h =
+  let tbl = b.table in
+  if b.on.(i) && tbl.Packet.conn.{h} = b.conn.(i) then begin
     let now = Engine.now b.engine in
     let rtt_s =
-      if ack.acked_retx then Float.nan else now -. ack.acked_sent_at
+      if tbl.Packet.flags.{h} land Packet.retx <> 0 then Float.nan
+      else now -. tbl.Packet.sent_at.{h}
     in
     (* RFC 6298 estimator (NaN = no Karn-valid sample). *)
     if not (Float.is_nan rtt_s) then begin
@@ -363,9 +365,10 @@ let handle_ack b i (ack : Packet.ack) =
         b.srtt.(i) <- (0.875 *. b.srtt.(i)) +. (0.125 *. rtt_s)
       end
     end;
-    let newly = ack.cum_ack - b.cum_acked.(i) in
+    let cum_ack = tbl.Packet.cum_ack.{h} in
+    let newly = cum_ack - b.cum_acked.(i) in
     if newly > 0 then begin
-      b.cum_acked.(i) <- ack.cum_ack;
+      b.cum_acked.(i) <- cum_ack;
       if b.next_seq.(i) < b.cum_acked.(i) then b.next_seq.(i) <- b.cum_acked.(i);
       b.dup_acks.(i) <- 0;
       b.rto_backoff.(i) <- 1.;
@@ -401,8 +404,8 @@ let handle_ack b i (ack : Packet.ack) =
         send_packet b i ~seq:b.cum_acked.(i)
       end
     end;
-    cc_on_ack b i ~now ~rtt_s ~acked_sent_at:ack.acked_sent_at
-      ~receiver_ts:ack.received_at;
+    cc_on_ack b i ~now ~rtt_s ~acked_sent_at:tbl.Packet.sent_at.{h}
+      ~receiver_ts:tbl.Packet.received_at.{h};
     complete_if_done b i;
     try_send b i
   end
@@ -440,7 +443,7 @@ let factory ?override ?tally ?(idle_restart_s = Float.infinity) tree :
     b.min_rto.(i) <- env.Sender_backend.min_rto;
     {
       Sender_backend.start_flow = (fun () -> start b i);
-      handle_ack = (fun ack -> handle_ack b i ack);
+      handle_ack = (fun h -> handle_ack b i h);
       cwnd = (fun () -> b.cwnd.(i));
       pacing_gap = (fun () -> b.intersend.(i));
       srtt =

@@ -28,6 +28,7 @@ type stats = {
 
 type t = {
   engine : Engine.t;
+  table : Packet.table;
   tracer : Remy_obs.Trace.t;
   spec : Spec.link_faults;
   rng : Prng.t;
@@ -37,10 +38,12 @@ type t = {
   mutable drop_depth : int;  (* of which, Drop_arrivals policy *)
   mutable extra_delay_s : float;
   mutable link : Link.t option;
+  mutable held : int;  (* packets in a reorder/delay hold *)
   stats : stats;
 }
 
 let stats t = t.stats
+let held t = t.held
 
 let fresh_stats () =
   {
@@ -56,37 +59,32 @@ let fresh_stats () =
 
 let kick t = match t.link with Some l -> Link.kick l | None -> ()
 
-(* A duplicate must be a fresh record: pooled packets are owned by the
-   receiver, which releases them after delivery — two queue entries
-   aliasing one record would double-release.  The copy is never pooled;
-   it is collected once the receiver discards it as a duplicate. *)
-let copy_packet (pkt : Packet.t) =
-  let xcp =
-    Option.map
-      (fun h ->
-        {
-          Packet.xcp_cwnd = h.Packet.xcp_cwnd;
-          xcp_rtt = h.Packet.xcp_rtt;
-          xcp_feedback = h.Packet.xcp_feedback;
-        })
-      pkt.Packet.xcp
-  in
-  let copy =
-    Packet.make ~flow:pkt.Packet.flow ~seq:pkt.Packet.seq ~conn:pkt.Packet.conn
-      ~now:pkt.Packet.sent_at ~size:pkt.Packet.size ~retx:pkt.Packet.retx
-      ~ecn_capable:pkt.Packet.ecn_capable ?xcp ()
-  in
-  copy.Packet.ecn_marked <- pkt.Packet.ecn_marked;
-  copy.Packet.corrupt <- pkt.Packet.corrupt;
-  copy
+(* A duplicate is a fresh handle with every column copied: the
+   original and the copy are released independently (by the receiver,
+   or wherever either is dropped).  Every column is read before the
+   acquire, because the queue the original just entered may have
+   dropped it, and the acquire then hands its handle straight back. *)
+let copy_packet (tbl : Packet.table) h =
+  let flow = tbl.Packet.flow.{h} and seq = tbl.Packet.seq.{h} in
+  let conn = tbl.Packet.conn.{h} and flags = tbl.Packet.flags.{h} in
+  let size = tbl.Packet.size.{h} and sent_at = tbl.Packet.sent_at.{h} in
+  let cwnd = tbl.Packet.xcp_cwnd.{h} and rtt = tbl.Packet.xcp_rtt.{h} in
+  let feedback = tbl.Packet.xcp_feedback.{h} in
+  let c = Packet.acquire tbl ~flow ~seq ~conn ~flags ~now:sent_at in
+  tbl.Packet.size.{c} <- size;
+  tbl.Packet.xcp_cwnd.{c} <- cwnd;
+  tbl.Packet.xcp_rtt.{c} <- rtt;
+  tbl.Packet.xcp_feedback.{c} <- feedback;
+  c
 
-let create engine ?(tracer = Remy_obs.Trace.off) ~seed (spec : Spec.link_faults)
-    ~(inner : Qdisc.t) =
+let create engine ?(tracer = Remy_obs.Trace.off) ~table ~seed
+    (spec : Spec.link_faults) ~(inner : Qdisc.t) =
   let module T = Remy_obs.Trace in
   let name = inner.Qdisc.name ^ "+faults" in
   let t =
     {
       engine;
+      table;
       tracer;
       spec;
       rng = Prng.create seed;
@@ -98,45 +96,49 @@ let create engine ?(tracer = Remy_obs.Trace.off) ~seed (spec : Spec.link_faults)
       drop_depth = 0;
       extra_delay_s = 0.;
       link = None;
+      held = 0;
       stats = fresh_stats ();
     }
   in
-  let trace_drop ~now pkt suffix =
+  let drop ~now h suffix =
     if T.is_on tracer then
       T.packet_event tracer ~now ~kind:T.Drop
         ~queue:(inner.Qdisc.name ^ suffix)
-        ~flow:pkt.Packet.flow ~seq:pkt.Packet.seq ~size:pkt.Packet.size
-        ~qlen:(inner.Qdisc.length ()) ()
+        ~flow:table.Packet.flow.{h} ~seq:table.Packet.seq.{h}
+        ~size:table.Packet.size.{h} ~qlen:(inner.Qdisc.length ()) ();
+    Packet.release table h
   in
   let trace_fault ~now fault =
     if T.is_on tracer then T.fault_event tracer ~now ~queue:name ~fault ()
   in
   (* Deferred entry: the packet re-enters the real qdisc after [hold]
      seconds, then pokes the link in case it went idle meanwhile. *)
-  let defer ~now hold pkt =
+  let defer ~now hold h =
+    t.held <- t.held + 1;
     Engine.schedule t.engine (now +. hold) (fun () ->
-        let accepted = inner.Qdisc.enqueue ~now:(Engine.now t.engine) pkt in
+        t.held <- t.held - 1;
+        let accepted = inner.Qdisc.enqueue ~now:(Engine.now t.engine) h in
         if accepted then kick t)
   in
-  let enqueue ~now pkt =
+  let enqueue ~now h =
     (* Fixed decision order — outage, GE, corrupt, duplicate, hold — so
        the PRNG consumption per packet depends only on the spec. *)
     if t.drop_depth > 0 then begin
       t.stats.outage_drops <- t.stats.outage_drops + 1;
-      trace_drop ~now pkt "+outage";
+      drop ~now h "+outage";
       false
     end
     else
       match t.ge with
       | Some ge when Gilbert.step_drop ge ->
         t.stats.ge_drops <- t.stats.ge_drops + 1;
-        trace_drop ~now pkt "+ge";
+        drop ~now h "+ge";
         false
       | _ ->
         if t.spec.Spec.corrupt_prob > 0.
            && Prng.float t.rng 1.0 < t.spec.Spec.corrupt_prob
         then begin
-          pkt.Packet.corrupt <- true;
+          table.Packet.flags.{h} <- table.Packet.flags.{h} lor Packet.corrupt;
           t.stats.corrupted <- t.stats.corrupted + 1;
           trace_fault ~now "corrupt"
         end;
@@ -154,17 +156,17 @@ let create engine ?(tracer = Remy_obs.Trace.off) ~seed (spec : Spec.link_faults)
         in
         let accepted =
           if hold > 0. then begin
-            defer ~now hold pkt;
+            defer ~now hold h;
             (* The hold hides the queue's verdict from the sender, as a
                real extra propagation segment would. *)
             true
           end
-          else inner.Qdisc.enqueue ~now pkt
+          else inner.Qdisc.enqueue ~now h
         in
         if dup then begin
           t.stats.duplicated <- t.stats.duplicated + 1;
           trace_fault ~now "duplicate";
-          let copy = copy_packet pkt in
+          let copy = copy_packet table h in
           if hold > 0. then defer ~now hold copy
           else ignore (inner.Qdisc.enqueue ~now copy)
         end;
@@ -253,8 +255,8 @@ let attach t link =
 (* Convenience wrapper used by Dumbbell/Topology: no-op on an empty
    link spec (zero-cost-when-off), else wrap + remember the injector so
    the link can be attached once built. *)
-let maybe engine ?tracer ~seed spec ~inner =
+let maybe engine ?tracer ~table ~seed spec ~inner =
   if Spec.is_empty_link spec then (inner, None)
   else
-    let gate, t = create engine ?tracer ~seed spec ~inner in
+    let gate, t = create engine ?tracer ~table ~seed spec ~inner in
     (gate, Some t)

@@ -28,11 +28,14 @@ type t
 val create :
   Remy_sim.Engine.t ->
   ?tracer:Remy_obs.Trace.t ->
+  table:Remy_sim.Packet.table ->
   seed:int ->
   Spec.link_faults ->
   inner:Remy_sim.Qdisc.t ->
   Remy_sim.Qdisc.t * t
-(** Wrap [inner]; build the link on the returned qdisc, then {!attach}. *)
+(** Wrap [inner]; build the link on the returned qdisc, then {!attach}.
+    The gate releases the handles it drops (outage and GE losses) to
+    [table]; a duplicate is a fresh handle from it. *)
 
 val attach : t -> Remy_sim.Link.t -> unit
 (** Install the outage / rate-shift / delay-shift schedule.  Must run
@@ -41,6 +44,7 @@ val attach : t -> Remy_sim.Link.t -> unit
 val maybe :
   Remy_sim.Engine.t ->
   ?tracer:Remy_obs.Trace.t ->
+  table:Remy_sim.Packet.table ->
   seed:int ->
   Spec.link_faults ->
   inner:Remy_sim.Qdisc.t ->
@@ -49,3 +53,7 @@ val maybe :
     zero-cost-when-off path. *)
 
 val stats : t -> stats
+
+val held : t -> int
+(** Packets currently in a reorder or delay hold, on their way into the
+    inner qdisc. *)

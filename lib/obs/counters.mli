@@ -2,7 +2,7 @@
 
     Cheap visibility into the simulator inner loop: how many agenda
     events fired, acks crossed the congestion-control boundary, rule
-    lookups ran, and how the packet pools behaved.  Counters are atomics
+    lookups ran, and how the packet tables behaved.  Counters are atomics
     so worker domains may bump them concurrently; hot loops accumulate
     locally and {!add} once per run. *)
 
@@ -16,7 +16,10 @@ val index_builds : int Atomic.t
     still reads it; it goes away with the next change to that benchmark. *)
 
 val pool_hits : int Atomic.t
+(** Packet acquires served without growing the run's packet table. *)
+
 val pool_misses : int Atomic.t
+(** Packet acquires that grew (doubled) the run's packet table. *)
 
 val add : int Atomic.t -> int -> unit
 (** [add c n] adds [n] (no-op when [n = 0]). *)

@@ -76,6 +76,8 @@ let load_trace opts name profile =
       (Printf.sprintf "trace %s missing; synthesizing (bin/gen_traces regenerates it)"
          path);
     let t = Cell_trace.synthesize ~name (Prng.create 20130812) profile ~duration:300. in
+    let dir = Filename.dirname path in
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     Cell_trace.save path t;
     t
 

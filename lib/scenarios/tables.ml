@@ -10,16 +10,12 @@ let rec find_upward dir depth =
   end
 
 let data_dir () =
-  let dir =
-    match Sys.getenv_opt "REMY_DATA_DIR" with
+  match Sys.getenv_opt "REMY_DATA_DIR" with
+  | Some d when d <> "" -> d
+  | Some _ | None -> (
+    match find_upward (Sys.getcwd ()) 6 with
     | Some d -> d
-    | None -> (
-      match find_upward (Sys.getcwd ()) 6 with
-      | Some d -> d
-      | None -> Filename.concat (Sys.getcwd ()) "data")
-  in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  dir
+    | None -> Filename.concat (Sys.getcwd ()) "data")
 
 let path name = Filename.concat (data_dir ()) (name ^ ".rules")
 let load name = Rule_tree.load (path name)

@@ -9,7 +9,10 @@
     fast the host was. *)
 
 val data_dir : unit -> string
-(** Directory holding [*.rules] (created if absent). *)
+(** Directory holding [*.rules]: [REMY_DATA_DIR] when set and non-empty,
+    else the nearest [data/] at or above the working directory, else
+    [./data], which then does not exist.  The lookup only reads: it
+    never creates the directory. *)
 
 val path : string -> string
 (** [path "delta1"] = "<data_dir>/delta1.rules". *)

@@ -9,6 +9,7 @@ module State = struct
     mutable count : int;
     mutable lastcount : int;
     mutable dropping : bool;
+    mutable ok_to_drop : bool;  (* the last [dodequeue]'s verdict *)
   }
 
   let create ?(target = 0.005) ?(interval = 0.100) () =
@@ -20,67 +21,75 @@ module State = struct
       count = 0;
       lastcount = 0;
       dropping = false;
+      ok_to_drop = false;
     }
 
   let control_law t from count = from +. (t.interval /. sqrt (float_of_int count))
 
-  (* Pop one packet and decide whether CoDel would drop it. *)
-  let dodequeue t ~now ~pop ~bytes =
-    match pop () with
-    | None ->
+  (* Pop one packet and decide whether CoDel would drop it; the verdict
+     lands in [t.ok_to_drop]. *)
+  let dodequeue t ~now q ~on_pop ~bytes =
+    if Fifo.length q = 0 then begin
       t.first_above_time <- 0.;
-      (None, false)
-    | Some (enq_time, pkt) ->
+      t.ok_to_drop <- false;
+      Packet.none
+    end
+    else begin
+      let enq_time = Fifo.head_at q in
+      let h = Fifo.pop q in
+      on_pop h;
       let sojourn = now -. enq_time in
       if sojourn < t.target || bytes () <= mtu then begin
         t.first_above_time <- 0.;
-        (Some pkt, false)
+        t.ok_to_drop <- false
       end
       else if t.first_above_time = 0. then begin
         t.first_above_time <- now +. t.interval;
-        (Some pkt, false)
+        t.ok_to_drop <- false
       end
-      else (Some pkt, now >= t.first_above_time)
+      else t.ok_to_drop <- now >= t.first_above_time;
+      h
+    end
 
-  let dequeue t ~now ~pop ~bytes ~on_drop =
-    let pkt, ok_to_drop = dodequeue t ~now ~pop ~bytes in
-    match pkt with
-    | None ->
+  let dequeue t ~now q ~on_pop ~bytes ~on_drop =
+    let h = dodequeue t ~now q ~on_pop ~bytes in
+    if h = Packet.none then begin
       t.dropping <- false;
-      None
-    | Some pkt ->
-      let result = ref (Some pkt) in
+      Packet.none
+    end
+    else begin
+      let result = ref h in
       if t.dropping then begin
-        if not ok_to_drop then t.dropping <- false
+        if not t.ok_to_drop then t.dropping <- false
         else begin
-          let current = ref pkt in
+          let current = ref h in
           let continue = ref true in
           while !continue && t.dropping && now >= t.drop_next do
             on_drop !current;
             t.count <- t.count + 1;
-            let next, ok = dodequeue t ~now ~pop ~bytes in
-            match next with
-            | None ->
+            let next = dodequeue t ~now q ~on_pop ~bytes in
+            if next = Packet.none then begin
               t.dropping <- false;
-              result := None;
+              result := Packet.none;
               continue := false
-            | Some p ->
-              current := p;
-              if not ok then begin
+            end
+            else begin
+              current := next;
+              if not t.ok_to_drop then begin
                 t.dropping <- false;
-                result := Some p
+                result := next
               end
               else begin
                 t.drop_next <- control_law t t.drop_next t.count;
-                result := Some p
+                result := next
               end
+            end
           done
         end
       end
-      else if ok_to_drop then begin
-        on_drop pkt;
-        let next, _ok = dodequeue t ~now ~pop ~bytes in
-        result := next;
+      else if t.ok_to_drop then begin
+        on_drop h;
+        result := dodequeue t ~now q ~on_pop ~bytes;
         t.dropping <- true;
         let delta = t.count - t.lastcount in
         t.count <-
@@ -89,55 +98,52 @@ module State = struct
         t.lastcount <- t.count
       end;
       !result
+    end
 end
 
-let create ?(tracer = Remy_obs.Trace.off) ?target ?interval ~capacity () =
+let create ?(tracer = Remy_obs.Trace.off) ?target ?interval ~table ~capacity () =
   let module T = Remy_obs.Trace in
-  let q : (float * Packet.t) Queue.t = Queue.create () in
+  let q = Fifo.create () in
   let bytes = ref 0 in
   let drops = ref 0 in
   let state = State.create ?target ?interval () in
-  let event ~now kind (pkt : Packet.t) =
+  let event ~now kind h =
     if T.is_on tracer then
-      T.packet_event tracer ~now ~kind ~queue:"codel" ~flow:pkt.Packet.flow
-        ~seq:pkt.Packet.seq ~size:pkt.Packet.size ~qlen:(Queue.length q) ()
+      T.packet_event tracer ~now ~kind ~queue:"codel" ~flow:table.Packet.flow.{h}
+        ~seq:table.Packet.seq.{h} ~size:table.Packet.size.{h} ~qlen:(Fifo.length q) ()
   in
-  let pop () =
-    match Queue.take_opt q with
-    | None -> None
-    | Some (at, pkt) ->
-      bytes := !bytes - pkt.Packet.size;
-      Some (at, pkt)
-  in
-  let enqueue ~now pkt =
-    if Queue.length q >= capacity then begin
+  let on_pop h = bytes := !bytes - table.Packet.size.{h} in
+  let enqueue ~now h =
+    if Fifo.length q >= capacity then begin
       incr drops;
-      event ~now T.Drop pkt;
+      event ~now T.Drop h;
+      Packet.release table h;
       false
     end
     else begin
-      Queue.add (now, pkt) q;
-      bytes := !bytes + pkt.Packet.size;
-      event ~now T.Enqueue pkt;
+      Fifo.push q h ~at:now;
+      bytes := !bytes + table.Packet.size.{h};
+      event ~now T.Enqueue h;
       true
     end
   in
   let dequeue ~now =
-    let r =
-      State.dequeue state ~now ~pop
+    let h =
+      State.dequeue state ~now q ~on_pop
         ~bytes:(fun () -> !bytes)
-        ~on_drop:(fun pkt ->
+        ~on_drop:(fun h ->
           incr drops;
-          event ~now T.Drop pkt)
+          event ~now T.Drop h;
+          Packet.release table h)
     in
-    (match r with Some pkt -> event ~now T.Dequeue pkt | None -> ());
-    r
+    if h <> Packet.none then event ~now T.Dequeue h;
+    h
   in
   {
     Qdisc.name = "codel";
     enqueue;
     dequeue;
-    length = (fun () -> Queue.length q);
+    length = (fun () -> Fifo.length q);
     byte_length = (fun () -> !bytes);
     drops = (fun () -> !drops);
   }

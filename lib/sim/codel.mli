@@ -15,20 +15,24 @@ module State : sig
   val dequeue :
     t ->
     now:float ->
-    pop:(unit -> (float * Packet.t) option) ->
+    Fifo.t ->
+    on_pop:(int -> unit) ->
     bytes:(unit -> int) ->
-    on_drop:(Packet.t -> unit) ->
-    Packet.t option
-  (** Run the CoDel dequeue state machine over an underlying FIFO.
-      [pop] yields [(enqueue_time, packet)]; [bytes] is the backlog in
-      bytes (CoDel never drops below one MTU of backlog); dropped
-      packets are reported to [on_drop]. *)
+    on_drop:(int -> unit) ->
+    int
+  (** Run the CoDel dequeue state machine over a FIFO whose queued-at
+      times are enqueue times, returning the handle to serve or
+      {!Packet.none}.  [on_pop] sees every handle taken off the FIFO
+      (for byte accounting) before [bytes], the backlog in bytes, is
+      read (CoDel never drops below one MTU of backlog); dropped
+      handles go to [on_drop], which owns them. *)
 end
 
 val create :
   ?tracer:Remy_obs.Trace.t ->
   ?target:float ->
   ?interval:float ->
+  table:Packet.table ->
   capacity:int ->
   unit ->
   Qdisc.t

@@ -1,16 +1,15 @@
-type 'a t = {
+type t = {
   engine : Engine.t;
   delay : float;
-  handler : 'a -> unit;
-  (* Ring of values in flight, with each value's agenda key (due time
+  handler : int -> unit;
+  (* Ring of handles in flight, with each one's agenda key (due time
      and packed seq) in two parallel columns. *)
-  mutable buf : 'a array;
+  mutable buf : int array;
   mutable dues : float array;
   mutable keys : int array;
   mutable head : int;  (* index of the oldest element *)
   mutable len : int;
   mutable pop : Engine.handle;
-  filler : 'a;
 }
 
 (* Only the head is in the agenda.  Due times are nondecreasing in push
@@ -22,7 +21,6 @@ type 'a t = {
 (* remy-lint: hot *)
 let pop t =
   let v = t.buf.(t.head) in
-  t.buf.(t.head) <- t.filler;
   let h = t.head + 1 in
   let h = if h >= Array.length t.buf then 0 else h in
   t.head <- h;
@@ -30,7 +28,7 @@ let pop t =
   if t.len > 0 then Engine.file t.engine t.dues t.keys h;
   t.handler v
 
-let create engine ~delay ~filler handler =
+let create engine ~delay handler =
   if not (delay >= 0.) then
     invalid_arg (Printf.sprintf "Delay_line.create: delay %g is not >= 0" delay);
   let t =
@@ -38,13 +36,12 @@ let create engine ~delay ~filler handler =
       engine;
       delay;
       handler;
-      buf = Array.make 16 filler;
+      buf = Array.make 16 Packet.none;
       dues = Array.make 16 0.;
       keys = Array.make 16 0;
       head = 0;
       len = 0;
       pop = Engine.no_handle;
-      filler;
     }
   in
   t.pop <- Engine.register engine (fun () -> pop t);
@@ -52,7 +49,7 @@ let create engine ~delay ~filler handler =
 
 let grow t =
   let cap = Array.length t.buf in
-  let buf = Array.make (2 * cap) t.filler in
+  let buf = Array.make (2 * cap) Packet.none in
   let dues = Array.make (2 * cap) 0. and keys = Array.make (2 * cap) 0 in
   for i = 0 to t.len - 1 do
     let j = (t.head + i) mod cap in

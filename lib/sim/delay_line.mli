@@ -1,25 +1,25 @@
-(** Constant-delay delivery pipe.
+(** Constant-delay delivery pipe for packet handles.
 
-    [push] hands the value to [handler] exactly [delay] seconds later,
-    preserving order.  The values wait in a ring buffer together with
-    the agenda key each one reserved when it was pushed, and only the
-    head is in the agenda: the line is one {!Engine} entry, under one
-    registered handle, however many values it carries.  When the head
-    fires, the line files the next head under that value's own key, so
-    the firing order is exactly that of scheduling one event per value.
-    The steady-state cost per value is three array writes and one heap
-    sift, with no allocation.  Used for the topologies' fixed
-    propagation delays (link exits, deliveries and ACK returns). *)
+    [push] hands the handle to [handler] exactly [delay] seconds later,
+    preserving order.  The handles wait in an int ring buffer together
+    with the agenda key each one reserved when it was pushed, and only
+    the head is in the agenda: the line is one {!Engine} entry, under
+    one registered handle, however many packets it carries.  When the
+    head fires, the line files the next head under that packet's own
+    key, so the firing order is exactly that of scheduling one event per
+    packet.  The steady-state cost per packet is three array writes and
+    one heap sift, with no allocation and no write barrier.  Used for
+    the topologies' fixed propagation delays (link exits, deliveries and
+    ACK returns). *)
 
-type 'a t
+type t
 
-val create : Engine.t -> delay:float -> filler:'a -> ('a -> unit) -> 'a t
-(** [filler] pads the internal ring buffer (never passed to the
-    handler).  Raises [Invalid_argument] unless [delay >= 0]. *)
+val create : Engine.t -> delay:float -> (int -> unit) -> t
+(** Raises [Invalid_argument] unless [delay >= 0]. *)
 
-val push : 'a t -> 'a -> unit
-(** Deliver the value to the handler [delay] seconds from now.  Values
-    pushed at the same instant are delivered in push order. *)
+val push : t -> int -> unit
+(** Deliver the handle to the handler [delay] seconds from now.
+    Handles pushed at the same instant are delivered in push order. *)
 
-val length : 'a t -> int
-(** Values currently in flight. *)
+val length : t -> int
+(** Handles currently in flight. *)

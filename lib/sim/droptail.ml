@@ -2,69 +2,46 @@ module T = Remy_obs.Trace
 
 let name = "droptail"
 
-let create ?(tracer = T.off) ~capacity () =
-  (* FIFO ring: no per-packet allocation on the enqueue path, unlike a
+let create ?(tracer = T.off) ~table ~capacity () =
+  (* A handle ring: no per-packet allocation on either path, unlike a
      linked [Queue.t].  The ring grows geometrically with actual
      occupancy — [capacity] only bounds admission and can be
      {!Qdisc.unlimited_capacity} ([max_int]). *)
-  let ring = ref (Array.make 16 Packet.dummy) in
-  let head = ref 0 in
-  let len = ref 0 in
+  let q = Fifo.create () in
   let bytes = ref 0 in
   let drops = ref 0 in
-  let grow () =
-    let r = !ring in
-    let cap = Array.length r in
-    let bigger = Array.make (2 * cap) Packet.dummy in
-    for i = 0 to !len - 1 do
-      let j = !head + i in
-      bigger.(i) <- r.(if j >= cap then j - cap else j)
-    done;
-    ring := bigger;
-    head := 0
-  in
-  let event ~now kind (pkt : Packet.t) =
+  let event ~now kind h =
     if T.is_on tracer then
-      T.packet_event tracer ~now ~kind ~queue:name ~flow:pkt.Packet.flow
-        ~seq:pkt.Packet.seq ~size:pkt.Packet.size ~qlen:!len ()
+      T.packet_event tracer ~now ~kind ~queue:name ~flow:table.Packet.flow.{h}
+        ~seq:table.Packet.seq.{h} ~size:table.Packet.size.{h} ~qlen:(Fifo.length q) ()
   in
-  let enqueue ~now pkt =
-    if !len >= capacity then begin
+  let enqueue ~now h =
+    if Fifo.length q >= capacity then begin
       incr drops;
-      event ~now T.Drop pkt;
+      event ~now T.Drop h;
+      Packet.release table h;
       false
     end
     else begin
-      if !len >= Array.length !ring then grow ();
-      let r = !ring in
-      let cap = Array.length r in
-      let i = !head + !len in
-      r.(if i >= cap then i - cap else i) <- pkt;
-      incr len;
-      bytes := !bytes + pkt.Packet.size;
-      event ~now T.Enqueue pkt;
+      Fifo.push q h ~at:now;
+      bytes := !bytes + table.Packet.size.{h};
+      event ~now T.Enqueue h;
       true
     end
   in
   let dequeue ~now =
-    if !len = 0 then None
-    else begin
-      let r = !ring in
-      let pkt = r.(!head) in
-      r.(!head) <- Packet.dummy;
-      let h = !head + 1 in
-      head := (if h >= Array.length r then 0 else h);
-      decr len;
-      bytes := !bytes - pkt.Packet.size;
-      event ~now T.Dequeue pkt;
-      Some pkt
-    end
+    let h = Fifo.pop q in
+    if h <> Packet.none then begin
+      bytes := !bytes - table.Packet.size.{h};
+      event ~now T.Dequeue h
+    end;
+    h
   in
   {
     Qdisc.name;
     enqueue;
     dequeue;
-    length = (fun () -> !len);
+    length = (fun () -> Fifo.length q);
     byte_length = (fun () -> !bytes);
     drops = (fun () -> !drops);
   }

@@ -2,6 +2,7 @@
     bottleneck (Section 5.1), and with {!Qdisc.unlimited_capacity} the
     lossless queue of Remy's design-phase simulator. *)
 
-val create : ?tracer:Remy_obs.Trace.t -> capacity:int -> unit -> Qdisc.t
-(** [capacity] in packets.  [tracer] (default off) records
-    enqueue/dequeue/drop events. *)
+val create :
+  ?tracer:Remy_obs.Trace.t -> table:Packet.table -> capacity:int -> unit -> Qdisc.t
+(** [capacity] in packets; the queue holds handles into [table].
+    [tracer] (default off) records enqueue/dequeue/drop events. *)

@@ -1,9 +1,9 @@
 type t = {
   engine : Engine.t;
+  table : Packet.table;
   disc : Qdisc.t;
-  sink : Packet.t -> unit;
-  mutable busy : bool;  (* constant-rate links only *)
-  mutable in_service : Packet.t;  (* meaningful only while busy *)
+  sink : int -> unit;
+  mutable in_service : int;  (* Packet.none while idle; constant-rate links only *)
   mutable complete : Engine.handle;  (* registered tx-done callback *)
   mutable delivered_pkts : int;
   mutable delivered_bytes : int;
@@ -14,8 +14,9 @@ type t = {
 
 and service = Constant of float (* bytes per second *) | Trace
 
-let deliver t pkt =
-  if pkt.Packet.corrupt then begin
+let deliver t h =
+  let tbl = t.table in
+  if tbl.Packet.flags.{h} land Packet.corrupt <> 0 then begin
     (* Corrupted in flight: the packet consumed service capacity but the
        checksum fails at the far end, so it never reaches the sink. *)
     t.corrupt_drops <- t.corrupt_drops + 1;
@@ -24,111 +25,98 @@ let deliver t pkt =
       Remy_obs.Trace.packet_event tr ~now:(Engine.now t.engine)
         ~kind:Remy_obs.Trace.Drop
         ~queue:(t.disc.Qdisc.name ^ "+corrupt")
-        ~flow:pkt.Packet.flow ~seq:pkt.Packet.seq ~size:pkt.Packet.size
-        ~qlen:(t.disc.Qdisc.length ()) ()
+        ~flow:tbl.Packet.flow.{h} ~seq:tbl.Packet.seq.{h} ~size:tbl.Packet.size.{h}
+        ~qlen:(t.disc.Qdisc.length ()) ();
+    Packet.release tbl h
   end
   else begin
     t.delivered_pkts <- t.delivered_pkts + 1;
-    t.delivered_bytes <- t.delivered_bytes + pkt.Packet.size;
+    t.delivered_bytes <- t.delivered_bytes + tbl.Packet.size.{h};
     (* [now - sent_at] at link exit is send-to-transmission-complete: queue
        wait plus transmission, before propagation — exactly the receiver's
        (receive_time - sent_at - rtt/2) queueing delay, observed here so no
        rtt plumbing is needed. *)
     if Remy_obs.Metrics.enabled () then
       Remy_obs.Metrics.record Remy_obs.Metrics.Queueing_delay
-        (Engine.now t.engine -. pkt.Packet.sent_at);
+        (Engine.now t.engine -. tbl.Packet.sent_at.{h});
     let tr = Engine.tracer t.engine in
     if Remy_obs.Trace.is_on tr then
       Remy_obs.Trace.packet_event tr ~now:(Engine.now t.engine)
-        ~kind:Remy_obs.Trace.Deliver ~queue:t.disc.Qdisc.name ~flow:pkt.Packet.flow
-        ~seq:pkt.Packet.seq ~size:pkt.Packet.size
-        ~delay_s:(Engine.now t.engine -. pkt.Packet.sent_at)
+        ~kind:Remy_obs.Trace.Deliver ~queue:t.disc.Qdisc.name ~flow:tbl.Packet.flow.{h}
+        ~seq:tbl.Packet.seq.{h} ~size:tbl.Packet.size.{h}
+        ~delay_s:(Engine.now t.engine -. tbl.Packet.sent_at.{h})
         ~qlen:(t.disc.Qdisc.length ()) ();
-    t.sink pkt
+    t.sink h
   end
 
 let start_service t =
   match t.service with
   | Trace -> ()
-  | Constant rate -> (
-    if t.up && not t.busy then
-      match t.disc.Qdisc.dequeue ~now:(Engine.now t.engine) with
-      | None -> ()
-      | Some pkt ->
+  | Constant rate ->
+    if t.up && t.in_service = Packet.none then begin
+      let h = t.disc.Qdisc.dequeue ~now:(Engine.now t.engine) in
+      if h <> Packet.none then begin
         (* Queue sojourn: send (= enqueue, senders transmit into the
            qdisc at [sent_at]) to dequeue, excluding transmission. *)
         if Remy_obs.Metrics.enabled () then
           Remy_obs.Metrics.record Remy_obs.Metrics.Sojourn
-            (Engine.now t.engine -. pkt.Packet.sent_at);
-        (* Single packet in service at a time, so the in-flight packet
+            (Engine.now t.engine -. t.table.Packet.sent_at.{h});
+        (* Single packet in service at a time, so the in-flight handle
            lives in a field and every transmission schedules the one
            registered completion handle. *)
-        t.busy <- true;
-        t.in_service <- pkt;
-        let tx_time = float_of_int pkt.Packet.size /. rate in
-        Engine.schedule_handle_in t.engine tx_time t.complete)
+        t.in_service <- h;
+        let tx_time = float_of_int t.table.Packet.size.{h} /. rate in
+        Engine.schedule_handle_in t.engine tx_time t.complete
+      end
+    end
 
-let create_constant engine ~qdisc ~bytes_per_sec ~sink =
-  let t =
-    {
-      engine;
-      disc = qdisc;
-      sink;
-      busy = false;
-      in_service = Packet.dummy;
-      complete = Engine.no_handle;
-      delivered_pkts = 0;
-      delivered_bytes = 0;
-      corrupt_drops = 0;
-      up = true;
-      service = Constant bytes_per_sec;
-    }
-  in
+let make engine ~table ~qdisc ~sink service =
+  {
+    engine;
+    table;
+    disc = qdisc;
+    sink;
+    in_service = Packet.none;
+    complete = Engine.no_handle;
+    delivered_pkts = 0;
+    delivered_bytes = 0;
+    corrupt_drops = 0;
+    up = true;
+    service;
+  }
+
+let create_constant engine ~table ~qdisc ~bytes_per_sec ~sink =
+  let t = make engine ~table ~qdisc ~sink (Constant bytes_per_sec) in
   t.complete <-
     Engine.register engine (fun () ->
-        let pkt = t.in_service in
-        t.busy <- false;
-        t.in_service <- Packet.dummy;
-        deliver t pkt;
+        let h = t.in_service in
+        t.in_service <- Packet.none;
+        deliver t h;
         start_service t);
   t
 
-let create_trace engine ~qdisc ~next_gap ~sink =
-  let t =
-    {
-      engine;
-      disc = qdisc;
-      sink;
-      busy = false;
-      in_service = Packet.dummy;
-      complete = Engine.no_handle;
-      delivered_pkts = 0;
-      delivered_bytes = 0;
-      corrupt_drops = 0;
-      up = true;
-      service = Trace;
-    }
-  in
+let create_trace engine ~table ~qdisc ~next_gap ~sink =
+  let t = make engine ~table ~qdisc ~sink Trace in
   let rec tick () =
     (* A down trace link skips its delivery opportunities: the chain of
        opportunities keeps ticking (as the radio schedule would), but no
        packet leaves the queue. *)
     (if t.up then
-       match t.disc.Qdisc.dequeue ~now:(Engine.now engine) with
-       | Some pkt ->
+       let h = t.disc.Qdisc.dequeue ~now:(Engine.now engine) in
+       if h <> Packet.none then begin
          if Remy_obs.Metrics.enabled () then
            Remy_obs.Metrics.record Remy_obs.Metrics.Sojourn
-             (Engine.now engine -. pkt.Packet.sent_at);
-         deliver t pkt
-       | None -> ());
+             (Engine.now engine -. table.Packet.sent_at.{h});
+         deliver t h
+       end);
     Engine.schedule_in engine (Float.max 1e-9 (next_gap ())) tick
   in
   Engine.schedule_in engine (Float.max 1e-9 (next_gap ())) tick;
   t
 
-let send t pkt =
+let send t h =
   let now = Engine.now t.engine in
-  if t.disc.Qdisc.enqueue ~now pkt then start_service t
+  if t.disc.Qdisc.enqueue ~now h then start_service t
 
 let kick t = start_service t
 let is_up t = t.up
@@ -154,6 +142,7 @@ let set_rate_bytes_per_sec t rate =
   | Trace -> ()
 
 let qdisc t = t.disc
+let in_service t = if t.in_service = Packet.none then 0 else 1
 let delivered_packets t = t.delivered_pkts
 let delivered_bytes t = t.delivered_bytes
 let corrupt_drops t = t.corrupt_drops

@@ -9,21 +9,32 @@
       "queueing packets until they are released to the receiver at the
       same time they were released in the trace" (Section 5.3).
 
-    Delivered packets go to [sink], which the topology wires to add
-    propagation delay and hand the packet to a receiver. *)
+    Delivered packet handles go to [sink], which the topology wires to
+    add propagation delay and hand the packet to a receiver; a corrupt
+    packet is released to the table at link exit instead. *)
 
 type t
 
 val create_constant :
-  Engine.t -> qdisc:Qdisc.t -> bytes_per_sec:float -> sink:(Packet.t -> unit) -> t
+  Engine.t ->
+  table:Packet.table ->
+  qdisc:Qdisc.t ->
+  bytes_per_sec:float ->
+  sink:(int -> unit) ->
+  t
 
 val create_trace :
-  Engine.t -> qdisc:Qdisc.t -> next_gap:(unit -> float) -> sink:(Packet.t -> unit) -> t
+  Engine.t ->
+  table:Packet.table ->
+  qdisc:Qdisc.t ->
+  next_gap:(unit -> float) ->
+  sink:(int -> unit) ->
+  t
 (** [next_gap ()] returns the time until the next delivery opportunity
     (one packet per opportunity); the chain of opportunities starts at
     creation time. *)
 
-val send : t -> Packet.t -> unit
+val send : t -> int -> unit
 (** Enqueue a packet (the qdisc may drop or mark it) and start service if
     the link is idle. *)
 
@@ -48,6 +59,11 @@ val set_rate_bytes_per_sec : t -> float -> unit
     No-op on trace-driven links. *)
 
 val qdisc : t -> Qdisc.t
+
+val in_service : t -> int
+(** Packets in transmission: 1 while a constant-rate link is busy, else
+    0. *)
+
 val delivered_packets : t -> int
 val delivered_bytes : t -> int
 

@@ -11,12 +11,14 @@
 
 val create :
   ?tracer:Remy_obs.Trace.t ->
+  table:Packet.table ->
   inner:Qdisc.t ->
   loss_rate:float ->
   seed:int ->
   unit ->
   Qdisc.t
-(** [loss_rate] in [0, 1); drops are deterministic given [seed] and are
-    counted in the wrapper's [drops] (added to the inner qdisc's).
+(** [loss_rate] in [0, 1); drops are deterministic given [seed], are
+    released to [table] and are counted in the wrapper's [drops] (added
+    to the inner qdisc's).
     [tracer] (default off) records the wrapper's random drops; events
     from the inner qdisc need the inner qdisc's own tracer. *)

@@ -1,212 +1,155 @@
-type xcp_header = {
-  xcp_cwnd : float;
-  xcp_rtt : float;
-  mutable xcp_feedback : float;
-}
-
-(* Fields are mutable so pooled packets can be re-initialised in place;
-   outside [Pool] the records are treated as write-once. *)
-type t = {
-  mutable flow : int;
-  mutable seq : int;
-  mutable conn : int;
-  mutable size : int;
-  mutable sent_at : float;
-  mutable retx : bool;
-  mutable ecn_capable : bool;
-  mutable ecn_marked : bool;
-  mutable corrupt : bool;
-  mutable xcp : xcp_header option;
-}
-
-type ack = {
-  mutable ack_flow : int;
-  mutable ack_conn : int;
-  mutable cum_ack : int;
-  mutable acked_seq : int;
-  mutable acked_sent_at : float;
-  mutable acked_retx : bool;
-  mutable ecn_echo : bool;
-  mutable ack_xcp_feedback : float option;
-  mutable received_at : float;
-}
-
+let none = -1
 let default_size = 1500
+let retx = 1
+let ecn_capable = 2
+let ecn_marked = 4
+let corrupt = 8
+let xcp = 16
 
-let make ~flow ~seq ~conn ~now ?(size = default_size) ?(retx = false)
-    ?(ecn_capable = false) ?xcp () =
-  {
-    flow;
-    seq;
-    conn;
-    size;
-    sent_at = now;
-    retx;
-    ecn_capable;
-    ecn_marked = false;
-    corrupt = false;
-    xcp;
-  }
+(* Set from acquire to release: what makes a double release detectable. *)
+let live = 32
 
-(* Pool array filler only: a slot holding [dummy] is by definition free,
-   so no live flow ever reads or writes it from any domain. *)
-(* remy-lint: allow global-mutable *)
-let dummy =
-  {
-    flow = -1;
-    seq = -1;
-    conn = -1;
-    size = 0;
-    sent_at = 0.;
-    retx = false;
-    ecn_capable = false;
-    ecn_marked = false;
-    corrupt = false;
-    xcp = None;
-  }
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* Same free-slot filler argument as [dummy]. *)
-(* remy-lint: allow global-mutable *)
-let dummy_ack =
-  {
-    ack_flow = -1;
-    ack_conn = -1;
-    cum_ack = 0;
-    acked_seq = -1;
-    acked_sent_at = 0.;
-    acked_retx = false;
-    ecn_echo = false;
-    ack_xcp_feedback = None;
-    received_at = 0.;
-  }
+type table = {
+  mutable flow : ints;
+  mutable seq : ints;
+  mutable conn : ints;
+  mutable size : ints;
+  mutable flags : ints;
+  mutable sent_at : floats;
+  mutable xcp_cwnd : floats;
+  mutable xcp_rtt : floats;
+  mutable xcp_feedback : floats;
+  mutable cum_ack : ints;
+  mutable received_at : floats;
+  mutable free : ints;
+  mutable n_free : int;
+  mutable fresh : int;
+  mutable acquired : int;
+  mutable released : int;
+  mutable misses : int;
+}
 
-(* Free lists of retired packet and ack records, reused across a
-   connection's lifetime so the per-packet cost of a simulation is field
-   writes instead of minor-heap allocation.  Releasing is optional: a
-   record the owner loses track of (e.g. a packet dropped inside a
-   qdisc) is simply collected, and the next acquire replenishes the pool
-   (a "miss"). *)
-module Pool = struct
-  type pool = {
-    mutable pkts : t array;
-    mutable n_pkts : int;
-    mutable acks : ack array;
-    mutable n_acks : int;
-    mutable hits : int;
-    mutable misses : int;
-  }
+let initial_capacity = 1024
 
-  (* [packets]/[acks] pre-populate the free lists with that many fresh
-     records (counted as neither hits nor misses), so a scenario that
-     knows its flow count and bandwidth-delay product pays its pool
-     misses at construction instead of cold-missing through the first
-     RTTs of the steady state. *)
-  let create ?(packets = 0) ?(acks = 0) () =
-    let p =
-      {
-        pkts = Array.make (max 64 packets) dummy;
-        n_pkts = 0;
-        acks = Array.make (max 64 acks) dummy_ack;
-        n_acks = 0;
-        hits = 0;
-        misses = 0;
-      }
-    in
-    for i = 0 to packets - 1 do
-      p.pkts.(i) <-
-        make ~flow:(-1) ~seq:(-1) ~conn:(-1) ~now:0. ()
-    done;
-    p.n_pkts <- packets;
-    for i = 0 to acks - 1 do
-      p.acks.(i) <-
-        {
-          ack_flow = -1;
-          ack_conn = -1;
-          cum_ack = 0;
-          acked_seq = -1;
-          acked_sent_at = 0.;
-          acked_retx = false;
-          ecn_echo = false;
-          ack_xcp_feedback = None;
-          received_at = 0.;
-        }
-    done;
-    p.n_acks <- acks;
-    p
+(* Capacity a reset keeps: a queue-flood run may grow the table far
+   past this, but the next run starts from here again. *)
+let max_kept = 1 lsl 16
 
-  (* remy-lint: hot *)
-  let acquire p ~flow ~seq ~conn ~now ?(size = default_size) ?(retx = false)
-      ?(ecn_capable = false) ?xcp () =
-    if p.n_pkts > 0 then begin
-      p.n_pkts <- p.n_pkts - 1;
-      p.hits <- p.hits + 1;
-      let pkt = p.pkts.(p.n_pkts) in
-      pkt.flow <- flow;
-      pkt.seq <- seq;
-      pkt.conn <- conn;
-      pkt.size <- size;
-      pkt.sent_at <- now;
-      pkt.retx <- retx;
-      pkt.ecn_capable <- ecn_capable;
-      pkt.ecn_marked <- false;
-      pkt.corrupt <- false;
-      pkt.xcp <- xcp;
-      pkt
+(* Reallocate every column at [cap] handles; [keep] copies the old
+   contents over, else they are dropped.  A fresh column is left
+   uninitialised: every element is written before it is read, and pages
+   no handle reaches are never touched. *)
+let resize t cap ~keep =
+  let column kind old =
+    let c = Bigarray.Array1.create kind Bigarray.c_layout cap in
+    (if keep then
+       let n = Bigarray.Array1.dim old in
+       Bigarray.Array1.blit old (Bigarray.Array1.sub c 0 n));
+    c
+  in
+  t.flow <- column Bigarray.int t.flow;
+  t.seq <- column Bigarray.int t.seq;
+  t.conn <- column Bigarray.int t.conn;
+  t.size <- column Bigarray.int t.size;
+  t.flags <- column Bigarray.int t.flags;
+  t.sent_at <- column Bigarray.float64 t.sent_at;
+  t.xcp_cwnd <- column Bigarray.float64 t.xcp_cwnd;
+  t.xcp_rtt <- column Bigarray.float64 t.xcp_rtt;
+  t.xcp_feedback <- column Bigarray.float64 t.xcp_feedback;
+  t.cum_ack <- column Bigarray.int t.cum_ack;
+  t.received_at <- column Bigarray.float64 t.received_at;
+  t.free <- column Bigarray.int t.free
+
+let create () =
+  let ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0 in
+  let floats = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0 in
+  let t =
+    {
+      flow = ints;
+      seq = ints;
+      conn = ints;
+      size = ints;
+      flags = ints;
+      sent_at = floats;
+      xcp_cwnd = floats;
+      xcp_rtt = floats;
+      xcp_feedback = floats;
+      cum_ack = ints;
+      received_at = floats;
+      free = ints;
+      n_free = 0;
+      fresh = 0;
+      acquired = 0;
+      released = 0;
+      misses = 0;
+    }
+  in
+  resize t initial_capacity ~keep:false;
+  t
+
+(* The free stack is empty and every handle below capacity is in use:
+   double, keeping the live handles' columns. *)
+let grow t =
+  t.misses <- t.misses + 1;
+  resize t (2 * Bigarray.Array1.dim t.flow) ~keep:true
+
+(* remy-lint: hot *)
+let acquire t ~flow ~seq ~conn ~flags ~now =
+  let h =
+    if t.n_free > 0 then begin
+      t.n_free <- t.n_free - 1;
+      t.free.{t.n_free}
     end
     else begin
-      p.misses <- p.misses + 1;
-      (* cold miss path: forwarding to make's optional parameters boxes
-         the arguments in Some *)
-      (* remy-lint: allow hot-alloc *)
-      make ~flow ~seq ~conn ~now ~size ~retx ~ecn_capable ?xcp ()
+      if t.fresh >= Bigarray.Array1.dim t.flow then grow t;
+      let h = t.fresh in
+      t.fresh <- h + 1;
+      h
     end
+  in
+  t.acquired <- t.acquired + 1;
+  t.flow.{h} <- flow;
+  t.seq.{h} <- seq;
+  t.conn.{h} <- conn;
+  t.size.{h} <- default_size;
+  t.flags.{h} <- flags lor live;
+  t.sent_at.{h} <- now;
+  t.xcp_feedback.{h} <- Float.nan;
+  h
 
-  (* remy-lint: hot *)
-  let release p pkt =
-    if p.n_pkts >= Array.length p.pkts then begin
-      (* cold doubling path *)
-      let bigger = Array.make (2 * Array.length p.pkts) dummy in (* remy-lint: allow hot-alloc *)
-      Array.blit p.pkts 0 bigger 0 p.n_pkts;
-      p.pkts <- bigger
-    end;
-    p.pkts.(p.n_pkts) <- pkt;
-    p.n_pkts <- p.n_pkts + 1
+(* remy-lint: hot *)
+let release t h =
+  if h < 0 || h >= t.fresh || t.flags.{h} land live = 0 then
+    invalid_arg (Printf.sprintf "Packet.release: handle %d is not live" h);
+  t.flags.{h} <- t.flags.{h} land lnot live;
+  t.free.{t.n_free} <- h;
+  t.n_free <- t.n_free + 1;
+  t.released <- t.released + 1
 
-  (* remy-lint: hot *)
-  let acquire_ack p =
-    if p.n_acks > 0 then begin
-      p.n_acks <- p.n_acks - 1;
-      p.hits <- p.hits + 1;
-      p.acks.(p.n_acks)
-    end
-    else begin
-      p.misses <- p.misses + 1;
-      (* cold miss path: the pool ran dry *)
-      (* remy-lint: allow hot-alloc *)
-      {
-        ack_flow = -1;
-        ack_conn = -1;
-        cum_ack = 0;
-        acked_seq = -1;
-        acked_sent_at = 0.;
-        acked_retx = false;
-        ecn_echo = false;
-        ack_xcp_feedback = None;
-        received_at = 0.;
-      }
-    end
+let reset t =
+  if Bigarray.Array1.dim t.flow > max_kept then resize t max_kept ~keep:false;
+  t.n_free <- 0;
+  t.fresh <- 0;
+  t.acquired <- 0;
+  t.released <- 0;
+  t.misses <- 0
 
-  (* remy-lint: hot *)
-  let release_ack p ack =
-    if p.n_acks >= Array.length p.acks then begin
-      (* cold doubling path *)
-      let bigger = Array.make (2 * Array.length p.acks) dummy_ack in (* remy-lint: allow hot-alloc *)
-      Array.blit p.acks 0 bigger 0 p.n_acks;
-      p.acks <- bigger
-    end;
-    p.acks.(p.n_acks) <- ack;
-    p.n_acks <- p.n_acks + 1
+(* One table per domain, claimed by the outermost run.  [busy] is only
+   ever touched by its own domain. *)
+type slot = { table : table; mutable busy : bool }
 
-  let hits p = p.hits
-  let misses p = p.misses
-end
+let slot = Domain.DLS.new_key (fun () -> { table = create (); busy = false })
+
+let with_domain_table f =
+  let s = Domain.DLS.get slot in
+  if s.busy then f (create ())
+  else begin
+    s.busy <- true;
+    reset s.table;
+    Fun.protect ~finally:(fun () -> s.busy <- false) (fun () -> f s.table)
+  end
+
+let domain_table () = (Domain.DLS.get slot).table

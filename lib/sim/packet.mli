@@ -1,4 +1,4 @@
-(** Data packets and acknowledgments.
+(** Packets and acknowledgments as integer handles.
 
     One packet is one fixed-size TCP segment (the simulator works in
     whole segments, like Remy's own design-phase simulator).  Sequence
@@ -6,108 +6,112 @@
     congestion header and the ECN bits ride along for the router-assisted
     baselines.
 
-    All fields are mutable so that {!Pool} can re-initialise retired
-    records in place; every consumer outside the pool treats them as
-    write-once (the link marks [ecn_marked], XCP routers update
-    [xcp_feedback], everything else only reads). *)
+    A packet is a handle: an index into the columns of a {!table}, a
+    structure-of-arrays store with one int or float column per field.
+    Queues, delay lines and links hold handles, so moving a packet is an
+    int store with no write barrier.  The columns are bigarrays: the GC
+    never scans them, and a column's memory pages are touched only as
+    far as handles reach, so a grown table costs what its packets use.
 
-type xcp_header = {
-  xcp_cwnd : float;  (** sender cwnd, packets *)
-  xcp_rtt : float;  (** sender RTT estimate, seconds *)
-  mutable xcp_feedback : float;  (** router-granted window delta, packets *)
-}
+    A data packet that reaches its receiver comes back as its own
+    acknowledgment: the receiver writes the ACK columns ([cum_ack],
+    [received_at], and the feedback echo in [xcp_feedback]) into the
+    same handle, and the sender side releases it once the ACK is
+    handled.
 
-type t = {
-  mutable flow : int;  (** sender index within the experiment *)
-  mutable seq : int;  (** segment sequence number, from 0 per connection *)
-  mutable conn : int;  (** connection ("on" period) counter, guards stale ACKs *)
-  mutable size : int;  (** bytes on the wire *)
-  mutable sent_at : float;  (** transmission timestamp (echoed by receiver) *)
-  mutable retx : bool;  (** retransmission (Karn: no RTT sample) *)
-  mutable ecn_capable : bool;
-  mutable ecn_marked : bool;
-  mutable corrupt : bool;
-      (** payload corrupted in flight (fault injection); the link drops
-          the packet at service completion — it consumes capacity but is
-          never delivered *)
-  mutable xcp : xcp_header option;
-}
+    Every handle is released exactly once: after its ACK is handled, by
+    the receiver when it discards the packet (stale connection,
+    superseded delayed ACK), or at the site that drops it (qdisc
+    admission and head drops, {!Lossy}, the fault injector, corrupt
+    drops at the link).
 
-type ack = {
-  mutable ack_flow : int;
-  mutable ack_conn : int;
-  mutable cum_ack : int;  (** next segment expected in order *)
-  mutable acked_seq : int;  (** seq of the data packet that triggered this ACK *)
-  mutable acked_sent_at : float;  (** echo of that packet's [sent_at] *)
-  mutable acked_retx : bool;
-  mutable ecn_echo : bool;
-  mutable ack_xcp_feedback : float option;  (** packets of window delta *)
-  mutable received_at : float;  (** receiver timestamp *)
-}
+    Read and write a column through the table's field at each access
+    ([tbl.Packet.size.{h}]), never from a column saved earlier: an
+    acquire that grows the table replaces every column. *)
+
+val none : int
+(** [-1]: no packet (an empty queue's dequeue, an idle link). *)
 
 val default_size : int
 (** 1500 bytes: the segment size used throughout the evaluation. *)
 
-val make :
-  flow:int ->
-  seq:int ->
-  conn:int ->
-  now:float ->
-  ?size:int ->
-  ?retx:bool ->
-  ?ecn_capable:bool ->
-  ?xcp:xcp_header ->
-  unit ->
-  t
+(** {1 Flag bits}
 
-val dummy : t
-(** Placeholder packet for array fillers and not-in-service slots; never
-    enters a simulation. *)
+    Or-ed into the [flags] column. *)
 
-val dummy_ack : ack
+val retx : int
+(** Retransmission (Karn: its ACK gives no RTT sample). *)
 
-(** Free lists of packet and ack records, reused across a connection's
-    lifetime.  [acquire]/[acquire_ack] pop a recycled record (fully
-    re-initialised) or allocate on a miss; [release]/[release_ack] hand a
-    record back once no reference to it survives.  Records the owner
-    loses track of (e.g. packets dropped inside a qdisc) may simply be
-    garbage collected — the pool replenishes itself on the next miss. *)
-module Pool : sig
-  type pool
+val ecn_capable : int
 
-  val create : ?packets:int -> ?acks:int -> unit -> pool
-  (** [packets]/[acks] (default 0) pre-populate the free lists with
-      that many fresh records — counted as neither hits nor misses —
-      so a scenario that can estimate its working set (flow count plus
-      bandwidth-delay product) starts warm instead of cold-missing
-      through the first RTTs. *)
+val ecn_marked : int
+(** Set by a marking router; an ACK echoes it. *)
 
-  val acquire :
-    pool ->
-    flow:int ->
-    seq:int ->
-    conn:int ->
-    now:float ->
-    ?size:int ->
-    ?retx:bool ->
-    ?ecn_capable:bool ->
-    ?xcp:xcp_header ->
-    unit ->
-    t
+val corrupt : int
+(** Payload corrupted in flight (fault injection): the link drops the
+    packet at service completion, after it consumed capacity. *)
 
-  val release : pool -> t -> unit
-  (** The caller must not touch the record afterwards: it will be handed
-      out again, re-initialised, by a later [acquire]. *)
+val xcp : int
+(** The packet carries an XCP header ([xcp_cwnd], [xcp_rtt],
+    [xcp_feedback]). *)
 
-  val acquire_ack : pool -> ack
-  (** Unlike {!acquire} the ack comes back uninitialised (callers set
-      every field); a recycled record may carry stale values. *)
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  val release_ack : pool -> ack -> unit
+type table = private {
+  mutable flow : ints;  (** sender index within the experiment *)
+  mutable seq : ints;  (** segment number, from 0 per connection *)
+  mutable conn : ints;  (** connection ("on" period) counter, guards stale ACKs *)
+  mutable size : ints;  (** bytes on the wire *)
+  mutable flags : ints;  (** the flag bits above *)
+  mutable sent_at : floats;  (** transmission timestamp, echoed by the ACK *)
+  mutable xcp_cwnd : floats;  (** sender cwnd, packets *)
+  mutable xcp_rtt : floats;  (** sender RTT estimate, seconds *)
+  mutable xcp_feedback : floats;
+      (** NaN without an XCP header; the header's router-granted window
+          delta (packets, [infinity] until a router lowers it); on an ACK,
+          the finite feedback echoed to the sender, or NaN for none *)
+  mutable cum_ack : ints;  (** ACK: next segment expected in order *)
+  mutable received_at : floats;  (** ACK: receiver timestamp *)
+  mutable free : ints;  (** released handles, a stack *)
+  mutable n_free : int;
+  mutable fresh : int;
+      (** handles at and above [fresh] were never acquired since the
+          last {!reset} *)
+  mutable acquired : int;  (** acquires since the last {!reset} *)
+  mutable released : int;  (** releases since the last {!reset} *)
+  mutable misses : int;  (** acquires that grew the table *)
+}
 
-  val hits : pool -> int
-  (** Acquires served from the free list. *)
+val create : unit -> table
+(** A private table, for tests and for a {!with_domain_table} call
+    nested inside another. *)
 
-  val misses : pool -> int
-  (** Acquires that had to allocate. *)
-end
+val acquire :
+  table -> flow:int -> seq:int -> conn:int -> flags:int -> now:float -> int
+(** A handle for a fresh packet of {!default_size} bytes sent at [now],
+    with no XCP header ([xcp_feedback] NaN).  Reuses a released handle,
+    else the next never-used one; when none is left the table doubles
+    (a miss). *)
+
+val release : table -> int -> unit
+(** Hand the handle back.  Its columns keep their values until a later
+    {!acquire} hands it out again, which the next one does: the free
+    list is a stack.  Raises [Invalid_argument] if the handle is not
+    live (a double release). *)
+
+val reset : table -> unit
+(** Forget every handle: all become free at once, in O(1), and the
+    counters restart at zero.  Capacity above 2^16 handles is dropped,
+    so a queue-flood run does not pin its memory. *)
+
+val with_domain_table : (table -> 'a) -> 'a
+(** [with_domain_table f] runs [f] on this domain's table, reset first,
+    so a run's leftover handles cost nothing and steady-state runs grow
+    nothing.  A call nested inside another on the same domain (a
+    simulation started from a delivery hook) gets a private table
+    instead, leaving the outer run's handles alone.  The domain's table
+    is released again when [f] returns or raises. *)
+
+val domain_table : unit -> table
+(** This domain's table, to inspect the last run's counters. *)

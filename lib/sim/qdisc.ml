@@ -1,7 +1,7 @@
 type t = {
   name : string;
-  enqueue : now:float -> Packet.t -> bool;
-  dequeue : now:float -> Packet.t option;
+  enqueue : now:float -> int -> bool;
+  dequeue : now:float -> int;
   length : unit -> int;
   byte_length : unit -> int;
   drops : unit -> int;

@@ -15,6 +15,7 @@
 
 val create :
   ?tracer:Remy_obs.Trace.t ->
+  table:Packet.table ->
   capacity:int ->
   min_th:float ->
   max_th:float ->
@@ -29,5 +30,10 @@ val create :
     off) records enqueue/dequeue/drop/ecn_mark events. *)
 
 val create_dctcp :
-  ?tracer:Remy_obs.Trace.t -> capacity:int -> threshold:int -> unit -> Qdisc.t
+  ?tracer:Remy_obs.Trace.t ->
+  table:Packet.table ->
+  capacity:int ->
+  threshold:int ->
+  unit ->
+  Qdisc.t
 (** [threshold] K in packets (DCTCP paper uses K = 65 at 10 Gbps). *)

@@ -1,5 +1,5 @@
 type bin = {
-  q : (float * Packet.t) Queue.t;
+  q : Fifo.t;
   codel : Codel.State.t;
   mutable bytes : int;
   mutable deficit : int;
@@ -7,57 +7,61 @@ type bin = {
 }
 
 let create ?(tracer = Remy_obs.Trace.off) ?(bins = 1024)
-    ?(quantum = Packet.default_size) ?target ?interval ~capacity () =
+    ?(quantum = Packet.default_size) ?target ?interval ~table ~capacity () =
   let module T = Remy_obs.Trace in
   let make_bin () =
     {
-      q = Queue.create ();
+      q = Fifo.create ();
       codel = Codel.State.create ?target ?interval ();
       bytes = 0;
       deficit = 0;
       active = false;
     }
   in
-  let table = Array.init bins (fun _ -> make_bin ()) in
+  let bin_of = Array.init bins (fun _ -> make_bin ()) in
   let new_flows : int Queue.t = Queue.create () in
   let old_flows : int Queue.t = Queue.create () in
   let total_pkts = ref 0 in
   let drops = ref 0 in
   let total_bytes = ref 0 in
   let hash flow = flow * 2654435761 land (bins - 1) in
-  let event ~now kind (pkt : Packet.t) =
+  let event ~now kind h =
     if T.is_on tracer then
-      T.packet_event tracer ~now ~kind ~queue:"sfqcodel" ~flow:pkt.Packet.flow
-        ~seq:pkt.Packet.seq ~size:pkt.Packet.size ~qlen:!total_pkts ()
+      T.packet_event tracer ~now ~kind ~queue:"sfqcodel" ~flow:table.Packet.flow.{h}
+        ~seq:table.Packet.seq.{h} ~size:table.Packet.size.{h} ~qlen:!total_pkts ()
+  in
+  let drop ~now h =
+    incr drops;
+    event ~now T.Drop h;
+    Packet.release table h
   in
   let drop_from_fattest ~now =
     (* Head-drop from the bin with the largest byte backlog. *)
     let fattest = ref (-1) in
     Array.iteri
       (fun i b ->
-        if b.bytes > 0 && (!fattest < 0 || b.bytes > table.(!fattest).bytes) then
+        if b.bytes > 0 && (!fattest < 0 || b.bytes > bin_of.(!fattest).bytes) then
           fattest := i)
-      table;
+      bin_of;
     if !fattest >= 0 then begin
-      let b = table.(!fattest) in
-      match Queue.take_opt b.q with
-      | Some (_, pkt) ->
-        b.bytes <- b.bytes - pkt.Packet.size;
-        total_bytes := !total_bytes - pkt.Packet.size;
+      let b = bin_of.(!fattest) in
+      let h = Fifo.pop b.q in
+      if h <> Packet.none then begin
+        b.bytes <- b.bytes - table.Packet.size.{h};
+        total_bytes := !total_bytes - table.Packet.size.{h};
         decr total_pkts;
-        incr drops;
-        event ~now T.Drop pkt
-      | None -> ()
+        drop ~now h
+      end
     end
   in
-  let enqueue ~now pkt =
-    let i = hash pkt.Packet.flow in
-    let b = table.(i) in
-    Queue.add (now, pkt) b.q;
-    b.bytes <- b.bytes + pkt.Packet.size;
-    total_bytes := !total_bytes + pkt.Packet.size;
+  let enqueue ~now h =
+    let i = hash table.Packet.flow.{h} in
+    let b = bin_of.(i) in
+    Fifo.push b.q h ~at:now;
+    b.bytes <- b.bytes + table.Packet.size.{h};
+    total_bytes := !total_bytes + table.Packet.size.{h};
     incr total_pkts;
-    event ~now T.Enqueue pkt;
+    event ~now T.Enqueue h;
     if not b.active then begin
       b.active <- true;
       b.deficit <- quantum;
@@ -67,22 +71,18 @@ let create ?(tracer = Remy_obs.Trace.off) ?(bins = 1024)
     true
     (* the arriving packet itself is admitted; overflow drops the fattest *)
   in
-  let pop_bin b () =
-    match Queue.take_opt b.q with
-    | None -> None
-    | Some (at, pkt) ->
-      b.bytes <- b.bytes - pkt.Packet.size;
-      total_bytes := !total_bytes - pkt.Packet.size;
-      decr total_pkts;
-      Some (at, pkt)
+  let on_pop b h =
+    b.bytes <- b.bytes - table.Packet.size.{h};
+    total_bytes := !total_bytes - table.Packet.size.{h};
+    decr total_pkts
   in
   let rec serve ~now =
     let from_new = not (Queue.is_empty new_flows) in
     let list = if from_new then new_flows else old_flows in
     match Queue.peek_opt list with
-    | None -> None
+    | None -> Packet.none
     | Some i ->
-      let b = table.(i) in
+      let b = bin_of.(i) in
       if b.deficit <= 0 then begin
         ignore (Queue.pop list);
         b.deficit <- b.deficit + quantum;
@@ -90,24 +90,23 @@ let create ?(tracer = Remy_obs.Trace.off) ?(bins = 1024)
         serve ~now
       end
       else begin
-        let pkt =
-          Codel.State.dequeue b.codel ~now ~pop:(pop_bin b)
+        let h =
+          Codel.State.dequeue b.codel ~now b.q ~on_pop:(on_pop b)
             ~bytes:(fun () -> b.bytes)
-            ~on_drop:(fun pkt ->
-              incr drops;
-              event ~now T.Drop pkt)
+            ~on_drop:(drop ~now)
         in
-        match pkt with
-        | Some pkt ->
-          b.deficit <- b.deficit - pkt.Packet.size;
-          event ~now T.Dequeue pkt;
-          Some pkt
-        | None ->
+        if h <> Packet.none then begin
+          b.deficit <- b.deficit - table.Packet.size.{h};
+          event ~now T.Dequeue h;
+          h
+        end
+        else begin
           (* Bin is empty: new bins get one more pass via the old list;
              old bins go inactive. *)
           ignore (Queue.pop list);
           if from_new then Queue.add i old_flows else b.active <- false;
           serve ~now
+        end
       end
   in
   {

@@ -14,6 +14,7 @@ val create :
   ?quantum:int ->
   ?target:float ->
   ?interval:float ->
+  table:Packet.table ->
   capacity:int ->
   unit ->
   Qdisc.t

@@ -1,13 +1,13 @@
-let create engine ?(tracer = Remy_obs.Trace.off) ~capacity_pps ~queue_capacity
-    ?(alpha = 0.4) ?(beta = 0.226) ?(gamma = 0.1) () =
+let create engine ?(tracer = Remy_obs.Trace.off) ~table ~capacity_pps
+    ~queue_capacity ?(alpha = 0.4) ?(beta = 0.226) ?(gamma = 0.1) () =
   let module T = Remy_obs.Trace in
-  let q : Packet.t Queue.t = Queue.create () in
+  let q = Fifo.create () in
   let bytes = ref 0 in
   let drops = ref 0 in
-  let event ~now kind (pkt : Packet.t) =
+  let event ~now kind h =
     if T.is_on tracer then
-      T.packet_event tracer ~now ~kind ~queue:"xcp" ~flow:pkt.Packet.flow
-        ~seq:pkt.Packet.seq ~size:pkt.Packet.size ~qlen:(Queue.length q) ()
+      T.packet_event tracer ~now ~kind ~queue:"xcp" ~flow:table.Packet.flow.{h}
+        ~seq:table.Packet.seq.{h} ~size:table.Packet.size.{h} ~qlen:(Fifo.length q) ()
   in
   (* Control-interval accumulators (reset each interval). *)
   let arrivals = ref 0. in
@@ -45,60 +45,49 @@ let create engine ?(tracer = Remy_obs.Trace.off) ~capacity_pps ~queue_capacity
     arrivals := 0.;
     sum_rtt := 0.;
     sum_rtt_by_cwnd := 0.;
-    min_queue := Queue.length q;
+    min_queue := Fifo.length q;
     Engine.schedule_in engine !d control_tick
   in
   Engine.schedule_in engine !d control_tick;
-  let feedback_for pkt =
-    match pkt.Packet.xcp with
-    | None -> ()
-    | Some hdr ->
-      let rtt = effective_rtt hdr.Packet.xcp_rtt in
-      let cwnd = effective_cwnd hdr.Packet.xcp_cwnd in
-      let p = !xi_pos *. rtt *. rtt /. cwnd in
-      let n = !xi_neg *. rtt in
-      let h = p -. n in
-      (* Downstream routers take the minimum feedback; emulate that even
-         though our topologies have a single bottleneck. *)
-      hdr.Packet.xcp_feedback <- Float.min hdr.Packet.xcp_feedback h
-  in
-  let enqueue ~now pkt =
-    if Queue.length q >= queue_capacity then begin
+  let enqueue ~now h =
+    if Fifo.length q >= queue_capacity then begin
       incr drops;
-      event ~now T.Drop pkt;
+      event ~now T.Drop h;
+      Packet.release table h;
       false
     end
     else begin
-      (match pkt.Packet.xcp with
-      | Some hdr ->
-        let rtt = effective_rtt hdr.Packet.xcp_rtt in
-        let cwnd = effective_cwnd hdr.Packet.xcp_cwnd in
-        arrivals := !arrivals +. 1.;
+      arrivals := !arrivals +. 1.;
+      if table.Packet.flags.{h} land Packet.xcp <> 0 then begin
+        let rtt = effective_rtt table.Packet.xcp_rtt.{h} in
+        let cwnd = effective_cwnd table.Packet.xcp_cwnd.{h} in
         sum_rtt := !sum_rtt +. rtt;
-        sum_rtt_by_cwnd := !sum_rtt_by_cwnd +. (rtt /. cwnd)
-      | None -> arrivals := !arrivals +. 1.);
-      feedback_for pkt;
-      Queue.add pkt q;
-      bytes := !bytes + pkt.Packet.size;
-      event ~now T.Enqueue pkt;
+        sum_rtt_by_cwnd := !sum_rtt_by_cwnd +. (rtt /. cwnd);
+        (* Downstream routers take the minimum feedback; emulate that
+           even though our topologies have a single bottleneck. *)
+        let feedback = (!xi_pos *. rtt *. rtt /. cwnd) -. (!xi_neg *. rtt) in
+        table.Packet.xcp_feedback.{h} <- Float.min table.Packet.xcp_feedback.{h} feedback
+      end;
+      Fifo.push q h ~at:now;
+      bytes := !bytes + table.Packet.size.{h};
+      event ~now T.Enqueue h;
       true
     end
   in
   let dequeue ~now =
-    let r = Queue.take_opt q in
-    (match r with
-    | Some pkt ->
-      bytes := !bytes - pkt.Packet.size;
-      event ~now T.Dequeue pkt
-    | None -> ());
-    if Queue.length q < !min_queue then min_queue := Queue.length q;
-    r
+    let h = Fifo.pop q in
+    if h <> Packet.none then begin
+      bytes := !bytes - table.Packet.size.{h};
+      event ~now T.Dequeue h
+    end;
+    if Fifo.length q < !min_queue then min_queue := Fifo.length q;
+    h
   in
   {
     Qdisc.name = "xcp";
     enqueue;
     dequeue;
-    length = (fun () -> Queue.length q);
+    length = (fun () -> Fifo.length q);
     byte_length = (fun () -> !bytes);
     drops = (fun () -> !drops);
   }

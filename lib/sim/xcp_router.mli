@@ -18,6 +18,7 @@
 val create :
   Engine.t ->
   ?tracer:Remy_obs.Trace.t ->
+  table:Packet.table ->
   capacity_pps:float ->
   queue_capacity:int ->
   ?alpha:float ->

@@ -258,13 +258,15 @@ let test_xcp_stamps_header () =
   let cc = Xcp.make ~initial_window:7. () in
   cc.Cc.reset ~now:0.;
   cc.Cc.on_ack (ack ~rtt:(Some 0.123) ~xcp:(Some 0.) ());
-  match cc.Cc.stamp ~now:1. with
-  | Some hdr ->
-    Alcotest.(check (float 1e-9)) "cwnd stamped" 7. hdr.Remy_sim.Packet.xcp_cwnd;
-    Alcotest.(check (float 1e-9)) "rtt stamped" 0.123 hdr.Remy_sim.Packet.xcp_rtt;
-    Alcotest.(check bool) "feedback starts unbounded" true
-      (hdr.Remy_sim.Packet.xcp_feedback = infinity)
-  | None -> Alcotest.fail "no header"
+  let open Remy_sim in
+  let table = Packet.create () in
+  let h = Packet.acquire table ~flow:0 ~seq:0 ~conn:0 ~flags:0 ~now:1. in
+  cc.Cc.stamp table h;
+  Alcotest.(check bool) "header flagged" true (table.Packet.flags.{h} land Packet.xcp <> 0);
+  Alcotest.(check (float 1e-9)) "cwnd stamped" 7. table.Packet.xcp_cwnd.{h};
+  Alcotest.(check (float 1e-9)) "rtt stamped" 0.123 table.Packet.xcp_rtt.{h};
+  Alcotest.(check bool) "feedback starts unbounded" true
+    (table.Packet.xcp_feedback.{h} = infinity)
 
 let test_xcp_reno_fallback () =
   let cc = Xcp.make ~initial_window:4. () in

@@ -4,18 +4,21 @@ open Remy_sim
 (* Delayed-ACK tests on a one-flow receiver bank driven by an explicit
    engine. *)
 
+let table = Packet.create ()
+
 let make_receiver ?delack engine =
   let metrics = Metrics.create ~n_flows:1 in
   let acks = ref [] in
   let r =
-    Receiver_bank.create ?delack engine ~metrics ~pool:(Packet.Pool.create ())
+    Receiver_bank.create ?delack engine ~metrics ~table
       ~ack_sink:(fun _ a -> acks := a :: !acks)
       ~fwd_delay:[| 0. |]
   in
   (r, acks)
 
 let receive r ~now pkt = Receiver_bank.receive r ~now 0 pkt
-let pkt ?(conn = 0) seq = Packet.make ~flow:0 ~seq ~conn ~now:0.1 ()
+let pkt ?(conn = 0) seq = Packet.acquire table ~flow:0 ~seq ~conn ~flags:0 ~now:0.1
+let cum_ack a = table.Packet.cum_ack.{a}
 
 let test_batches_in_order () =
   let r, acks = make_receiver ~delack:(2, 0.2) (Engine.create ()) in
@@ -23,7 +26,7 @@ let test_batches_in_order () =
   Alcotest.(check int) "first arrival deferred" 0 (List.length !acks);
   receive r ~now:0.21 (pkt 1);
   Alcotest.(check int) "second arrival flushes" 1 (List.length !acks);
-  Alcotest.(check int) "cumulative covers both" 2 (List.hd !acks).Packet.cum_ack
+  Alcotest.(check int) "cumulative covers both" 2 (cum_ack (List.hd !acks))
 
 let test_timer_flushes_straggler () =
   let engine = Engine.create () in
@@ -31,7 +34,7 @@ let test_timer_flushes_straggler () =
   Engine.schedule engine 0.1 (fun () -> receive r ~now:0.1 (pkt 0));
   Engine.run engine ~until:1.;
   Alcotest.(check int) "timer flushed the straggler" 1 (List.length !acks);
-  Alcotest.(check int) "cum" 1 (List.hd !acks).Packet.cum_ack
+  Alcotest.(check int) "cum" 1 (cum_ack (List.hd !acks))
 
 let test_out_of_order_immediate () =
   let r, acks = make_receiver ~delack:(4, 0.5) (Engine.create ()) in
@@ -40,7 +43,7 @@ let test_out_of_order_immediate () =
      the sender's dupACK counter works. *)
   receive r ~now:0.2 (pkt 2);
   Alcotest.(check bool) "dup ack immediate" true (List.length !acks >= 1);
-  let cum = (List.hd !acks).Packet.cum_ack in
+  let cum = (cum_ack (List.hd !acks)) in
   Alcotest.(check int) "cum shows the hole" 1 cum
 
 let test_no_delack_unchanged () =
@@ -57,14 +60,15 @@ let test_transfer_with_delack_completes () =
   let metrics = Metrics.create ~n_flows:1 in
   let sender_cell = ref None in
   let receiver =
-    Receiver_bank.create ~delack:(2, 0.2) engine ~metrics ~pool:(Packet.Pool.create ())
+    Receiver_bank.create ~delack:(2, 0.2) engine ~metrics ~table
       ~ack_sink:(fun _ a ->
         Engine.schedule_in engine 0.05 (fun () ->
-            Tcp_sender.handle_ack (Option.get !sender_cell) a))
+            Tcp_sender.handle_ack (Option.get !sender_cell) a;
+            Packet.release table a))
       ~fwd_delay:[| 0.05 |]
   in
   let sender =
-    Tcp_sender.create engine
+    Tcp_sender.create ~table engine
       {
         Tcp_sender.flow = 0;
         cc = Newreno.make ();

@@ -6,7 +6,7 @@ let test_constant_delay_fifo () =
   let engine = Engine.create () in
   let got = ref [] in
   let dl =
-    Delay_line.create engine ~delay:0.5 ~filler:(-1) (fun v ->
+    Delay_line.create engine ~delay:0.5 (fun v ->
         got := (Engine.now engine, v) :: !got)
   in
   Engine.schedule engine 0. (fun () ->
@@ -30,7 +30,7 @@ let test_ring_grows_transparently () =
   let seen = ref 0 in
   let next_expected = ref 0 in
   let dl =
-    Delay_line.create engine ~delay:0.1 ~filler:(-1) (fun v ->
+    Delay_line.create engine ~delay:0.1 (fun v ->
         Alcotest.(check int) "in push order" !next_expected v;
         incr next_expected;
         incr seen)
@@ -53,7 +53,7 @@ let test_reentrant_push () =
   let times = ref [] in
   let dl_ref = ref None in
   let dl =
-    Delay_line.create engine ~delay:0.5 ~filler:(-1) (fun v ->
+    Delay_line.create engine ~delay:0.5 (fun v ->
         times := Engine.now engine :: !times;
         if v < 3 then Delay_line.push (Option.get !dl_ref) (v + 1))
   in

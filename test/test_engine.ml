@@ -188,7 +188,7 @@ let on_engine prog =
           let h = Engine.register e f in
           fun dt -> Engine.schedule_handle_in e dt h);
       line =
-        (fun delay handler -> Delay_line.push (Delay_line.create e ~delay ~filler:(-1) handler));
+        (fun delay handler -> Delay_line.push (Delay_line.create e ~delay handler));
       run = (fun () -> Engine.run e ~until:1e9);
     }
     prog

@@ -131,20 +131,21 @@ let ge_stationary_prop =
 
 (* ---------- Injector unit behavior ---------- *)
 
-let mk_pkt seq = Packet.make ~flow:0 ~seq ~conn:0 ~now:0. ()
+let table = Packet.create ()
+let mk_pkt seq = Packet.acquire table ~flow:0 ~seq ~conn:0 ~flags:0 ~now:0.
 
 let test_maybe_empty_is_inner () =
   let engine = Engine.create () in
-  let inner = Droptail.create ~capacity:10 () in
-  let gate, inj = Injector.maybe engine ~seed:1 Spec.empty_link ~inner in
+  let inner = Droptail.create ~table ~capacity:10 () in
+  let gate, inj = Injector.maybe engine ~table ~seed:1 Spec.empty_link ~inner in
   Alcotest.(check bool) "inner returned untouched" true (gate == inner);
   Alcotest.(check bool) "no injector" true (inj = None)
 
 let test_duplication_and_corruption () =
   let engine = Engine.create () in
-  let inner = Droptail.create ~capacity:10_000 () in
+  let inner = Droptail.create ~table ~capacity:10_000 () in
   let spec = Spec.for_link (parse_ok "dup:0.5;corrupt:1") 0 in
-  let gate, inj = Injector.create engine ~seed:5 spec ~inner in
+  let gate, inj = Injector.create engine ~table ~seed:5 spec ~inner in
   for i = 0 to 999 do
     ignore (gate.Qdisc.enqueue ~now:0. (mk_pkt i))
   done;
@@ -159,9 +160,9 @@ let test_duplication_and_corruption () =
 
 let test_reorder_holds_packets () =
   let engine = Engine.create () in
-  let inner = Droptail.create ~capacity:10_000 () in
+  let inner = Droptail.create ~table ~capacity:10_000 () in
   let spec = Spec.for_link (parse_ok "reorder:1,0.01") 0 in
-  let gate, inj = Injector.create engine ~seed:6 spec ~inner in
+  let gate, inj = Injector.create engine ~table ~seed:6 spec ~inner in
   for i = 0 to 9 do
     Alcotest.(check bool) "gate accepts held packet" true
       (gate.Qdisc.enqueue ~now:0. (mk_pkt i))
@@ -172,6 +173,34 @@ let test_reorder_holds_packets () =
   Alcotest.(check int) "all arrive after the hold" 10 (inner.Qdisc.length ());
   Alcotest.(check int) "reorder draws counted" 10
     (Injector.stats inj).Injector.reordered
+
+let test_duplicate_of_dropped_packet () =
+  (* With the queue full the original is tail-dropped, so released,
+     before the injector copies it; the copy must still carry every
+     column of the original, though it reuses the original's handle. *)
+  let engine = Engine.create () in
+  let table = Packet.create () in
+  let sink, read = Remy_obs.Sink.memory () in
+  let inner = Droptail.create ~tracer:(Remy_obs.Trace.make sink) ~table ~capacity:1 () in
+  let spec = Spec.for_link (parse_ok "dup:1") 0 in
+  let gate, _ = Injector.create engine ~table ~seed:7 spec ~inner in
+  let pkt seq = Packet.acquire table ~flow:3 ~seq ~conn:0 ~flags:0 ~now:0. in
+  ignore (gate.Qdisc.enqueue ~now:0. (pkt 0));
+  let p = pkt 1 in
+  table.Packet.size.{p} <- 99;
+  Alcotest.(check bool) "original dropped" false (gate.Qdisc.enqueue ~now:0. p);
+  let module R = Remy_obs.Record in
+  let drops =
+    List.filter_map
+      (fun r ->
+        match (R.find "ev" r, R.find "seq" r, R.find "size" r) with
+        | Some (R.Str "drop"), Some (R.Int 1), Some (R.Int size) -> Some size
+        | _ -> None)
+      (read ())
+  in
+  Alcotest.(check (list int)) "original and copy dropped, both 99 bytes" [ 99; 99 ] drops;
+  Alcotest.(check int) "only the first original is live" 1
+    (table.Packet.acquired - table.Packet.released)
 
 (* ---------- End-to-end dumbbell runs ---------- *)
 
@@ -458,6 +487,8 @@ let tests =
     Alcotest.test_case "duplication and corruption" `Quick
       test_duplication_and_corruption;
     Alcotest.test_case "reorder holds packets" `Quick test_reorder_holds_packets;
+    Alcotest.test_case "duplicate of a dropped packet" `Quick
+      test_duplicate_of_dropped_packet;
     Alcotest.test_case "no-fault bit identity" `Slow test_no_fault_bit_identity;
     Alcotest.test_case "outage park delivers" `Slow
       test_outage_park_delivers_everything;

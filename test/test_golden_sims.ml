@@ -160,12 +160,15 @@ let queue_flood () =
       ()
   in
   let b = Buffer.create 1024 in
+  let floods = ref 0 in
   List.iter
     (fun s ->
       render_flows b
         (Evaluator.specimen_flow_summaries ~queue_capacity:Qdisc.unlimited_capacity
-           ~duration:model.Net_model.sim_duration tree s))
+           ~duration:model.Net_model.sim_duration tree s);
+      if (Packet.domain_table ()).Packet.acquired >= 1 lsl 16 then incr floods)
     (Net_model.draw_many model (Remy_util.Prng.create 42) 8);
+  Alcotest.(check int) "specimens that send 2^16 packets or more" 2 !floods;
   Buffer.contents b
 
 let sim_cases =

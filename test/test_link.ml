@@ -1,14 +1,15 @@
 open Remy_sim
 
-let mk_pkt seq = Packet.make ~flow:0 ~seq ~conn:0 ~now:0. ()
+let table = Packet.create ()
+let mk_pkt seq = Packet.acquire table ~flow:0 ~seq ~conn:0 ~flags:0 ~now:0.
 
 let test_constant_rate_timing () =
   let engine = Engine.create () in
-  let qdisc = Droptail.create ~capacity:100 () in
+  let qdisc = Droptail.create ~table ~capacity:100 () in
   let deliveries = ref [] in
   let link =
-    Link.create_constant engine ~qdisc ~bytes_per_sec:15000.
-      ~sink:(fun pkt -> deliveries := (Engine.now engine, pkt.Packet.seq) :: !deliveries)
+    Link.create_constant engine ~table ~qdisc ~bytes_per_sec:15000.
+      ~sink:(fun h -> deliveries := (Engine.now engine, table.Packet.seq.{h}) :: !deliveries)
   in
   (* Two packets of 1500 B at 15 kB/s: 0.1 s each, back to back. *)
   Link.send link (mk_pkt 0);
@@ -22,10 +23,10 @@ let test_constant_rate_timing () =
 
 let test_idle_restart () =
   let engine = Engine.create () in
-  let qdisc = Droptail.create ~capacity:100 () in
+  let qdisc = Droptail.create ~table ~capacity:100 () in
   let deliveries = ref [] in
   let link =
-    Link.create_constant engine ~qdisc ~bytes_per_sec:15000.
+    Link.create_constant engine ~table ~qdisc ~bytes_per_sec:15000.
       ~sink:(fun _ -> deliveries := Engine.now engine :: !deliveries)
   in
   Link.send link (mk_pkt 0);
@@ -37,9 +38,9 @@ let test_idle_restart () =
 
 let test_delivered_counters () =
   let engine = Engine.create () in
-  let qdisc = Droptail.create ~capacity:100 () in
+  let qdisc = Droptail.create ~table ~capacity:100 () in
   let link =
-    Link.create_constant engine ~qdisc ~bytes_per_sec:1e6 ~sink:(fun _ -> ())
+    Link.create_constant engine ~table ~qdisc ~bytes_per_sec:1e6 ~sink:(fun _ -> ())
   in
   for i = 0 to 9 do
     Link.send link (mk_pkt i)
@@ -50,7 +51,7 @@ let test_delivered_counters () =
 
 let test_trace_link_follows_instants () =
   let engine = Engine.create () in
-  let qdisc = Droptail.create ~capacity:100 () in
+  let qdisc = Droptail.create ~table ~capacity:100 () in
   let gaps = [| 0.5; 0.25; 0.25 |] in
   let i = ref 0 in
   let next_gap () =
@@ -60,8 +61,8 @@ let test_trace_link_follows_instants () =
   in
   let deliveries = ref [] in
   let link =
-    Link.create_trace engine ~qdisc ~next_gap
-      ~sink:(fun pkt -> deliveries := (Engine.now engine, pkt.Packet.seq) :: !deliveries)
+    Link.create_trace engine ~table ~qdisc ~next_gap
+      ~sink:(fun h -> deliveries := (Engine.now engine, table.Packet.seq.{h}) :: !deliveries)
   in
   (* Three packets enqueued immediately; they leave exactly at the trace
      instants 0.5, 0.75, 1.0. *)
@@ -80,11 +81,11 @@ let test_trace_link_wastes_idle_instants () =
   (* A delivery opportunity with an empty queue is lost, not banked —
      the paper's cellular replay semantics. *)
   let engine = Engine.create () in
-  let qdisc = Droptail.create ~capacity:100 () in
+  let qdisc = Droptail.create ~table ~capacity:100 () in
   let next_gap () = 0.5 in
   let deliveries = ref [] in
   let link =
-    Link.create_trace engine ~qdisc ~next_gap
+    Link.create_trace engine ~table ~qdisc ~next_gap
       ~sink:(fun _ -> deliveries := Engine.now engine :: !deliveries)
   in
   (* First opportunity at 0.5 is wasted; the packet arrives at 0.7 and

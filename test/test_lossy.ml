@@ -1,10 +1,11 @@
 open Remy_sim
 open Remy_cc
 
-let mk_pkt seq = Packet.make ~flow:0 ~seq ~conn:0 ~now:0. ()
+let table = Packet.create ()
+let mk_pkt seq = Packet.acquire table ~flow:0 ~seq ~conn:0 ~flags:0 ~now:0.
 
 let test_zero_rate_transparent () =
-  let q = Lossy.create ~inner:(Droptail.create ~capacity:10 ()) ~loss_rate:0. ~seed:1 () in
+  let q = Lossy.create ~table ~inner:(Droptail.create ~table ~capacity:10 ()) ~loss_rate:0. ~seed:1 () in
   for i = 0 to 9 do
     Alcotest.(check bool) "accepted" true (q.Qdisc.enqueue ~now:0. (mk_pkt i))
   done;
@@ -13,7 +14,7 @@ let test_zero_rate_transparent () =
 
 let test_loss_rate_approximate () =
   let q =
-    Lossy.create ~inner:(Droptail.create ~capacity:1_000_000 ()) ~loss_rate:0.1 ~seed:2 ()
+    Lossy.create ~table ~inner:(Droptail.create ~table ~capacity:1_000_000 ()) ~loss_rate:0.1 ~seed:2 ()
   in
   let n = 20_000 in
   let dropped = ref 0 in
@@ -27,7 +28,7 @@ let test_loss_rate_approximate () =
 let test_deterministic () =
   let run seed =
     let q =
-      Lossy.create ~inner:(Droptail.create ~capacity:1_000_000 ()) ~loss_rate:0.3 ~seed ()
+      Lossy.create ~table ~inner:(Droptail.create ~table ~capacity:1_000_000 ()) ~loss_rate:0.3 ~seed ()
     in
     List.init 100 (fun i -> q.Qdisc.enqueue ~now:0. (mk_pkt i))
   in
@@ -35,7 +36,7 @@ let test_deterministic () =
   Alcotest.(check bool) "different seed differs" true (run 5 <> run 6)
 
 let test_inner_drops_included () =
-  let q = Lossy.create ~inner:(Droptail.create ~capacity:2 ()) ~loss_rate:0. ~seed:1 () in
+  let q = Lossy.create ~table ~inner:(Droptail.create ~table ~capacity:2 ()) ~loss_rate:0. ~seed:1 () in
   for i = 0 to 4 do
     ignore (q.Qdisc.enqueue ~now:0. (mk_pkt i))
   done;

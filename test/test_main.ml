@@ -25,6 +25,7 @@ let () =
       ("codel", Test_codel.tests);
       ("delay-line", Test_delay_line.tests);
       ("packet-pool", Test_packet_pool.tests);
+      ("packet-table", Test_packet_table.tests);
       ("link", Test_link.tests);
       ("workload", Test_workload.tests);
       ("metrics", Test_metrics.tests);

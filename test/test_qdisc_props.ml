@@ -4,13 +4,16 @@
 
 open Remy_sim
 
-let mk_pkt ~flow seq = Packet.make ~flow ~seq ~conn:0 ~now:0. ()
+let mk_pkt table ~flow seq = Packet.acquire table ~flow ~seq ~conn:0 ~flags:0 ~now:0.
 
 (* Interpret a random op list against a qdisc, tracking time; check that
-   accepted - dequeued - codel_drops = final length, and byte/packet
-   accounting agree. *)
+   accepted - dequeued - codel_drops = final length, that byte/packet
+   accounting agree, and that the qdisc released every handle it
+   dropped, and only those: with dequeued handles released here, the
+   table's live handles are exactly the queued ones. *)
 let run_ops make_qdisc ops =
-  let q = make_qdisc () in
+  let table = Packet.create () in
+  let q = make_qdisc table in
   let now = ref 0. in
   let accepted = ref 0 in
   let dequeued = ref 0 in
@@ -20,13 +23,15 @@ let run_ops make_qdisc ops =
       now := !now +. 0.001;
       if op then begin
         incr seq;
-        if q.Qdisc.enqueue ~now:!now (mk_pkt ~flow:(!seq mod 7) !seq) then
+        if q.Qdisc.enqueue ~now:!now (mk_pkt table ~flow:(!seq mod 7) !seq) then
           incr accepted
       end
       else
-        match q.Qdisc.dequeue ~now:!now with
-        | Some _ -> incr dequeued
-        | None -> ())
+        let h = q.Qdisc.dequeue ~now:!now in
+        if h <> Packet.none then begin
+          incr dequeued;
+          Packet.release table h
+        end)
     ops;
   let len = q.Qdisc.length () in
   let bytes = q.Qdisc.byte_length () in
@@ -34,18 +39,21 @@ let run_ops make_qdisc ops =
      drops() but were counted as accepted.  The fundamental conservation
      is: accepted = dequeued + still-queued + post-accept drops. *)
   let post_accept_drops = !accepted - !dequeued - len in
-  len >= 0 && bytes = len * Packet.default_size && post_accept_drops >= 0
+  len >= 0
+  && bytes = len * Packet.default_size
+  && post_accept_drops >= 0
+  && table.Packet.acquired - table.Packet.released = len
 
 let qdisc_cases =
   [
-    ("droptail", fun () -> Droptail.create ~capacity:50 ());
-    ("codel", fun () -> Codel.create ~capacity:50 ());
-    ("sfqcodel", fun () -> Sfq_codel.create ~capacity:50 ~bins:16 ());
+    ("droptail", fun table -> Droptail.create ~table ~capacity:50 ());
+    ("codel", fun table -> Codel.create ~table ~capacity:50 ());
+    ("sfqcodel", fun table -> Sfq_codel.create ~table ~capacity:50 ~bins:16 ());
     ( "dctcp-red",
-      fun () -> Red.create_dctcp ~capacity:50 ~threshold:10 () );
+      fun table -> Red.create_dctcp ~table ~capacity:50 ~threshold:10 () );
     ( "red",
-      fun () ->
-        Red.create ~capacity:50 ~min_th:5. ~max_th:20. ~max_p:0.5 ~weight:0.1
+      fun table ->
+        Red.create ~table ~capacity:50 ~min_th:5. ~max_th:20. ~max_p:0.5 ~weight:0.1
           ~seed:3 () );
   ]
 
@@ -58,15 +66,14 @@ let prop_conservation (name, make_qdisc) =
 
 let drain_everything (name, make_qdisc) =
   Alcotest.test_case (name ^ ": drains to empty") `Quick (fun () ->
-      let q = make_qdisc () in
+      let table = Packet.create () in
+      let q = make_qdisc table in
       for i = 0 to 29 do
-        ignore (q.Qdisc.enqueue ~now:0. (mk_pkt ~flow:(i mod 5) i))
+        ignore (q.Qdisc.enqueue ~now:0. (mk_pkt table ~flow:(i mod 5) i))
       done;
       let rec drain n =
         if n > 10_000 then Alcotest.fail "did not drain";
-        match q.Qdisc.dequeue ~now:0.001 with
-        | Some _ -> drain (n + 1)
-        | None -> ()
+        if q.Qdisc.dequeue ~now:0.001 <> Packet.none then drain (n + 1)
       in
       drain 0;
       Alcotest.(check int) "empty" 0 (q.Qdisc.length ());

@@ -1,14 +1,15 @@
 open Remy_cc
 open Remy_sim
 
-(* One-flow receiver bank with its own pool; the tests keep the acks
-   (never released), so every ack is a distinct record. *)
+(* One-flow receiver bank on a private table; the tests keep the acks
+   (never released), so every ack is a distinct handle. *)
+let table = Packet.create ()
+
 let make () =
   let metrics = Metrics.create ~n_flows:1 in
   let acks = ref [] in
   let r =
-    Receiver_bank.create (Engine.create ()) ~metrics
-      ~pool:(Packet.Pool.create ())
+    Receiver_bank.create (Engine.create ()) ~metrics ~table
       ~ack_sink:(fun _ a -> acks := a :: !acks)
       ~fwd_delay:[| 0.001 |]
   in
@@ -16,7 +17,14 @@ let make () =
 
 let receive r ~now pkt = Receiver_bank.receive r ~now 0 pkt
 let expected r = Receiver_bank.expected r 0
-let pkt ?(conn = 0) ?(retx = false) seq = Packet.make ~flow:0 ~seq ~conn ~now:0.5 ~retx ()
+
+let pkt ?(conn = 0) ?(retx = false) seq =
+  Packet.acquire table ~flow:0 ~seq ~conn
+    ~flags:(if retx then Packet.retx else 0)
+    ~now:0.5
+
+let cum_ack a = table.Packet.cum_ack.{a}
+let has flag a = table.Packet.flags.{a} land flag <> 0
 
 let test_in_order () =
   let r, metrics, acks = make () in
@@ -25,7 +33,7 @@ let test_in_order () =
   done;
   Alcotest.(check int) "expected advances" 5 (expected r);
   Alcotest.(check int) "five acks" 5 (List.length !acks);
-  let cum = (List.hd !acks).Packet.cum_ack in
+  let cum = cum_ack (List.hd !acks) in
   Alcotest.(check int) "cumulative" 5 cum;
   Alcotest.(check int) "metrics counted" 5 (Metrics.summary metrics 0).Metrics.packets
 
@@ -34,11 +42,11 @@ let test_gap_generates_dupacks () =
   receive r ~now:1. (pkt 0);
   (* Segment 1 lost; 2, 3, 4 arrive. *)
   List.iter (fun s -> receive r ~now:1. (pkt s)) [ 2; 3; 4 ];
-  let cums = List.rev_map (fun a -> a.Packet.cum_ack) !acks in
+  let cums = List.rev_map cum_ack !acks in
   Alcotest.(check (list int)) "dup acks at the hole" [ 1; 1; 1; 1 ] cums;
   (* The hole fills: cumulative jumps over the buffered segments. *)
   receive r ~now:2. (pkt 1);
-  let cum = (List.hd !acks).Packet.cum_ack in
+  let cum = cum_ack (List.hd !acks) in
   Alcotest.(check int) "jump after fill" 5 cum
 
 let test_duplicate_data_not_recounted () =
@@ -54,8 +62,8 @@ let test_new_connection_resets () =
   receive r ~now:2. (pkt ~conn:1 0);
   Alcotest.(check int) "expected reset" 1 (expected r);
   let a = List.hd !acks in
-  Alcotest.(check int) "ack carries conn" 1 a.Packet.ack_conn;
-  Alcotest.(check int) "fresh cumulative" 1 a.Packet.cum_ack
+  Alcotest.(check int) "ack carries conn" 1 table.Packet.conn.{a};
+  Alcotest.(check int) "fresh cumulative" 1 (cum_ack a)
 
 let test_stale_connection_ignored () =
   let r, metrics, acks = make () in
@@ -70,17 +78,19 @@ let test_echo_fields () =
   let r, _, acks = make () in
   receive r ~now:1.25 (pkt ~retx:true 0);
   let a = List.hd !acks in
-  Alcotest.(check int) "acked seq" 0 a.Packet.acked_seq;
-  Alcotest.(check (float 0.)) "echoed send ts" 0.5 a.Packet.acked_sent_at;
-  Alcotest.(check bool) "retx flag echoed" true a.Packet.acked_retx;
-  Alcotest.(check (float 0.)) "receiver ts" 1.25 a.Packet.received_at
+  Alcotest.(check int) "acked seq" 0 table.Packet.seq.{a};
+  Alcotest.(check (float 0.)) "echoed send ts" 0.5 table.Packet.sent_at.{a};
+  Alcotest.(check bool) "retx flag echoed" true (has Packet.retx a);
+  Alcotest.(check (float 0.)) "receiver ts" 1.25 table.Packet.received_at.{a};
+  Alcotest.(check bool) "no XCP feedback" true
+    (Float.is_nan table.Packet.xcp_feedback.{a})
 
 let test_ecn_echo () =
   let r, _, acks = make () in
   let p = pkt 0 in
-  p.Packet.ecn_marked <- true;
+  table.Packet.flags.{p} <- table.Packet.flags.{p} lor Packet.ecn_marked;
   receive r ~now:1. p;
-  Alcotest.(check bool) "CE echoed" true (List.hd !acks).Packet.ecn_echo
+  Alcotest.(check bool) "CE echoed" true (has Packet.ecn_marked (List.hd !acks))
 
 let tests =
   [

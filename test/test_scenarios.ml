@@ -63,6 +63,27 @@ let test_tables_path_shape () =
   Alcotest.(check bool) "ends with delta1.rules" true
     (Filename.check_suffix p "delta1.rules")
 
+let test_lookup_creates_nothing () =
+  (* From a directory with no data/ above it and no REMY_DATA_DIR, a
+     load fails naming the path it tried, and leaves no data/ behind. *)
+  let cwd = Sys.getcwd () in
+  let saved = Sys.getenv_opt "REMY_DATA_DIR" in
+  let tmp = Filename.temp_dir "remy-tables" "" in
+  Unix.putenv "REMY_DATA_DIR" "";
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Unix.putenv "REMY_DATA_DIR" (Option.value saved ~default:"");
+      Sys.rmdir tmp)
+    (fun () ->
+      Sys.chdir tmp;
+      let p = Tables.path "delta1" in
+      (match Tables.load "delta1" with
+      | Ok _ -> Alcotest.failf "loaded %s from an empty directory" p
+      | Error msg -> Alcotest.(check bool) ("names the path: " ^ msg) true (contains msg p));
+      Alcotest.(check bool) "no data directory created" false
+        (Sys.file_exists (Filename.concat tmp "data")))
+
 let test_missing_table_raises () =
   (* A missing table is an error that names the path and the command
      that regenerates it; nothing is trained or written in its place. *)
@@ -189,6 +210,7 @@ let tests =
     Alcotest.test_case "remy scheme runs" `Slow test_remy_scheme_runs;
     Alcotest.test_case "tables path" `Quick test_tables_path_shape;
     Alcotest.test_case "missing table raises" `Quick test_missing_table_raises;
+    Alcotest.test_case "table lookup creates nothing" `Quick test_lookup_creates_nothing;
     Alcotest.test_case "per-flow rtts" `Slow test_rtts_broadcast;
     Alcotest.test_case "rtts length checked" `Quick test_rtts_length_checked;
     Alcotest.test_case "loss rate checked" `Quick test_loss_rate_checked;

@@ -5,11 +5,16 @@ open Remy_util
 (* Direct sender<->receiver harness with injectable loss: [should_drop]
    sees every transmission (packet + transmission count for that seq)
    and decides its fate.  One-way delay is [delay] in each direction. *)
+(* What the harness saw of one transmission: the handle itself is
+   recycled once the packet is acknowledged or dropped. *)
+type sent = { seq : int; conn : int; sent_at : float; retx : bool }
+
 type harness = {
   engine : Engine.t;
+  table : Packet.table;
   sender : Tcp_sender.t;
   metrics : Metrics.t;
-  mutable transmissions : Packet.t list;  (* newest first *)
+  mutable transmissions : sent list;  (* newest first *)
 }
 
 let make_harness ?(delay = 0.05) ?(min_rto = 0.2) ?(should_drop = fun _ _ -> false)
@@ -19,32 +24,41 @@ let make_harness ?(delay = 0.05) ?(min_rto = 0.2) ?(should_drop = fun _ _ -> fal
   let rng = Prng.create 42 in
   let tx_counts : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let sender_cell = ref None in
-  (* The sender allocates its packets (no pool), so the transmissions
-     kept below stay intact after the receiver releases them. *)
+  let table = Packet.create () in
   let receiver =
-    Receiver_bank.create engine ~metrics ~pool:(Packet.Pool.create ())
+    Receiver_bank.create engine ~metrics ~table
       ~ack_sink:(fun _ ack ->
         Engine.schedule_in engine delay (fun () ->
-            Tcp_sender.handle_ack (Option.get !sender_cell) ack))
+            Tcp_sender.handle_ack (Option.get !sender_cell) ack;
+            Packet.release table ack))
       ~fwd_delay:[| delay |]
   in
   let h = ref None in
-  let transmit pkt =
+  let transmit p =
+    let pkt =
+      {
+        seq = table.Packet.seq.{p};
+        conn = table.Packet.conn.{p};
+        sent_at = table.Packet.sent_at.{p};
+        retx = table.Packet.flags.{p} land Packet.retx <> 0;
+      }
+    in
     (match !h with Some h -> h.transmissions <- pkt :: h.transmissions | None -> ());
-    let key = (pkt.Packet.conn, pkt.Packet.seq) in
+    let key = (pkt.conn, pkt.seq) in
     let count = (try Hashtbl.find tx_counts key with Not_found -> 0) + 1 in
     Hashtbl.replace tx_counts key count;
-    if not (should_drop pkt count) then
+    if should_drop pkt count then Packet.release table p
+    else
       Engine.schedule_in engine delay (fun () ->
-          Receiver_bank.receive receiver ~now:(Engine.now engine) 0 pkt)
+          Receiver_bank.receive receiver ~now:(Engine.now engine) 0 p)
   in
   let sender =
-    Tcp_sender.create engine
+    Tcp_sender.create ~table engine
       { Tcp_sender.flow = 0; cc; rtt = 2. *. delay; workload; start; min_rto }
       ~transmit ~metrics ~rng
   in
   sender_cell := Some sender;
-  let harness = { engine; sender; metrics; transmissions = [] } in
+  let harness = { engine; table; sender; metrics; transmissions = [] } in
   h := Some harness;
   harness
 
@@ -66,7 +80,7 @@ let test_lossless_transfer_completes () =
 
 let test_fast_retransmit_recovers () =
   (* Drop the first transmission of segment 10 only. *)
-  let should_drop pkt count = pkt.Packet.seq = 10 && count = 1 in
+  let should_drop pkt count = pkt.seq = 10 && count = 1 in
   let h = make_harness ~should_drop ~workload:(fixed_transfer 60) (Newreno.make ()) in
   Tcp_sender.start h.sender;
   Engine.run h.engine ~until:30.;
@@ -77,7 +91,7 @@ let test_fast_retransmit_recovers () =
 let test_rto_recovers_tail_loss () =
   (* Drop the first transmission of the last segment: no dupACKs can
      arrive, so only the RTO can recover it. *)
-  let should_drop pkt count = pkt.Packet.seq = 19 && count = 1 in
+  let should_drop pkt count = pkt.seq = 19 && count = 1 in
   let h = make_harness ~should_drop ~workload:(fixed_transfer 20) (Newreno.make ()) in
   Tcp_sender.start h.sender;
   Engine.run h.engine ~until:30.;
@@ -87,7 +101,7 @@ let test_rto_recovers_tail_loss () =
 let test_burst_loss_recovers () =
   (* Drop a 12-segment burst once: triggers recovery and possibly RTO
      go-back-N; the transfer must still complete. *)
-  let should_drop pkt count = pkt.Packet.seq >= 20 && pkt.Packet.seq < 32 && count = 1 in
+  let should_drop pkt count = pkt.seq >= 20 && pkt.seq < 32 && count = 1 in
   let h = make_harness ~should_drop ~workload:(fixed_transfer 80) (Newreno.make ()) in
   Tcp_sender.start h.sender;
   Engine.run h.engine ~until:60.;
@@ -97,7 +111,7 @@ let test_karn_no_rtt_from_retx () =
   (* All RTT samples must come from first transmissions: make the
      retransmitted copy arrive with huge delay and check srtt stays
      reasonable. *)
-  let should_drop pkt count = pkt.Packet.seq = 5 && count = 1 in
+  let should_drop pkt count = pkt.seq = 5 && count = 1 in
   let h = make_harness ~should_drop ~workload:(fixed_transfer 40) (Newreno.make ()) in
   Tcp_sender.start h.sender;
   Engine.run h.engine ~until:30.;
@@ -151,7 +165,7 @@ let test_pacing_spacing () =
   let h = make_harness ~workload:(fixed_transfer 20) paced_cc in
   Tcp_sender.start h.sender;
   Engine.run h.engine ~until:10.;
-  let sends = List.rev_map (fun p -> p.Packet.sent_at) h.transmissions in
+  let sends = List.rev_map (fun p -> p.sent_at) h.transmissions in
   let rec check = function
     | a :: (b :: _ as tl) ->
       if b -. a < 0.030 -. 1e-9 then Alcotest.failf "pacing violated: %f" (b -. a);
@@ -175,7 +189,7 @@ let test_on_off_connections () =
   Alcotest.(check bool) "several connections" true
     (Tcp_sender.connections_started h.sender >= 3);
   let conns =
-    List.sort_uniq compare (List.map (fun p -> p.Packet.conn) h.transmissions)
+    List.sort_uniq compare (List.map (fun p -> p.conn) h.transmissions)
   in
   Alcotest.(check bool) "multiple conns on the wire" true (List.length conns >= 3);
   (* Sequence numbers restart per connection. *)
@@ -183,7 +197,7 @@ let test_on_off_connections () =
     (fun c ->
       let seqs =
         List.filter_map
-          (fun p -> if p.Packet.conn = c && not p.Packet.retx then Some p.Packet.seq else None)
+          (fun p -> if p.conn = c && not p.retx then Some p.seq else None)
           h.transmissions
       in
       if seqs <> [] then
@@ -202,7 +216,7 @@ let test_by_time_flow_stops () =
   Engine.run h.engine ~until:5.;
   Alcotest.(check bool) "off after deadline" false (Tcp_sender.is_on h.sender);
   let last_send =
-    match h.transmissions with [] -> 0. | p :: _ -> p.Packet.sent_at
+    match h.transmissions with [] -> 0. | p :: _ -> p.sent_at
   in
   Alcotest.(check bool) "no sends after deadline" true (last_send <= 1.0 +. 1e-9)
 
@@ -262,18 +276,10 @@ let test_stale_conn_ack_ignored () =
   Engine.run h.engine ~until:10.;
   let final = Tcp_sender.cum_acked h.sender in
   (* Forge an ACK from a previous connection: must be a no-op. *)
-  Tcp_sender.handle_ack h.sender
-    {
-      Packet.ack_flow = 0;
-      ack_conn = 999;
-      cum_ack = 12345;
-      acked_seq = 0;
-      acked_sent_at = 0.;
-      acked_retx = false;
-      ecn_echo = false;
-      ack_xcp_feedback = None;
-      received_at = 0.;
-    };
+  let ack = Packet.acquire h.table ~flow:0 ~seq:0 ~conn:999 ~flags:0 ~now:0. in
+  h.table.Packet.cum_ack.{ack} <- 12345;
+  h.table.Packet.received_at.{ack} <- 0.;
+  Tcp_sender.handle_ack h.sender ack;
   Alcotest.(check int) "ignored" final (Tcp_sender.cum_acked h.sender)
 
 let test_delivery_conservation_under_loss () =

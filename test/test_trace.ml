@@ -207,17 +207,17 @@ let test_red_marks_and_drops () =
      past max_th forces marks (ECN-capable) and early drops (not). *)
   let sink, read = Sink.memory () in
   let tracer = Trace.make sink in
+  let table = Packet.create () in
   let q =
-    Red.create ~tracer ~capacity:1000 ~min_th:0. ~max_th:2. ~max_p:1.0
+    Red.create ~tracer ~table ~capacity:1000 ~min_th:0. ~max_th:2. ~max_p:1.0
       ~weight:1.0 ~seed:1 ()
   in
+  let pkt ~flags seq = Packet.acquire table ~flow:0 ~seq ~conn:0 ~flags ~now:0. in
   for seq = 0 to 9 do
-    ignore
-      (q.Qdisc.enqueue ~now:0.
-         (Packet.make ~flow:0 ~seq ~conn:0 ~now:0. ~ecn_capable:true ()))
+    ignore (q.Qdisc.enqueue ~now:0. (pkt ~flags:Packet.ecn_capable seq))
   done;
   for seq = 10 to 14 do
-    ignore (q.Qdisc.enqueue ~now:0. (Packet.make ~flow:0 ~seq ~conn:0 ~now:0. ()))
+    ignore (q.Qdisc.enqueue ~now:0. (pkt ~flags:0 seq))
   done;
   ignore (q.Qdisc.dequeue ~now:0.1);
   let records = read () in
