@@ -42,11 +42,26 @@ let check_flow name i (a : Metrics.flow_summary) (b : Metrics.flow_summary) =
   Alcotest.(check int) (lbl "packets") a.Metrics.packets b.Metrics.packets;
   Alcotest.(check (float 0.)) (lbl "on_time") a.Metrics.on_time b.Metrics.on_time
 
+(* The tally case also pins every rule's count and kept samples. *)
+let render_tally tree tally =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun id ->
+      Printf.bprintf b "rule %d: %d\n" id (Tally.count tally id);
+      List.iter
+        (fun (m : Memory.t) ->
+          Printf.bprintf b "  %.17g %.17g %.17g\n" m.Memory.ack_ewma
+            m.Memory.send_ewma m.Memory.rtt_ratio)
+        (Tally.samples tally id))
+    (Rule_tree.live_ids tree);
+  Buffer.contents b
+
 (* Run [config] under both backends and demand identical results.  The
    records arm relies on the flows' [cc] factories (Remycc closures);
    the fleet arm substitutes the shared-array backend for the same
    tree.  A fleet factory is single-use, so build it here. *)
-let check_equiv ?override ?tally_pair name tree (config : Topology.config) =
+let check_equiv ?override ?tally_pair ~expected name tree
+    (config : Topology.config) =
   let records =
     match tally_pair with
     | None -> Topology.run config
@@ -80,7 +95,8 @@ let check_equiv ?override ?tally_pair name tree (config : Topology.config) =
     fleet.Topology.received;
   Alcotest.(check (float 0.))
     (name ^ ": utilization")
-    records.Topology.bottleneck_utilization fleet.Topology.bottleneck_utilization
+    records.Topology.bottleneck_utilization fleet.Topology.bottleneck_utilization;
+  Sims.check_digest name ~expected (Sims.render_result records)
 
 let test_fleet_matches_records_parking_lot () =
   let tree = make_tree () in
@@ -90,17 +106,21 @@ let test_fleet_matches_records_parking_lot () =
       ~workload:(Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3)
       ~start:`Off_draw ~duration:10. ~seed:23 ()
   in
-  check_equiv "parking-lot" tree (cfg ());
+  check_equiv ~expected:"d0245b1ea1599ed72c269a9f8f3ea0e5" "parking-lot" tree
+    (cfg ());
   (* The optimizer's candidate-evaluation side channel: substituting one
-     rule's action must take the same effect in both backends. *)
+     rule's action must take the same effect in both backends.  Rule 0
+     is the root that the subdivision replaced, not a live leaf, so this
+     override never fires and the run equals the plain one. *)
   let override =
     (0, { Action.multiple = 0.; increment = 1.; intersend_ms = 40. })
   in
-  check_equiv ~override "parking-lot override" tree (cfg ~override ())
+  check_equiv ~override ~expected:"d0245b1ea1599ed72c269a9f8f3ea0e5"
+    "parking-lot override" tree (cfg ~override ())
 
 let test_fleet_matches_records_incast () =
   let tree = make_tree () in
-  check_equiv "incast" tree
+  check_equiv ~expected:"9acd7a46ad137329d6f645a6eab22e8d" "incast" tree
     (Topology.incast ~n:32 ~cc:(Remycc.factory tree) ~duration:1.5 ~seed:5 ())
 
 let test_fleet_matches_records_lossy () =
@@ -132,7 +152,7 @@ let test_fleet_matches_records_lossy () =
       min_rto = 0.2;
     }
   in
-  check_equiv "lossy" tree cfg
+  check_equiv ~expected:"80ee0aea85a52f2bc373d35f5465be8b" "lossy" tree cfg
 
 let test_fleet_matches_records_tally () =
   (* Rule-usage tallies (counts and reservoir samples both draw from a
@@ -144,7 +164,10 @@ let test_fleet_matches_records_tally () =
     Topology.parking_lot ~hops:2 ~n:4 ~cc:(Remycc.factory tree)
       ~workload:Workload.saturating ~start:`Immediate ~duration:4. ~seed:8 ()
   in
-  check_equiv ~tally_pair:(t_rec, t_fleet) "tally" tree cfg;
+  check_equiv ~tally_pair:(t_rec, t_fleet)
+    ~expected:"8054b979a877e0f7250630478fd0eee4" "tally" tree cfg;
+  Sims.check_digest "tally counts" ~expected:"dd6504bae5e92f3059f01d31dd62ffb8"
+    (render_tally tree t_rec);
   List.iter
     (fun id ->
       Alcotest.(check int)
