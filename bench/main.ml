@@ -367,7 +367,8 @@ let pp_hold fmt (rows : hold_result list) =
 (* --- flow-scale simulator benchmark ----------------------------------- *)
 
 (* End-to-end simulator throughput as the flow count grows, on the
-   multi-bottleneck topologies, with RemyCC senders on the SoA fleet.
+   multi-bottleneck topologies, with RemyCC senders on the SoA sender
+   core.
    The pool hit rate is the share of packet acquires served without
    growing the run's packet table; a miss is an acquire that doubles
    it. *)
@@ -430,8 +431,8 @@ let measure_arms ~reps (arms : (unit -> unit) list) =
   done;
   Array.to_list (Array.init n (fun i -> arm_of_rep best.(i) (Option.get snaps.(i))))
 
-let scale_body tree (config : unit -> Remy_cc.Topology.config) () =
-  ignore (Remy_cc.Topology.run ~sender_factory:(Remy.Fleet.factory tree) (config ()))
+let scale_body (config : unit -> Remy_cc.Topology.config) () =
+  ignore (Remy_cc.Topology.run (config ()))
 
 let run_sim_scale ~smoke =
   let open Remy_cc in
@@ -442,7 +443,7 @@ let run_sim_scale ~smoke =
      metro-scale fan-in: 1.5 kB bursts every 20 ms across a 4 ms RTT.
      The long RTT is deliberate — it keeps tens of thousands of packets
      and ACKs in flight at 4096 flows, which is the regime the SoA
-     fleet and the shared delay lines exist for.  Durations shrink as
+     senders and the shared delay lines exist for.  Durations shrink as
      flow counts grow so every cell costs seconds, not minutes;
      events/s is a rate, so cells remain comparable. *)
   let rtt_s = 8e-3 and burst_kb = 1.5 and period_s = 0.02 in
@@ -463,7 +464,7 @@ let run_sim_scale ~smoke =
       in
       let incast, parking =
         match
-          measure_arms ~reps [ scale_body tree incast_cfg; scale_body tree parking_cfg ]
+          measure_arms ~reps [ scale_body incast_cfg; scale_body parking_cfg ]
         with
         | [ i; p ] -> (i, p)
         | _ -> assert false

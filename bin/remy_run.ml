@@ -242,8 +242,7 @@ let cmd =
              fat-tree-pod, incast) instead of the dumbbell.  --link scales \
              the bottleneck tier, --rtt the total propagation; the \
              scheme's qdisc pairing is replaced by per-link DropTail \
-             buffers of --capacity packets.  RemyCC schemes run on the \
-             structure-of-arrays fleet backend.")
+             buffers of --capacity packets.")
   in
   let link_trace =
     Arg.(

@@ -1,30 +1,18 @@
-type ack_info = {
-  now : float;
-  rtt : float option;
-  newly_acked : int;
-  cum_ack : int;
-  acked_seq : int;
-  acked_sent_at : float;
-  receiver_ts : float;
-  ecn_echo : bool;
-  xcp_feedback : float option;
-  in_flight : int;
-  in_recovery : bool;
-}
+type pacing = { mutable window : float; mutable intersend : float }
 
 type t = {
   name : string;
   ecn_capable : bool;
+  pacing : pacing;
   reset : now:float -> unit;
-  on_ack : ack_info -> unit;
+  on_ack :
+    Remy_sim.Packet.table -> int -> now:float -> newly_acked:int -> in_recovery:bool -> unit;
   on_loss : now:float -> unit;
   on_timeout : now:float -> unit;
-  window : unit -> float;
-  intersend : unit -> float;
   stamp : Remy_sim.Packet.table -> int -> unit;
 }
 
 type factory = unit -> t
 
 let no_stamp _ _ = ()
-let rtt_of (a : ack_info) = a.rtt
+let rtt_valid (tbl : Remy_sim.Packet.table) h = tbl.flags.{h} land Remy_sim.Packet.retx = 0

@@ -1,68 +1,87 @@
+type state = {
+  mutable cwnd : float;
+  mutable dwnd : float;
+  mutable ssthresh : float;
+  mutable base_rtt : float;
+  mutable min_rtt_epoch : float;
+  mutable epoch_end : float;
+}
+
 let make ?(alpha = 0.125) ?(beta = 0.5) ?(k = 0.75) ?(gamma = 30.) ?(zeta = 1.) () =
-  let cwnd = ref 2. in
-  let dwnd = ref 0. in
-  let ssthresh = ref infinity in
-  let base_rtt = ref infinity in
-  let min_rtt_epoch = ref infinity in
-  let epoch_end = ref 0. in
-  let window () = !cwnd +. !dwnd in
+  let s =
+    {
+      cwnd = 2.;
+      dwnd = 0.;
+      ssthresh = infinity;
+      base_rtt = infinity;
+      min_rtt_epoch = infinity;
+      epoch_end = 0.;
+    }
+  in
+  (* The sender's window is the combined cwnd + dwnd, republished after
+     every change to either. *)
+  let p = { Cc.window = s.cwnd +. s.dwnd; intersend = 0. } in
+  let publish () = p.window <- s.cwnd +. s.dwnd in
   let reset ~now:_ =
-    cwnd := 2.;
-    dwnd := 0.;
-    ssthresh := infinity;
-    base_rtt := infinity;
-    min_rtt_epoch := infinity;
-    epoch_end := 0.
+    s.cwnd <- 2.;
+    s.dwnd <- 0.;
+    s.ssthresh <- infinity;
+    s.base_rtt <- infinity;
+    s.min_rtt_epoch <- infinity;
+    s.epoch_end <- 0.;
+    publish ()
   in
   let per_rtt_update () =
-    if Float.is_finite !min_rtt_epoch && !cwnd +. !dwnd >= !ssthresh then begin
-      let rtt = !min_rtt_epoch in
-      let win = window () in
-      let diff = win *. (rtt -. !base_rtt) /. rtt in
+    if Float.is_finite s.min_rtt_epoch && s.cwnd +. s.dwnd >= s.ssthresh then begin
+      let rtt = s.min_rtt_epoch in
+      let win = s.cwnd +. s.dwnd in
+      let diff = win *. (rtt -. s.base_rtt) /. rtt in
       if diff < gamma then
-        dwnd := Float.max 0. (!dwnd +. Float.max 0. ((alpha *. (win ** k)) -. 1.))
-      else dwnd := Float.max 0. (!dwnd -. (zeta *. diff))
+        s.dwnd <- Float.max 0. (s.dwnd +. Float.max 0. ((alpha *. (win ** k)) -. 1.))
+      else s.dwnd <- Float.max 0. (s.dwnd -. (zeta *. diff))
     end;
-    min_rtt_epoch := infinity
+    s.min_rtt_epoch <- infinity
   in
-  let on_ack (a : Cc.ack_info) =
-    (match a.rtt with
-    | Some rtt ->
-      if rtt < !base_rtt then base_rtt := rtt;
-      if rtt < !min_rtt_epoch then min_rtt_epoch := rtt;
-      if a.now >= !epoch_end then begin
-        if !epoch_end > 0. then per_rtt_update ();
-        epoch_end := a.now +. rtt
+  let on_ack (tbl : Remy_sim.Packet.table) h ~now ~newly_acked ~in_recovery =
+    if Cc.rtt_valid tbl h then begin
+      let rtt = now -. tbl.sent_at.{h} in
+      if rtt < s.base_rtt then s.base_rtt <- rtt;
+      if rtt < s.min_rtt_epoch then s.min_rtt_epoch <- rtt;
+      if now >= s.epoch_end then begin
+        if s.epoch_end > 0. then per_rtt_update ();
+        s.epoch_end <- now +. rtt
       end
-    | None -> ());
-    if a.newly_acked > 0 && not a.in_recovery then begin
-      let n = float_of_int a.newly_acked in
-      if window () < !ssthresh then cwnd := !cwnd +. n
-      else cwnd := !cwnd +. (n /. window ())
-    end
+    end;
+    if newly_acked > 0 && not in_recovery then begin
+      let n = float_of_int newly_acked in
+      if s.cwnd +. s.dwnd < s.ssthresh then s.cwnd <- s.cwnd +. n
+      else s.cwnd <- s.cwnd +. (n /. (s.cwnd +. s.dwnd))
+    end;
+    publish ()
   in
   let on_loss ~now:_ =
-    let win = window () in
-    ssthresh := Float.max 2. (win /. 2.);
-    cwnd := Float.max 2. (!cwnd /. 2.);
+    let win = s.cwnd +. s.dwnd in
+    s.ssthresh <- Float.max 2. (win /. 2.);
+    s.cwnd <- Float.max 2. (s.cwnd /. 2.);
     (* dwnd absorbs what remains of the halved combined window. *)
-    dwnd := Float.max 0. ((win *. (1. -. beta)) -. !cwnd);
-    min_rtt_epoch := infinity
+    s.dwnd <- Float.max 0. ((win *. (1. -. beta)) -. s.cwnd);
+    s.min_rtt_epoch <- infinity;
+    publish ()
   in
   let on_timeout ~now:_ =
-    ssthresh := Float.max 2. (window () /. 2.);
-    cwnd := 1.;
-    dwnd := 0.
+    s.ssthresh <- Float.max 2. ((s.cwnd +. s.dwnd) /. 2.);
+    s.cwnd <- 1.;
+    s.dwnd <- 0.;
+    publish ()
   in
   {
     Cc.name = "compound";
     ecn_capable = false;
+    pacing = p;
     reset;
     on_ack;
     on_loss;
     on_timeout;
-    window;
-    intersend = (fun () -> 0.);
     stamp = Cc.no_stamp;
   }
 

@@ -1,74 +1,76 @@
 let cbrt x = if x >= 0. then x ** (1. /. 3.) else -.((-.x) ** (1. /. 3.))
 
+type state = {
+  mutable ssthresh : float;
+  mutable w_max : float;
+  mutable k : float;
+  mutable epoch_start : float;
+  mutable w_est : float; (* TCP-friendly (Reno-equivalent) window estimate *)
+  mutable srtt : float;
+}
+
 let make ?(c = 0.4) ?(beta = 0.7) ?(fast_convergence = true) () =
-  let cwnd = ref 2. in
-  let ssthresh = ref infinity in
-  let w_max = ref 0. in
-  let k = ref 0. in
-  let epoch_start = ref 0. in
-  let w_est = ref 0. in
-  (* TCP-friendly (Reno-equivalent) window estimate *)
-  let srtt = ref 0.1 in
+  let p = { Cc.window = 2.; intersend = 0. } in
+  let s =
+    { ssthresh = infinity; w_max = 0.; k = 0.; epoch_start = 0.; w_est = 0.; srtt = 0.1 }
+  in
   let reset ~now:_ =
-    cwnd := 2.;
-    ssthresh := infinity;
-    w_max := 0.;
-    k := 0.;
-    epoch_start := 0.;
-    w_est := 0.;
-    srtt := 0.1
+    p.window <- 2.;
+    s.ssthresh <- infinity;
+    s.w_max <- 0.;
+    s.k <- 0.;
+    s.epoch_start <- 0.;
+    s.w_est <- 0.;
+    s.srtt <- 0.1
   in
   let enter_epoch now =
-    epoch_start := now;
-    if !cwnd < !w_max then k := cbrt ((!w_max -. !cwnd) /. c) else k := 0.;
-    w_est := !cwnd
+    s.epoch_start <- now;
+    if p.window < s.w_max then s.k <- cbrt ((s.w_max -. p.window) /. c) else s.k <- 0.;
+    s.w_est <- p.window
   in
-  let on_ack (a : Cc.ack_info) =
-    (match a.rtt with
-    | Some rtt -> srtt := (0.875 *. !srtt) +. (0.125 *. rtt)
-    | None -> ());
-    if a.newly_acked > 0 && not a.in_recovery then begin
-      let n = float_of_int a.newly_acked in
-      if !cwnd < !ssthresh then cwnd := !cwnd +. n
+  let on_ack (tbl : Remy_sim.Packet.table) h ~now ~newly_acked ~in_recovery =
+    if Cc.rtt_valid tbl h then
+      s.srtt <- (0.875 *. s.srtt) +. (0.125 *. (now -. tbl.sent_at.{h}));
+    if newly_acked > 0 && not in_recovery then begin
+      let n = float_of_int newly_acked in
+      if p.window < s.ssthresh then p.window <- p.window +. n
       else begin
-        if !epoch_start <= 0. then enter_epoch a.now;
-        let t = a.now -. !epoch_start +. !srtt in
-        let target = (c *. ((t -. !k) ** 3.)) +. !w_max in
+        if s.epoch_start <= 0. then enter_epoch now;
+        let t = now -. s.epoch_start +. s.srtt in
+        let target = (c *. ((t -. s.k) ** 3.)) +. s.w_max in
         (* Reno-equivalent growth for the TCP-friendly floor. *)
-        w_est :=
-          !w_est +. (3. *. (1. -. beta) /. (1. +. beta) *. (n /. !cwnd));
+        s.w_est <- s.w_est +. (3. *. (1. -. beta) /. (1. +. beta) *. (n /. p.window));
         let cubic_next =
-          if target > !cwnd then !cwnd +. ((target -. !cwnd) /. !cwnd *. n)
-          else !cwnd +. (0.01 *. n /. !cwnd)
+          if target > p.window then p.window +. ((target -. p.window) /. p.window *. n)
+          else p.window +. (0.01 *. n /. p.window)
         in
-        cwnd := Float.max cubic_next !w_est
+        p.window <- Float.max cubic_next s.w_est
       end
     end
   in
   let multiplicative_decrease () =
     (* Fast convergence: release bandwidth when the loss came below the
        previous W_max. *)
-    if fast_convergence && !cwnd < !w_max then
-      w_max := !cwnd *. (1. +. beta) /. 2.
-    else w_max := !cwnd;
-    cwnd := Float.max 2. (!cwnd *. beta);
-    ssthresh := !cwnd;
-    epoch_start := 0.
+    if fast_convergence && p.window < s.w_max then
+      s.w_max <- p.window *. (1. +. beta) /. 2.
+    else s.w_max <- p.window;
+    p.window <- Float.max 2. (p.window *. beta);
+    s.ssthresh <- p.window;
+    s.epoch_start <- 0.
   in
   let on_loss ~now:_ = multiplicative_decrease () in
   let on_timeout ~now:_ =
     multiplicative_decrease ();
-    cwnd := 1.
+    p.window <- 1.
   in
   {
     Cc.name = "cubic";
     ecn_capable = false;
+    pacing = p;
     reset;
     on_ack;
     on_loss;
     on_timeout;
-    window = (fun () -> !cwnd);
-    intersend = (fun () -> 0.);
     stamp = Cc.no_stamp;
   }
 

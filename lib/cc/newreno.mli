@@ -3,7 +3,7 @@
     Slow start below ssthresh, additive increase of one segment per RTT
     above it, window halving on triple-dupACK loss, collapse to one
     segment on timeout.  Fast-retransmit/fast-recovery mechanics live in
-    the shared {!Tcp_sender}; this module only sets the window. *)
+    the shared {!Senders}; this module only sets the window. *)
 
 val make : ?initial_window:float -> unit -> Cc.t
 

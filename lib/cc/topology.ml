@@ -142,8 +142,7 @@ let simulate ~table ~tracer ?probe_interval ?delivery_hook ?delack
   (* Local accumulator, flushed to the global atomic once per run. *)
   let acks_handled = ref 0 in
   (* The knots (links referenced from lines created before them, the
-     receiver bank from delivery lines, sender ops from ack lines) are
-     tied through option cells. *)
+     receiver bank from delivery lines) are tied through option cells. *)
   let link_arr : Link.t option array = Array.make nl None in
   let bank_ref : Receiver_bank.t option ref = ref None in
   (* Fixed propagation delays are delay lines (an int ring and one
@@ -220,14 +219,28 @@ let simulate ~table ~tracer ?probe_interval ?delivery_hook ?delack
   let link_of li =
     match link_arr.(li) with Some l -> l | None -> assert false
   in
-  let ops_arr : Sender_backend.ops option array = Array.make n None in
+  (* Flow order fixes the RNG split sequence. *)
+  let senders =
+    Senders.create ~table engine ~metrics ~min_rto:config.min_rto
+      (Array.map
+         (fun (f : flow_spec) ->
+           let rng = Prng.split root_rng in
+           let first = f.route.(0) in
+           {
+             Senders.cc =
+               (* [sender_factory]: the bench/e2e shim, see the mli. *)
+               (match sender_factory with Some cc -> cc () | None -> f.cc ());
+             workload = f.workload;
+             start = f.start;
+             rng;
+             transmit = (fun h -> Link.send (link_of first) h);
+           })
+         config.flows)
+  in
   let ack_line =
     shared_lines fwd_delay (fun h ->
-        (match ops_arr.(table.Packet.flow.{h}) with
-        | Some ops ->
-          incr acks_handled;
-          ops.Sender_backend.handle_ack h
-        | None -> assert false);
+        incr acks_handled;
+        Senders.handle_ack senders table.Packet.flow.{h} h;
         (* The sender copies what it needs; nothing retains the ACK
            past [handle_ack]. *)
         Packet.release table h)
@@ -238,36 +251,6 @@ let simulate ~table ~tracer ?probe_interval ?delivery_hook ?delack
       ~fwd_delay
   in
   bank_ref := Some bank;
-  (* Flow order fixes the RNG split sequence. *)
-  Array.iteri
-    (fun i (f : flow_spec) ->
-      let rng = Prng.split root_rng in
-      let first = f.route.(0) in
-      let env =
-        {
-          Sender_backend.engine;
-          table;
-          metrics;
-          n_flows = n;
-          flow = i;
-          flow_rtt = 2. *. fwd_delay.(i);
-          workload = f.workload;
-          start = f.start;
-          min_rto = config.min_rto;
-          rng;
-          transmit = (fun h -> Link.send (link_of first) h);
-        }
-      in
-      let ops =
-        match sender_factory with
-        | Some factory -> factory env
-        | None -> Sender_backend.records f.cc env
-      in
-      ops_arr.(i) <- Some ops)
-    config.flows;
-  let ops_of i =
-    match ops_arr.(i) with Some ops -> ops | None -> assert false
-  in
   (* Periodic probes: queue depth per link plus per-flow cwnd/pacing/srtt
      samples.  Scheduled before the senders start, so at any shared
      instant the sample reflects state from before that instant's sender
@@ -288,16 +271,15 @@ let simulate ~table ~tracer ?probe_interval ?delivery_hook ?delack
                   ~qbytes:(disc.Qdisc.byte_length ()))
               qdiscs;
             for flow = 0 to n - 1 do
-              let ops = ops_of flow in
               Remy_obs.Trace.flow_sample tracer ~now ~flow
-                ~cwnd:(ops.Sender_backend.cwnd ())
-                ~intersend_s:(ops.Sender_backend.pacing_gap ())
-                ~srtt_s:(ops.Sender_backend.srtt ())
+                ~cwnd:(Senders.cwnd senders flow)
+                ~intersend_s:(Senders.pacing_gap senders flow)
+                ~srtt_s:(Senders.srtt senders flow)
             done))
       (Remy_obs.Probe.times ~interval ~until:config.duration)
   | _ -> ());
   for i = 0 to n - 1 do
-    (ops_of i).Sender_backend.start_flow ()
+    Senders.start senders i
   done;
   Engine.run engine ~until:config.duration;
   Remy_obs.Counters.add Remy_obs.Counters.acks_processed !acks_handled;

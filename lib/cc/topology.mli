@@ -63,7 +63,7 @@ val run :
   ?probe_interval:float ->
   ?delivery_hook:(flow:int -> now:float -> seq:int -> unit) ->
   ?delack:int * float ->
-  ?sender_factory:Sender_backend.factory ->
+  ?sender_factory:Cc.factory ->
   ?faults:Remy_faults.Spec.t ->
   config ->
   result
@@ -81,9 +81,11 @@ val run :
     [delivery_hook] observes every fresh data delivery (Fig. 6's
     sequence plot).  [delack] = [(every, timeout)] switches receivers
     from per-packet ACKs to RFC 1122-style delayed ACKs.
-    [sender_factory] overrides the default per-record TCP sender backend
-    (e.g. with the SoA RemyCC fleet); results are bit-identical across
-    conforming backends.  [faults] (default {!Remy_faults.Spec.empty})
+    Every flow's sender runs on one {!Senders} core, with the
+    congestion control its [cc] factory builds.  [sender_factory] is a
+    shim kept only for the repository benchmark (bench/e2e), to be
+    deleted with its next change: when given, every flow runs a [Cc.t]
+    from it instead of from its own [cc] field.  [faults] (default {!Remy_faults.Spec.empty})
     installs a fault schedule per link; with the empty spec the wiring
     is skipped entirely and the run is bit-identical to one without the
     fault layer.

@@ -1,40 +1,41 @@
+type state = { mutable srtt : float }
+
 let make ?(initial_window = 2.) () =
-  let cwnd = ref initial_window in
-  let srtt = ref 0. in
+  let p = { Cc.window = initial_window; intersend = 0. } in
+  let s = { srtt = 0. } in
   let reset ~now:_ =
-    cwnd := initial_window;
-    srtt := 0.
+    p.window <- initial_window;
+    s.srtt <- 0.
   in
-  let on_ack (a : Cc.ack_info) =
-    (match a.rtt with
-    | Some rtt ->
-      if !srtt <= 0. then srtt := rtt
-      else srtt := (0.875 *. !srtt) +. (0.125 *. rtt)
-    | None -> ());
-    match a.xcp_feedback with
-    | Some delta -> cwnd := Float.max 1. (!cwnd +. delta)
-    | None ->
+  let on_ack (tbl : Remy_sim.Packet.table) h ~now ~newly_acked ~in_recovery =
+    if Cc.rtt_valid tbl h then begin
+      let rtt = now -. tbl.sent_at.{h} in
+      if s.srtt <= 0. then s.srtt <- rtt
+      else s.srtt <- (0.875 *. s.srtt) +. (0.125 *. rtt)
+    end;
+    (* NaN: no router on the path wrote feedback. *)
+    let delta = tbl.xcp_feedback.{h} in
+    if not (Float.is_nan delta) then p.window <- Float.max 1. (p.window +. delta)
+    else if newly_acked > 0 && not in_recovery then
       (* No XCP router on the path: behave like Reno's increase. *)
-      if a.newly_acked > 0 && not a.in_recovery then
-        cwnd := !cwnd +. (float_of_int a.newly_acked /. !cwnd)
+      p.window <- p.window +. (float_of_int newly_acked /. p.window)
   in
-  let on_loss ~now:_ = cwnd := Float.max 1. (!cwnd /. 2.) in
-  let on_timeout ~now:_ = cwnd := 1. in
+  let on_loss ~now:_ = p.window <- Float.max 1. (p.window /. 2.) in
+  let on_timeout ~now:_ = p.window <- 1. in
   let stamp (tbl : Remy_sim.Packet.table) h =
     tbl.flags.{h} <- tbl.flags.{h} lor Remy_sim.Packet.xcp;
-    tbl.xcp_cwnd.{h} <- !cwnd;
-    tbl.xcp_rtt.{h} <- !srtt;
+    tbl.xcp_cwnd.{h} <- p.window;
+    tbl.xcp_rtt.{h} <- s.srtt;
     tbl.xcp_feedback.{h} <- infinity
   in
   {
     Cc.name = "xcp";
     ecn_capable = false;
+    pacing = p;
     reset;
     on_ack;
     on_loss;
     on_timeout;
-    window = (fun () -> !cwnd);
-    intersend = (fun () -> 0.);
     stamp;
   }
 

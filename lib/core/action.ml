@@ -26,8 +26,13 @@ let validate a =
       (Printf.sprintf "intersend %.17g ms outside [0.001, 1000]" a.intersend_ms)
   else Ok ()
 
-let apply a ~window =
+let[@inline] apply a ~window =
   Float.min max_window (Float.max 0. ((a.multiple *. window) +. a.increment))
+
+(* remy-lint: hot *)
+let apply_to a (p : Remy_cc.Cc.pacing) =
+  p.window <- apply a ~window:p.window;
+  p.intersend <- a.intersend_ms /. 1e3
 
 let equal a b =
   a.multiple = b.multiple && a.increment = b.increment

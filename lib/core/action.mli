@@ -33,6 +33,11 @@ val max_window : float
 val apply : t -> window:float -> float
 (** New congestion window, clamped to [0, {!max_window}] packets. *)
 
+val apply_to : t -> Remy_cc.Cc.pacing -> unit
+(** Act on a sender: its window becomes [apply ~window] of the current
+    one and its pacing gap [intersend_ms] (in seconds), both stored in
+    place without boxing. *)
+
 val equal : t -> t -> bool
 
 val neighbors :

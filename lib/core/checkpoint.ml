@@ -219,15 +219,9 @@ let save ~dir s =
 
 let load ~dir =
   let path = file ~dir in
-  (* [Sys_error]s from [Sexp.load] already name the path. *)
-  let with_path e =
-    if String.length e >= String.length path && String.sub e 0 (String.length path) = path
-    then e
-    else Printf.sprintf "%s: %s" path e
-  in
   match Sexp.load path with
-  | Error e -> Error (with_path e)
+  | Error _ as e -> e
   | Ok s -> (
     match of_sexp s with
-    | Error e -> Error (with_path e)
+    | Error e -> Error (Printf.sprintf "%s: %s" path e)
     | Ok _ as ok -> ok)

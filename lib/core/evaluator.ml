@@ -74,11 +74,7 @@ let specimen_flow_summaries ?override ?tally ?topology ~queue_capacity ~duration
         Topology.min_rto = 1.0;
       }
   in
-  (* Every sender runs the same table, so the whole population is one
-     SoA fleet (bit-identical to per-record RemyCC senders); a fresh
-     factory per run. *)
-  let sender_factory = Fleet.factory ?override ?tally tree in
-  (timed_sim (fun () -> Topology.run ~sender_factory config)).Topology.flows
+  (timed_sim (fun () -> Topology.run config)).Topology.flows
 
 let specimen_scores ?override ?tally p tree s =
   let flows =

@@ -166,5 +166,5 @@ val specimen_flow_summaries :
 (** Run a single specimen and expose the raw per-flow summaries (tests,
     diagnostics).  The specimen is a {!Remy_cc.Topology.dumbbell}, or,
     with [topology] (from {!Net_model.t.topology}), the named
-    {!Remy_cc.Topology} builder; either way its senders are one SoA
-    {!Fleet}. *)
+    {!Remy_cc.Topology} builder; either way every sender runs
+    {!Remycc.make} on the table. *)

@@ -1,5 +1,3 @@
-open Remy_util
-
 type t = { ack_ewma : float; send_ewma : float; rtt_ratio : float }
 
 let zero = { ack_ewma = 0.; send_ewma = 0.; rtt_ratio = 0. }
@@ -7,60 +5,70 @@ let max_value = 16384.
 let ewma_weight = 0.125
 let dims = 3
 
-let clamp v = Float.min (max_value -. 1e-9) (Float.max 0. v)
+let[@inline] clamp v = Float.min (max_value -. 1e-9) (Float.max 0. v)
 
-(* The per-ack fields use float sentinels instead of options — NaN for
-   "no echo seen yet", infinity for "no RTT observed" — so the tracker
-   allocates nothing on the ack path (options would box three floats per
-   ack). *)
+(* All-float, so the ACK path updates it in place with unboxed stores.
+   The per-ack fields use float sentinels instead of options — NaN for
+   "no echo seen yet", infinity for "no RTT observed".  Both EWMAs blend
+   from zero with weight [ewma_weight]. *)
 type tracker = {
-  ack : Ewma.t;
-  send : Ewma.t;
+  mutable ack_ewma_ms : float;
+  mutable send_ewma_ms : float;
   mutable last_received_at : float;  (* NaN before the first ack *)
   mutable last_sent_at : float;  (* NaN before the first ack *)
   mutable min_rtt_s : float;  (* infinity before the first sample *)
-  mutable rtt_ratio : float;
+  mutable ratio : float;
 }
 
 let tracker () =
   {
-    ack = Ewma.create_at ~alpha:ewma_weight 0.;
-    send = Ewma.create_at ~alpha:ewma_weight 0.;
+    ack_ewma_ms = 0.;
+    send_ewma_ms = 0.;
     last_received_at = Float.nan;
     last_sent_at = Float.nan;
     min_rtt_s = Float.infinity;
-    rtt_ratio = 0.;
+    ratio = 0.;
   }
 
 let reset t =
-  Ewma.reset t.ack;
-  Ewma.reset t.send;
+  t.ack_ewma_ms <- 0.;
+  t.send_ewma_ms <- 0.;
   t.last_received_at <- Float.nan;
   t.last_sent_at <- Float.nan;
   t.min_rtt_s <- Float.infinity;
-  t.rtt_ratio <- 0.
+  t.ratio <- 0.
 
 let current t =
   {
-    ack_ewma = clamp (Ewma.value t.ack);
-    send_ewma = clamp (Ewma.value t.send);
-    rtt_ratio = clamp t.rtt_ratio;
+    ack_ewma = clamp t.ack_ewma_ms;
+    send_ewma = clamp t.send_ewma_ms;
+    rtt_ratio = clamp t.ratio;
   }
 
-let on_ack t ~sent_at ~received_at ~rtt =
+let[@inline] fold t ~sent_at ~received_at ~rtt =
   if not (Float.is_nan t.last_received_at) then begin
     (* Deltas in milliseconds; negative deltas (reordered echoes) are
        floored at zero. *)
-    Ewma.update t.ack (Float.max 0. ((received_at -. t.last_received_at) *. 1e3));
-    Ewma.update t.send (Float.max 0. ((sent_at -. t.last_sent_at) *. 1e3))
+    let xa = Float.max 0. ((received_at -. t.last_received_at) *. 1e3) in
+    t.ack_ewma_ms <- t.ack_ewma_ms +. (ewma_weight *. (xa -. t.ack_ewma_ms));
+    let xs = Float.max 0. ((sent_at -. t.last_sent_at) *. 1e3) in
+    t.send_ewma_ms <- t.send_ewma_ms +. (ewma_weight *. (xs -. t.send_ewma_ms))
   end;
   t.last_received_at <- received_at;
   t.last_sent_at <- sent_at;
   if rtt < t.min_rtt_s then t.min_rtt_s <- rtt;
-  t.rtt_ratio <-
+  t.ratio <-
     (if t.min_rtt_s > 0. && Float.is_finite t.min_rtt_s then rtt /. t.min_rtt_s
-     else 1.);
+     else 1.)
+
+let on_ack t ~sent_at ~received_at ~rtt =
+  fold t ~sent_at ~received_at ~rtt;
   current t
+
+(* remy-lint: hot *)
+let observe t (tbl : Remy_sim.Packet.table) h ~now =
+  let sent_at = tbl.sent_at.{h} in
+  fold t ~sent_at ~received_at:tbl.received_at.{h} ~rtt:(now -. sent_at)
 
 let min_rtt t = if Float.is_finite t.min_rtt_s then Some t.min_rtt_s else None
 let last_received_at t = t.last_received_at

@@ -27,7 +27,8 @@ val ewma_weight : float
 (** 1/8. *)
 
 type tracker
-(** Mutable per-connection signal tracker. *)
+(** Mutable per-connection signal tracker, stored as flat floats so
+    {!observe} updates it without allocating. *)
 
 val tracker : unit -> tracker
 val reset : tracker -> unit
@@ -35,6 +36,12 @@ val reset : tracker -> unit
 val on_ack : tracker -> sent_at:float -> received_at:float -> rtt:float -> t
 (** Feed one acknowledgment (times in seconds; [rtt] measured by the
     sender) and return the updated memory. *)
+
+val observe : tracker -> Remy_sim.Packet.table -> int -> now:float -> unit
+(** The sender's per-ACK form of {!on_ack}: fold in the ACK [h] that
+    arrived at [now], reading [sent_at] and [received_at] from its
+    columns, with RTT [now -. sent_at]; allocates nothing.  {!current}
+    then reads the memory. *)
 
 val current : tracker -> t
 

@@ -5,68 +5,58 @@ type mask = { use_ack_ewma : bool; use_send_ewma : bool; use_rtt_ratio : bool }
 let all_signals = { use_ack_ewma = true; use_send_ewma = true; use_rtt_ratio = true }
 
 let apply_mask mask (m : Memory.t) =
-  if mask = all_signals then m
-  else
-    Memory.make
-      ~ack_ewma:(if mask.use_ack_ewma then m.Memory.ack_ewma else 0.)
-      ~send_ewma:(if mask.use_send_ewma then m.Memory.send_ewma else 0.)
-      ~rtt_ratio:(if mask.use_rtt_ratio then m.Memory.rtt_ratio else 0.)
-
-(* Pacing state as a flat float record: field updates stay unboxed,
-   where [float ref] assignment boxes a fresh float per ACK. *)
-type state = { mutable cwnd : float; mutable intersend_s : float }
+  Memory.make
+    ~ack_ewma:(if mask.use_ack_ewma then m.Memory.ack_ewma else 0.)
+    ~send_ewma:(if mask.use_send_ewma then m.Memory.send_ewma else 0.)
+    ~rtt_ratio:(if mask.use_rtt_ratio then m.Memory.rtt_ratio else 0.)
 
 let make ?override ?tally ?(mask = all_signals)
     ?(idle_restart_s = Float.infinity) tree =
   let tracker = Memory.tracker () in
-  let st = { cwnd = 0.; intersend_s = 0. } in
+  let pacing = { Cc.window = 0.; intersend = 0. } in
   let unmasked = mask = all_signals in
-  let consult mem =
+  (* Look up the rule covering [mem] and act on it: the one memory
+     record built per ACK is the lookup point and, with a tally, the
+     recorded sample. *)
+  let apply mem =
     let mem = if unmasked then mem else apply_mask mask mem in
     let id = Rule_tree.lookup tree mem in
     (match tally with Some t -> Tally.record t id mem | None -> ());
-    Rule_tree.action ?override tree id
-  in
-  let apply mem =
-    let act = consult mem in
-    st.cwnd <- Action.apply act ~window:st.cwnd;
-    st.intersend_s <- act.Action.intersend_ms /. 1e3
+    Action.apply_to (Rule_tree.action ?override tree id) pacing
   in
   let reset ~now:_ =
     Memory.reset tracker;
-    st.cwnd <- 0.;
+    pacing.window <- 0.;
     (* Section 4.3: before any ACK, the all-zero memory region's action
        determines the initial window (m * 0 + b). *)
     apply Memory.zero
   in
-  let on_ack (a : Cc.ack_info) =
+  (* remy-lint: hot *)
+  let on_ack (tbl : Remy_sim.Packet.table) h ~now ~newly_acked:_ ~in_recovery:_ =
     (* Graceful degradation after an outage: a gap in the ACK stream
        longer than [idle_restart_s] means the EWMAs describe a network
        that no longer exists (one giant interarrival delta would
        otherwise dominate them for dozens of ACKs), so restart the
-       estimators as at connection start.  Off (infinity) by default —
-       the optimizer's design runs never take this branch. *)
+       estimators as at connection start — only the memory, not the
+       window.  Off (infinity) by default — the optimizer's design runs
+       never take this branch. *)
     (if idle_restart_s < Float.infinity then
        let last = Memory.last_received_at tracker in
-       if (not (Float.is_nan last)) && a.receiver_ts -. last > idle_restart_s
+       if (not (Float.is_nan last)) && tbl.received_at.{h} -. last > idle_restart_s
        then Memory.reset tracker);
-    let rtt =
-      match a.rtt with Some r -> r | None -> a.now -. a.acked_sent_at
-    in
-    let mem =
-      Memory.on_ack tracker ~sent_at:a.acked_sent_at ~received_at:a.receiver_ts ~rtt
-    in
-    apply mem
+    (* The RTT sample is [now -. sent_at] whether or not Karn's rule
+       would accept it: RemyCC's rtt_ratio reads every ACK. *)
+    Memory.observe tracker tbl h ~now;
+    apply (Memory.current tracker)
   in
   {
     Cc.name = "remycc";
     ecn_capable = false;
+    pacing;
     reset;
     on_ack;
     on_loss = (fun ~now:_ -> ());
     on_timeout = (fun ~now:_ -> ());
-    window = (fun () -> st.cwnd);
-    intersend = (fun () -> st.intersend_s);
     stamp = Cc.no_stamp;
   }
 

@@ -9,7 +9,15 @@
 
     RemyCCs deliberately ignore loss and timeout signals (Section 4.1):
     the window is left untouched and the host TCP's retransmission
-    machinery ({!Remy_cc.Tcp_sender}) recovers the data. *)
+    machinery ({!Remy_cc.Senders}) recovers the data.
+
+    Unmasked and without idle restart, the per-ACK hook allocates one
+    {!Memory.t} (the lookup point, which a tally also records) and
+    nothing else: the memory tracker is folded
+    in place from the ACK's columns ({!Memory.observe}), the lookup
+    descends on that record, and the action is applied to the flat
+    {!Remy_cc.Cc.pacing} record ({!Action.apply_to}).  Its RTT sample is
+    [now -. sent_at] on every ACK, retransmission or not. *)
 
 type mask = { use_ack_ewma : bool; use_send_ewma : bool; use_rtt_ratio : bool }
 (** Signal ablation: a disabled signal is pinned to zero before the rule

@@ -30,31 +30,25 @@ let create ?(initial_action = Action.default) () =
     live = 1;
   }
 
-(* Octree descent to the leaf holding (a, s, r).  Child bit [d] is set
-   when coordinate [d] is at or above the split point, so a point on a
-   split plane belongs to the high child, and a NaN coordinate (every
-   comparison false) goes low.  The coordinates travel as arguments,
-   not in a per-call closure over the memory point. *)
+(* Octree descent to the leaf holding [m].  Child bit [d] is set when
+   coordinate [d] is at or above the split point, so a point on a split
+   plane belongs to the high child, and a NaN coordinate (every
+   comparison false) goes low.  The point travels as its flat float
+   record, so no coordinate is boxed on the way down. *)
 (* remy-lint: hot *)
-let rec descend node a s r =
+let rec descend node (m : Memory.t) =
   match node with
   | Leaf id -> id
   | Split { point; children } ->
     let i =
-      (if a >= point.(0) then 1 else 0)
-      lor (if s >= point.(1) then 2 else 0)
-      lor (if r >= point.(2) then 4 else 0)
+      (if m.ack_ewma >= point.(0) then 1 else 0)
+      lor (if m.send_ewma >= point.(1) then 2 else 0)
+      lor if m.rtt_ratio >= point.(2) then 4 else 0
     in
-    descend children.(i) a s r
+    descend children.(i) m
 
-let lookup t m =
-  descend t.root m.Memory.ack_ewma m.Memory.send_ewma m.Memory.rtt_ratio
-
-(* Same saturation [Memory.make] applies to each coordinate. *)
 (* remy-lint: hot *)
-let lookup3 t ~ack_ewma ~send_ewma ~rtt_ratio =
-  descend t.root (Memory.clamp ack_ewma) (Memory.clamp send_ewma)
-    (Memory.clamp rtt_ratio)
+let lookup t m = descend t.root m
 
 let lookup_uncompiled = lookup
 
@@ -528,7 +522,7 @@ let save path t = Sexp.save path (to_sexp t)
 
 let load path =
   match Sexp.load path with
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
+  | Error _ as e -> e
   | Ok s -> (
     match of_sexp s with
     | Error e -> Error (Printf.sprintf "%s: %s" path e)

@@ -23,12 +23,8 @@ val lookup : t -> Memory.t -> int
 (** Id of the rule whose region contains the memory point, found by
     descending the octree from the root: at each split the point goes to
     the child on its side of the split point in every dimension, a
-    coordinate equal to the split point going to the high side. *)
-
-val lookup3 : t -> ack_ewma:float -> send_ewma:float -> rtt_ratio:float -> int
-(** [lookup] on [Memory.make ~ack_ewma ~send_ewma ~rtt_ratio] without
-    building the record — for per-ack hot paths.  Each coordinate gets
-    the saturation [Memory.make] applies ({!Memory.clamp}). *)
+    coordinate equal to the split point going to the high side.
+    Allocates nothing, so it serves the per-ACK path. *)
 
 val lookup_uncompiled : t -> Memory.t -> int
 (** Alias of {!lookup}.  It exists only because the repository
@@ -105,8 +101,8 @@ val validate : t -> (unit, string) result
 
 val save : string -> t -> unit
 val load : string -> (t, string) result
-(** Errors are prefixed with the path and carry the parser's
-    line/column diagnostics. *)
+(** Every error begins with the path, once; parse errors carry the
+    parser's line/column diagnostics. *)
 
 val load_validated : string -> (t, string) result
 (** {!load} followed by {!validate}: use before simulating a table so a

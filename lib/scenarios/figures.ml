@@ -630,14 +630,7 @@ let ablation_signals fmt opts =
       ~base_seed:opts.base_seed ()
   in
   let variant name mask =
-    {
-      Schemes.name;
-      factory = Remy.Remycc.factory ~mask tree;
-      qdisc = Schemes.Q_droptail;
-      (* Masked RemyCCs must not be swapped for the unmasked fleet. *)
-      tree = None;
-      idle_restart_s = None;
-    }
+    { (Schemes.remy ~name tree) with factory = Remy.Remycc.factory ~mask tree }
   in
   Format.fprintf fmt "%-24s %10s %12s@." "variant" "tput" "qdelay (ms)";
   List.iter

@@ -104,11 +104,6 @@ type summary = {
 
 let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
     ?(faults = Remy_faults.Spec.empty) t (scheme : Schemes.t) =
-  (* The dumbbell keeps the scheme's own factory; on a named topology a
-     RemyCC runs on the structure-of-arrays fleet. *)
-  let fleet_tree =
-    match t.network with Topology _ -> scheme.Schemes.tree | Dumbbell _ -> None
-  in
   let points = ref [] in
   let rtt_sums = ref [] in
   let flows = ref [] in
@@ -117,13 +112,7 @@ let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
        scheme keeps trace files bounded; results are unaffected. *)
     let tracer = if rep = 0 then tracer else Remy_obs.Trace.off in
     let config = config t scheme ~seed:(t.base_seed + rep) in
-    let sender_factory =
-      Option.map
-        (fun tree ->
-          Remy.Fleet.factory ?idle_restart_s:scheme.Schemes.idle_restart_s tree)
-        fleet_tree
-    in
-    let result = Topology.run ~tracer ?probe_interval ?sender_factory ~faults config in
+    let result = Topology.run ~tracer ?probe_interval ~faults config in
     let rtts = Topology.flow_rtts config in
     flows := result.Topology.flows :: !flows;
     Array.iteri

@@ -103,9 +103,7 @@ val run_scheme :
     {!Remy_cc.Topology.run}.  Points come from senders that went on and
     delivered, like the paper's "active during intervals" accounting;
     [mean_rtt_ms] adds each one's two-way propagation
-    ({!Remy_cc.Topology.flow_rtts}).  On a named topology a RemyCC
-    scheme runs on a fresh {!Remy.Fleet} per replication (identical
-    results, scales to 10k flows); everything else runs the scheme's
+    ({!Remy_cc.Topology.flow_rtts}).  Every flow runs the scheme's
     [factory].  [tracer]/[probe_interval] apply to replication 0 only
     (one representative trace per scheme); they never affect results.
     [faults] installs the same fault schedule in every replication

@@ -7,14 +7,13 @@ type t = {
   factory : Cc.factory;
   qdisc : qdisc_kind;
   tree : Remy.Rule_tree.t option;
-  idle_restart_s : float option;
 }
 
 let droptail_capacity = 1000
 let dctcp_threshold = 65
 
 let baseline name factory qdisc =
-  { name; factory; qdisc; tree = None; idle_restart_s = None }
+  { name; factory; qdisc; tree = None }
 
 let newreno = baseline "NewReno" (Newreno.factory ()) Q_droptail
 let vegas = baseline "Vegas" (Vegas.factory ()) Q_droptail
@@ -33,7 +32,6 @@ let remy ?idle_restart_s ~name tree =
     factory = Remy.Remycc.factory ?idle_restart_s tree;
     qdisc = Q_droptail;
     tree = Some tree;
-    idle_restart_s;
   }
 
 let qdisc_spec t ~capacity =

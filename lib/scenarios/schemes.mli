@@ -13,12 +13,8 @@ type t = {
   factory : Remy_cc.Cc.factory;
   qdisc : qdisc_kind;
   tree : Remy.Rule_tree.t option;
-      (** the rule table behind a RemyCC scheme; lets runners substitute
-          the structure-of-arrays {!Remy.Fleet} backend for the
-          per-record one (identical results, scales to 10k flows) *)
-  idle_restart_s : float option;
-      (** the [idle_restart_s] that [factory] was built with, so a
-          substituted fleet restarts its memory as the records would *)
+      (** the rule table behind a RemyCC scheme, for callers that
+          inspect it (rule counts, a usage tally) *)
 }
 
 val droptail_capacity : int
@@ -43,10 +39,9 @@ val fig4_baselines : t list
 
 val remy : ?idle_restart_s:float -> name:string -> Remy.Rule_tree.t -> t
 (** Wrap a rule table as a scheme running over DropTail.
-    [idle_restart_s] forwards to {!Remy.Remycc.factory} and is kept for
-    {!Remy.Fleet.factory}: after an ACK gap longer than this, stale
-    memory EWMAs are reset (graceful degradation across link outages).
-    Default off. *)
+    [idle_restart_s] forwards to {!Remy.Remycc.factory}: after an ACK
+    gap longer than this, stale memory EWMAs are reset (graceful
+    degradation across link outages).  Default off. *)
 
 val qdisc_spec : t -> capacity:int -> Remy_cc.Dumbbell.qdisc_spec
 

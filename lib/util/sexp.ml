@@ -232,7 +232,11 @@ let save path t =
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
   with Unix.Unix_error _ -> ()
 
+(* [Sys_error]'s message already begins with the path. *)
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
-  | contents -> of_string contents
+  | contents -> (
+    match of_string contents with
+    | Ok _ as ok -> ok
+    | Error e -> Error (Printf.sprintf "%s: %s" path e))
   | exception Sys_error msg -> Error msg

@@ -42,3 +42,6 @@ val save : string -> t -> unit
 (** Write to a file (atomically via a temp file + rename). *)
 
 val load : string -> (t, string) result
+(** Read and parse a file.  Every error message begins with the path
+    once: an unreadable file gives the system's message (which names
+    it), a parse error ["<path>: line L, column C: ..."]. *)

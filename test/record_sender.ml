@@ -1,10 +1,17 @@
+(* The per-record TCP sender: one mutable record per flow, driving any
+   [Cc.t].  It is the test oracle of the structure-of-arrays
+   [Remy_cc.Senders] core, which must emit the same transmissions and
+   flow summaries on every input (test_tcp_sender's property).  A record
+   per flow cannot read another flow's slot, so an index slip in the
+   core's arrays shows as a divergence. *)
+
+open Remy_cc
 open Remy_sim
 open Remy_util
 
 type config = {
   flow : int;
   cc : Cc.t;
-  rtt : float;
   workload : Workload.t;
   start : [ `Immediate | `Off_draw ];
   min_rto : float;
@@ -109,8 +116,8 @@ let connections_started t = t.conns_started
 let retransmissions t = t.retx_count
 let timeouts t = t.timeout_count
 let srtt t = if Float.is_nan t.srtt_s then None else Some t.srtt_s
-let cwnd t = t.config.cc.Cc.window ()
-let pacing_gap t = t.config.cc.Cc.intersend ()
+let cwnd t = t.config.cc.Cc.pacing.Cc.window
+let pacing_gap t = t.config.cc.Cc.pacing.Cc.intersend
 let rto_backoff t = t.rto_backoff
 
 let in_flight t = Int.max 0 (t.next_seq - t.cum_acked - t.dup_acks)
@@ -172,9 +179,9 @@ and send_packet t ~seq =
 and try_send t =
   if t.on then begin
     let now = Engine.now t.engine in
-    let window = Int.max 1 (int_of_float (Float.max 0. (t.config.cc.Cc.window ()))) in
+    let window = Int.max 1 (int_of_float (Float.max 0. (cwnd t))) in
     if in_flight t < window && segments_remaining t > 0 then begin
-      let gap = t.config.cc.Cc.intersend () in
+      let gap = pacing_gap t in
       let allowed_at = t.last_send +. gap in
       if now +. 1e-12 >= allowed_at then begin
         send_packet t ~seq:t.next_seq;
@@ -342,22 +349,7 @@ let handle_ack t h =
         send_packet t ~seq:t.cum_acked
       end
     end;
-    cc.Cc.on_ack
-      {
-        Cc.now;
-        rtt = (if Float.is_nan rtt_s then None else Some rtt_s);
-        newly_acked = Int.max 0 newly;
-        cum_ack;
-        acked_seq = tbl.Packet.seq.{h};
-        acked_sent_at = tbl.Packet.sent_at.{h};
-        receiver_ts = tbl.Packet.received_at.{h};
-        ecn_echo = tbl.Packet.flags.{h} land Packet.ecn_marked <> 0;
-        xcp_feedback =
-          (let fb = tbl.Packet.xcp_feedback.{h} in
-           if Float.is_nan fb then None else Some fb);
-        in_flight = in_flight t;
-        in_recovery = t.in_recovery;
-      };
+    cc.Cc.on_ack tbl h ~now ~newly_acked:(Int.max 0 newly) ~in_recovery:t.in_recovery;
     complete_if_done t;
     try_send t
   end

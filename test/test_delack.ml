@@ -58,38 +58,38 @@ let test_transfer_with_delack_completes () =
      receiver (the RTO/timer machinery must tolerate batched ACKs). *)
   let engine = Engine.create () in
   let metrics = Metrics.create ~n_flows:1 in
-  let sender_cell = ref None in
+  let senders_cell = ref None in
   let receiver =
     Receiver_bank.create ~delack:(2, 0.2) engine ~metrics ~table
       ~ack_sink:(fun _ a ->
         Engine.schedule_in engine 0.05 (fun () ->
-            Tcp_sender.handle_ack (Option.get !sender_cell) a;
+            Senders.handle_ack (Option.get !senders_cell) 0 a;
             Packet.release table a))
       ~fwd_delay:[| 0.05 |]
   in
-  let sender =
-    Tcp_sender.create ~table engine
-      {
-        Tcp_sender.flow = 0;
-        cc = Newreno.make ();
-        rtt = 0.1;
-        workload =
-          {
-            Workload.off_time = Remy_util.Dist.Constant infinity;
-            on_spec = Workload.By_bytes (Remy_util.Dist.Constant (50. *. 1500.));
-          };
-        start = `Immediate;
-        min_rto = 0.2;
-      }
-      ~transmit:(fun p ->
-        Engine.schedule_in engine 0.05 (fun () ->
-            Receiver_bank.receive receiver ~now:(Engine.now engine) 0 p))
-      ~metrics ~rng:(Remy_util.Prng.create 1)
+  let senders =
+    Senders.create ~table engine ~metrics ~min_rto:0.2
+      [|
+        {
+          Senders.cc = Newreno.make ();
+          workload =
+            {
+              Workload.off_time = Remy_util.Dist.Constant infinity;
+              on_spec = Workload.By_bytes (Remy_util.Dist.Constant (50. *. 1500.));
+            };
+          start = `Immediate;
+          rng = Remy_util.Prng.create 1;
+          transmit =
+            (fun p ->
+              Engine.schedule_in engine 0.05 (fun () ->
+                  Receiver_bank.receive receiver ~now:(Engine.now engine) 0 p));
+        };
+      |]
   in
-  sender_cell := Some sender;
-  Tcp_sender.start sender;
+  senders_cell := Some senders;
+  Senders.start senders 0;
   Engine.run engine ~until:30.;
-  Alcotest.(check int) "transfer completes" 50 (Tcp_sender.cum_acked sender)
+  Alcotest.(check int) "transfer completes" 50 (Senders.cum_acked senders 0)
 
 let test_dumbbell_with_delack () =
   (* The full dumbbell runs with delayed-ACK receivers; throughput stays

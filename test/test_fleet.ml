@@ -1,11 +1,13 @@
-(* The SoA fleet acceptance tests: Fleet.factory must be a drop-in,
-   bit-identical replacement for the per-record backend
-   (Tcp_sender + Remycc closures) that Topology.run uses by default.
-   Equivalence is checked flow for flow on multi-bottleneck scenarios
-   that exercise every code path the fleet mirrors — pacing, windowing,
-   NewReno-style recovery, RFC 6298 timeouts under stochastic loss,
-   on/off restarts — plus the override and tally side channels the
-   optimizer depends on. *)
+(* The sender core ([Remy_cc.Senders], the structure-of-arrays "fleet")
+   running RemyCCs through [Topology.run].  Each multi-flow run is
+   pinned by the digest of its result.  The digests were generated by
+   the per-record sender and by the RemyCC-only Fleet that the core
+   replaced, which agreed on them bit for bit, so the core still
+   "matches the records": on multi-bottleneck scenarios that exercise
+   pacing, windowing, NewReno-style recovery, RFC 6298 timeouts under
+   stochastic loss and on/off restarts, plus the override and tally side
+   channels the optimizer depends on.  test_tcp_sender checks the core
+   against the record oracle directly, for every CC. *)
 
 open Remy
 open Remy_cc
@@ -56,47 +58,11 @@ let render_tally tree tally =
     (Rule_tree.live_ids tree);
   Buffer.contents b
 
-(* Run [config] under both backends and demand identical results.  The
-   records arm relies on the flows' [cc] factories (Remycc closures);
-   the fleet arm substitutes the shared-array backend for the same
-   tree.  A fleet factory is single-use, so build it here. *)
-let check_equiv ?override ?tally_pair ~expected name tree
-    (config : Topology.config) =
-  let records =
-    match tally_pair with
-    | None -> Topology.run config
-    | Some (t, _) ->
-      Topology.run
-        {
-          config with
-          Topology.flows =
-            Array.map
-              (fun (f : Topology.flow_spec) ->
-                { f with Topology.cc = Remycc.factory ?override ~tally:t tree })
-              config.Topology.flows;
-        }
-  in
-  let fleet =
-    let tally = Option.map snd tally_pair in
-    Topology.run
-      ~sender_factory:(Fleet.factory ?override ?tally tree)
-      config
-  in
-  Alcotest.(check bool) (name ^ ": traffic flowed") true
-    (records.Topology.received > 0);
-  Array.iteri
-    (fun i f -> check_flow name i f fleet.Topology.flows.(i))
-    records.Topology.flows;
-  Alcotest.(check int) (name ^ ": drops") records.Topology.drops
-    fleet.Topology.drops;
-  Alcotest.(check int) (name ^ ": delivered") records.Topology.delivered
-    fleet.Topology.delivered;
-  Alcotest.(check int) (name ^ ": received") records.Topology.received
-    fleet.Topology.received;
-  Alcotest.(check (float 0.))
-    (name ^ ": utilization")
-    records.Topology.bottleneck_utilization fleet.Topology.bottleneck_utilization;
-  Sims.check_digest name ~expected (Sims.render_result records)
+(* Run [config] on the core and demand the pinned result. *)
+let check_pinned ~expected name (config : Topology.config) =
+  let r = Topology.run config in
+  Alcotest.(check bool) (name ^ ": traffic flowed") true (r.Topology.received > 0);
+  Sims.check_digest name ~expected (Sims.render_result r)
 
 let test_fleet_matches_records_parking_lot () =
   let tree = make_tree () in
@@ -106,26 +72,26 @@ let test_fleet_matches_records_parking_lot () =
       ~workload:(Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3)
       ~start:`Off_draw ~duration:10. ~seed:23 ()
   in
-  check_equiv ~expected:"d0245b1ea1599ed72c269a9f8f3ea0e5" "parking-lot" tree
-    (cfg ());
+  check_pinned ~expected:"d0245b1ea1599ed72c269a9f8f3ea0e5" "parking-lot" (cfg ());
   (* The optimizer's candidate-evaluation side channel: substituting one
-     rule's action must take the same effect in both backends.  Rule 0
+     rule's action must take the same effect as it did on both
+     pinning backends.  Rule 0
      is the root that the subdivision replaced, not a live leaf, so this
      override never fires and the run equals the plain one. *)
   let override =
     (0, { Action.multiple = 0.; increment = 1.; intersend_ms = 40. })
   in
-  check_equiv ~override ~expected:"d0245b1ea1599ed72c269a9f8f3ea0e5"
-    "parking-lot override" tree (cfg ~override ())
+  check_pinned ~expected:"d0245b1ea1599ed72c269a9f8f3ea0e5" "parking-lot override"
+    (cfg ~override ())
 
 let test_fleet_matches_records_incast () =
   let tree = make_tree () in
-  check_equiv ~expected:"9acd7a46ad137329d6f645a6eab22e8d" "incast" tree
+  check_pinned ~expected:"9acd7a46ad137329d6f645a6eab22e8d" "incast"
     (Topology.incast ~n:32 ~cc:(Remycc.factory tree) ~duration:1.5 ~seed:5 ())
 
 let test_fleet_matches_records_lossy () =
   (* Stochastic loss drives dup-ack recovery, partial acks, and RTO
-     go-back-N — the fleet's hairiest mirrored paths. *)
+     go-back-N — the sender's hairiest paths. *)
   let tree = make_tree () in
   let rtt = 0.08 in
   let cfg =
@@ -152,32 +118,22 @@ let test_fleet_matches_records_lossy () =
       min_rto = 0.2;
     }
   in
-  check_equiv ~expected:"80ee0aea85a52f2bc373d35f5465be8b" "lossy" tree cfg
+  check_pinned ~expected:"80ee0aea85a52f2bc373d35f5465be8b" "lossy" cfg
 
 let test_fleet_matches_records_tally () =
   (* Rule-usage tallies (counts and reservoir samples both draw from a
-     seeded RNG) must come out identical. *)
+     seeded RNG) must come out as pinned. *)
   let tree = make_tree () in
-  let tally_of () = Tally.create ~capacity:(Rule_tree.capacity tree) ~seed:3 () in
-  let t_rec = tally_of () and t_fleet = tally_of () in
+  let tally = Tally.create ~capacity:(Rule_tree.capacity tree) ~seed:3 () in
   let cfg =
-    Topology.parking_lot ~hops:2 ~n:4 ~cc:(Remycc.factory tree)
+    Topology.parking_lot ~hops:2 ~n:4 ~cc:(Remycc.factory ~tally tree)
       ~workload:Workload.saturating ~start:`Immediate ~duration:4. ~seed:8 ()
   in
-  check_equiv ~tally_pair:(t_rec, t_fleet)
-    ~expected:"8054b979a877e0f7250630478fd0eee4" "tally" tree cfg;
+  check_pinned ~expected:"8054b979a877e0f7250630478fd0eee4" "tally" cfg;
   Sims.check_digest "tally counts" ~expected:"dd6504bae5e92f3059f01d31dd62ffb8"
-    (render_tally tree t_rec);
-  List.iter
-    (fun id ->
-      Alcotest.(check int)
-        (Printf.sprintf "rule %d usage" id)
-        (Tally.count t_rec id) (Tally.count t_fleet id);
-      Alcotest.(check bool) (Printf.sprintf "rule %d samples" id) true
-        (Tally.samples t_rec id = Tally.samples t_fleet id))
-    (Rule_tree.live_ids tree);
+    (render_tally tree tally);
   Alcotest.(check bool) "rules were exercised" true
-    (List.exists (fun id -> Tally.count t_rec id > 0) (Rule_tree.live_ids tree))
+    (List.exists (fun id -> Tally.count tally id > 0) (Rule_tree.live_ids tree))
 
 let test_fleet_scales_to_4096 () =
   (* The allocation story at the target scale: a 4096-flow incast burst
@@ -185,7 +141,6 @@ let test_fleet_scales_to_4096 () =
   let tree = make_tree () in
   let run () =
     Topology.run
-      ~sender_factory:(Fleet.factory tree)
       (Topology.incast ~n:4096 ~cc:(Remycc.factory tree) ~duration:0.25 ~seed:2 ())
   in
   let r1 = run () and r2 = run () in
@@ -193,19 +148,6 @@ let test_fleet_scales_to_4096 () =
   Array.iteri
     (fun i f -> check_flow "fleet-4096" i f r2.Topology.flows.(i))
     r1.Topology.flows
-
-let test_fleet_factory_is_single_use () =
-  (* One fleet per run: reusing a factory across runs with different
-     flow counts must be rejected rather than silently sharing arrays. *)
-  let tree = make_tree () in
-  let factory = Fleet.factory tree in
-  let cfg n =
-    Topology.incast ~n ~cc:(Remycc.factory tree) ~duration:0.05 ~seed:1 ()
-  in
-  ignore (Topology.run ~sender_factory:factory (cfg 2));
-  match Topology.run ~sender_factory:factory (cfg 3) with
-  | _ -> Alcotest.fail "reuse with a different flow count was accepted"
-  | exception Invalid_argument _ -> ()
 
 let tests =
   [
@@ -219,6 +161,4 @@ let tests =
       test_fleet_matches_records_tally;
     Alcotest.test_case "fleet runs 4096 flows deterministically" `Slow
       test_fleet_scales_to_4096;
-    Alcotest.test_case "fleet factory is single-use" `Quick
-      test_fleet_factory_is_single_use;
   ]

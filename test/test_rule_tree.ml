@@ -338,54 +338,45 @@ let prop_lookup_in_box =
              && contains (at snd id))
            (Rule_tree.live_ids t))
 
-(* [lookup3] saturates its coordinates itself; it must agree with
-   [lookup] on the record [Memory.make] builds from the same floats,
-   including the ones [Memory.make] clamps or passes through as NaN.
-   Besides random tables, one is split just below the domain's top edge,
-   inside the band [Memory.clamp] saturates: there only a [lookup3] that
-   clamps sends [Memory.max_value] to the low side, as [lookup] does. *)
-let prop_lookup3_matches_lookup =
-  let top = Memory.max_value -. 1e-10 in
-  let edge = Rule_tree.create () in
-  ignore
-    (Rule_tree.subdivide edge 0
-       ~at:{ Memory.ack_ewma = top; send_ewma = top; rtt_ratio = top });
-  QCheck.Test.make ~name:"lookup3 = lookup on Memory.make" ~count:50
-    QCheck.(pair (int_range 0 5) (int_range 0 10_000))
-    (fun (depth, seed) ->
-      let rng = Prng.create ((seed * 7919) + 13) in
-      let coord () = Prng.float rng Memory.max_value in
-      let agrees_everywhere t =
-        let agree (a, s, r) =
-          Rule_tree.lookup3 t ~ack_ewma:a ~send_ewma:s ~rtt_ratio:r
-          = Rule_tree.lookup t (mem a s r)
-        in
-        let random = List.init 100 (fun _ -> (coord (), coord (), coord ())) in
-        let corners =
-          List.concat_map
-            (fun id ->
-              let b = Rule_tree.box t id in
-              [ (fst b.(0), fst b.(1), fst b.(2)); (snd b.(0), snd b.(1), snd b.(2)) ])
-            (Rule_tree.live_ids t)
-        in
-        let odd =
-          List.concat_map
-            (fun v ->
-              let c = coord () in
-              [ (v, c, c); (c, v, c); (c, c, v); (v, v, v) ])
-            [
-              Float.nan; -1.; -0.; Float.neg_infinity; top; Memory.max_value;
-              Memory.max_value +. 1.; Float.infinity;
-            ]
-        in
-        List.for_all agree (random @ corners @ odd)
-      in
-      agrees_everywhere (random_tree (Prng.create (seed + 1)) depth)
-      && agrees_everywhere edge)
+(* A load error names the path exactly once, first. *)
+let occurrences ~sub s =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else go (i + 1) (if String.sub s i n = sub then acc + 1 else acc)
+  in
+  go 0 0
+
+let check_names_path_once path = function
+  | Ok _ -> Alcotest.failf "%s loaded" path
+  | Error msg ->
+    Alcotest.(check bool) ("starts with the path: " ^ msg) true
+      (String.starts_with ~prefix:(path ^ ": ") msg);
+    Alcotest.(check int) ("path named once: " ^ msg) 1 (occurrences ~sub:path msg);
+    msg
+
+let test_load_missing_names_path_once () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ()) "remy-no-such-dir/delta1.rules"
+  in
+  let msg = check_names_path_once path (Rule_tree.load path) in
+  Alcotest.(check string) "the system's message" (path ^ ": No such file or directory") msg
+
+let test_load_parse_error_names_path () =
+  let path = Filename.temp_file "remy_bad" ".rules" in
+  Out_channel.with_open_text path (fun oc -> output_string oc "(rules (unclosed");
+  let result = Rule_tree.load path in
+  Sys.remove path;
+  let msg = check_names_path_once path result in
+  Alcotest.(check bool) ("line/column: " ^ msg) true (occurrences ~sub:"line" msg > 0)
 
 let tests =
   [
     Alcotest.test_case "singleton tree" `Quick test_singleton;
+    Alcotest.test_case "missing table names its path once" `Quick
+      test_load_missing_names_path_once;
+    Alcotest.test_case "parse error names the path" `Quick
+      test_load_parse_error_names_path;
     Alcotest.test_case "subdivision partitions" `Quick test_subdivide_partitions;
     Alcotest.test_case "split point on high side" `Quick test_subdivide_boundary_point_is_high_side;
     Alcotest.test_case "degenerate split uses midpoint" `Quick test_subdivide_degenerate_point_uses_midpoint;
@@ -411,5 +402,4 @@ let tests =
     Alcotest.test_case "load_validated rejects out-of-bounds action" `Quick
       test_load_validated_rejects_out_of_bounds;
     QCheck_alcotest.to_alcotest prop_lookup_in_box;
-    QCheck_alcotest.to_alcotest prop_lookup3_matches_lookup;
   ]
