@@ -30,10 +30,6 @@ let micro_tests () =
              ignore (Heap.pop h)
            done))
   in
-  let ewma = Ewma.create_at ~alpha:0.125 0. in
-  let ewma_test =
-    Test.make ~name:"ewma/update" (Staged.stage (fun () -> Ewma.update ewma 1.5))
-  in
   let tracker = Remy.Memory.tracker () in
   let memory_test =
     Test.make ~name:"memory/on_ack"
@@ -83,8 +79,7 @@ let micro_tests () =
   in
   Test.make_grouped ~name:"remy"
     [
-      prng_test; heap_test; ewma_test; memory_test; lookup_test; engine_test;
-      codel_test;
+      prng_test; heap_test; memory_test; lookup_test; engine_test; codel_test;
     ]
 
 let micro_rows () =
@@ -234,22 +229,10 @@ let run_sim_bench ~smoke =
   let duration = if smoke then 8. else 24. in
   let reps = 3 in
   let config seed =
-    Topology.dumbbell
-      {
-        Dumbbell.service = Dumbbell.Rate_mbps 15.;
-        qdisc = Dumbbell.Droptail 120;
-        flows =
-          Array.init 2 (fun _ ->
-              {
-                Dumbbell.cc = Remycc.factory tree;
-                rtt = 0.1;
-                workload = Remy_sim.Workload.by_time ~mean_on:1.0 ~mean_off:0.5;
-                start = `Off_draw;
-              });
-        duration;
-        seed;
-        min_rto = Dumbbell.default_min_rto;
-      }
+    Topology.dumbbell ~service:(Topology.Rate_mbps 15.) ~qdisc:(Topology.Droptail 120)
+      ~rtts:[| 0.1; 0.1 |] ~cc:(Remycc.factory tree)
+      ~workload:(Remy_sim.Workload.by_time ~mean_on:1.0 ~mean_off:0.5)
+      ~start:`Off_draw ~duration ~seed ()
   in
   (* Snapshot-diff instead of a process-wide reset, so concurrent report
      sections (the macrobench just ran) keep their own attribution. *)

@@ -116,7 +116,7 @@ let run_robustness file link rtt_ms senders duration replications seed delta
     in
     let scenario =
       Remy_scenarios.Scenario.make
-        ~service:(Remy_cc.Dumbbell.Rate_mbps link)
+        ~service:(Remy_cc.Topology.Rate_mbps link)
         ~n:senders ~rtt:(rtt_ms /. 1e3)
         ~workload:(Remy_sim.Workload.by_bytes ~mean_bytes:100e3 ~mean_off:0.5)
         ~duration ~replications ~base_seed:seed ()

@@ -85,10 +85,10 @@ let run link rtt_ms senders workload_kind mean_kb mean_on mean_off duration
   in
   let service =
     match link_trace with
-    | None -> Remy_cc.Dumbbell.Rate_mbps link
+    | None -> Remy_cc.Topology.Rate_mbps link
     | Some path -> (
       match Cell_trace.load path with
-      | Ok t -> Remy_cc.Dumbbell.Trace t
+      | Ok t -> Remy_cc.Topology.Trace t
       | Error msg ->
         Printf.eprintf "error: cannot load trace %s: %s\n" path msg;
         exit 1)
@@ -140,7 +140,14 @@ let run link rtt_ms senders workload_kind mean_kb mean_on mean_off duration
         | None -> scheme
         | Some q -> { scheme with Schemes.qdisc = q }
       in
-      let s = Scenario.run_scheme ~tracer ?probe_interval ~faults scenario scheme in
+      (* [Topology.run] checks the network itself (rates, delays, sender
+         count, duration) and names what is wrong. *)
+      let s =
+        try Scenario.run_scheme ~tracer ?probe_interval ~faults scenario scheme
+        with Invalid_argument msg ->
+          Printf.eprintf "error: %s\n" msg;
+          exit 1
+      in
       if loss > 0. then
         Format.printf "%-16s %8.3f Mbps %10.2f ms   (with %.2f%% loss)@."
           s.Scenario.scheme s.Scenario.median_tput s.Scenario.median_qdelay

@@ -15,7 +15,7 @@ open Remy_sim
 let () =
   let scenario =
     Scenario.make
-      ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+      ~service:(Remy_cc.Topology.Rate_mbps 15.)
       ~n:2 ~rtt:0.150 ~workload:Workload.saturating ~start:`Immediate
       ~duration:30. ~replications:3 ()
   in

@@ -29,7 +29,7 @@ let () =
   in
   let scenario =
     Scenario.make
-      ~service:(Remy_cc.Dumbbell.Trace trace)
+      ~service:(Remy_cc.Topology.Trace trace)
       ~n:4 ~rtt:0.050
       ~workload:(Workload.by_bytes ~mean_bytes:100e3 ~mean_off:0.5)
       ~duration:40. ~replications:4 ()

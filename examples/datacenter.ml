@@ -17,7 +17,7 @@ let () =
   in
   let scenario =
     Scenario.make
-      ~service:(Remy_cc.Dumbbell.Rate_mbps 1000.)
+      ~service:(Remy_cc.Topology.Rate_mbps 1000.)
       ~n:64 ~rtt:0.004
       ~workload:(Workload.by_bytes ~mean_bytes:2e6 ~mean_off:0.1)
       ~duration:5. ~replications:2 ()

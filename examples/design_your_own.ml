@@ -46,7 +46,7 @@ let () =
   (* 4. Check the result against NewReno on the modeled network. *)
   let scenario =
     Remy_scenarios.Scenario.make
-      ~service:(Remy_cc.Dumbbell.Rate_mbps 8.)
+      ~service:(Remy_cc.Topology.Rate_mbps 8.)
       ~n:2 ~rtt:0.100
       ~workload:(Remy_sim.Workload.by_time ~mean_on:1.0 ~mean_off:1.0)
       ~duration:30. ~replications:4 ()

@@ -21,7 +21,7 @@ let () =
      100 kB transfers with 0.5 s think times. *)
   let scenario =
     Scenario.make
-      ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+      ~service:(Remy_cc.Topology.Rate_mbps 15.)
       ~n:8 ~rtt:0.150
       ~workload:(Workload.by_bytes ~mean_bytes:100e3 ~mean_off:0.5)
       ~duration:30. ~replications:4 ()

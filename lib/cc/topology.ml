@@ -11,10 +11,22 @@ open Remy_util
    propagation (symmetric paths).  The paper's dumbbell (Fig. 2) is the
    one-link case built by [dumbbell]. *)
 
+type qdisc_spec =
+  | Droptail of int
+  | Codel of int
+  | Sfq_codel of int
+  | Dctcp_red of { capacity : int; threshold : int }
+  | Xcp of int
+  | With_loss of float * qdisc_spec
+
+type service = Rate_mbps of float | Trace of Cell_trace.t
+
+let default_min_rto = 0.2
+
 type link_spec = {
-  service : Dumbbell.service;
+  service : service;
   delay_s : float; (* one-way propagation at link exit, seconds *)
-  qdisc : Dumbbell.qdisc_spec;
+  qdisc : qdisc_spec;
 }
 
 type flow_spec = {
@@ -44,13 +56,45 @@ type result = {
 
 let invalid fmt = Printf.ksprintf invalid_arg fmt
 
+(* The link rate a service model offers: the constant rate, or a
+   trace's long-run mean.  Sizes XCP's capacity estimate and the
+   utilization denominator. *)
+let service_rate_mbps = function
+  | Rate_mbps m -> m
+  | Trace t -> Cell_trace.mean_rate_mbps t
+
+(* [rate_mbps] sizes XCP's capacity and [seed] derives the
+   stochastic-loss stream. *)
+let qdisc_of_spec engine ~tracer ~table ~rate_mbps ~seed spec =
+  let rec build = function
+    | Droptail capacity -> Droptail.create ~tracer ~table ~capacity ()
+    | Codel capacity -> Codel.create ~tracer ~table ~capacity ()
+    | Sfq_codel capacity -> Sfq_codel.create ~tracer ~table ~capacity ()
+    | Dctcp_red { capacity; threshold } ->
+      Red.create_dctcp ~tracer ~table ~capacity ~threshold ()
+    | Xcp capacity ->
+      let capacity_pps = Link.pps_of_mbps rate_mbps in
+      Xcp_router.create engine ~tracer ~table ~capacity_pps ~queue_capacity:capacity ()
+    | With_loss (loss_rate, inner) ->
+      Lossy.create ~tracer ~table ~inner:(build inner) ~loss_rate
+        ~seed:(seed lxor 0x105E) ()
+  in
+  build spec
+
+(* Fault seeds derive from the run seed by a fixed xor, never by
+   splitting the flow RNG chain: installing a schedule must not perturb
+   any other stochastic stream (no-fault runs stay bit-identical). *)
+let fault_seed ~seed ~link = (seed + (link * 7919)) lxor 0xFA17
+
 let link_rates (config : config) =
-  Array.map (fun (l : link_spec) -> Dumbbell.service_rate_mbps l.service) config.links
+  Array.map (fun (l : link_spec) -> service_rate_mbps l.service) config.links
 
 let validate (config : config) ~rates =
   let nl = Array.length config.links in
   if nl = 0 then invalid_arg "Topology.run: no links";
   if Array.length config.flows = 0 then invalid_arg "Topology.run: no flows";
+  if not (Float.is_finite config.duration && config.duration > 0.) then
+    invalid "Topology.run: duration %g s is not positive" config.duration;
   Array.iteri
     (fun li (l : link_spec) ->
       let rate = rates.(li) in
@@ -113,13 +157,13 @@ let simulate ~table ~tracer ?probe_interval ?delivery_hook ?delack
     Array.mapi
       (fun li (l : link_spec) ->
         let inner =
-          Dumbbell.qdisc_of_spec engine ~tracer ~table ~rate_mbps:rates.(li)
+          qdisc_of_spec engine ~tracer ~table ~rate_mbps:rates.(li)
             ~seed:(config.seed + (li * 7919))
             l.qdisc
         in
         let gate, inj =
           Remy_faults.Injector.maybe engine ~tracer ~table
-            ~seed:(Dumbbell.fault_seed ~seed:config.seed ~link:li)
+            ~seed:(fault_seed ~seed:config.seed ~link:li)
             (Remy_faults.Spec.for_link faults li)
             ~inner
         in
@@ -203,10 +247,10 @@ let simulate ~table ~tracer ?probe_interval ?delivery_hook ?delack
       link_arr.(li) <-
         Some
           (match l.service with
-          | Dumbbell.Rate_mbps mbps ->
+          | Rate_mbps mbps ->
             Link.create_constant engine ~table ~qdisc
               ~bytes_per_sec:(Link.bytes_per_sec_of_mbps mbps) ~sink
-          | Dumbbell.Trace trace ->
+          | Trace trace ->
             Link.create_trace engine ~table ~qdisc ~next_gap:(Cell_trace.gap_fn trace)
               ~sink))
     config.links;
@@ -319,27 +363,20 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook ?delack
 (* The dumbbell: one bottleneck with no exit delay, each flow reaching
    its receiver after half its RTT.  [0. +. x = x] exactly, so every
    forward and reverse delay keeps the bits of [rtt /. 2.]. *)
-let dumbbell (d : Dumbbell.config) =
+let dumbbell ~service ~qdisc ~rtts ~cc ~workload ~start ~duration ~seed () =
   {
-    links = [| { service = d.service; delay_s = 0.; qdisc = d.qdisc } |];
+    links = [| { service; delay_s = 0.; qdisc } |];
     flows =
       Array.map
-        (fun (f : Dumbbell.flow_spec) ->
-          {
-            cc = f.cc;
-            route = [| 0 |];
-            access_delay_s = f.rtt /. 2.;
-            workload = f.workload;
-            start = f.start;
-          })
-        d.flows;
-    duration = d.duration;
-    seed = d.seed;
-    min_rto = d.min_rto;
+        (fun rtt -> { cc; route = [| 0 |]; access_delay_s = rtt /. 2.; workload; start })
+        rtts;
+    duration;
+    seed;
+    min_rto = default_min_rto;
   }
 
 let droptail_link ~mbps ~delay_s ~capacity =
-  { service = Dumbbell.Rate_mbps mbps; delay_s; qdisc = Dumbbell.Droptail capacity }
+  { service = Rate_mbps mbps; delay_s; qdisc = Droptail capacity }
 
 let routed ~cc ~workload ~start route =
   { cc; route; access_delay_s = 0.; workload; start }
@@ -365,7 +402,7 @@ let parking_lot ?(hops = 3) ?(link_mbps = 15.) ?(rtt_s = 0.15)
         routed ~cc ~workload ~start
           (if i < long then all_hops else [| (i - long) mod hops |]))
   in
-  { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
+  { links; flows; duration; seed; min_rto = default_min_rto }
 
 (* One pod of a fat tree: [edges] edge links feed a shared aggregation
    uplink (oversubscribed [oversub]:1), which feeds a core link.
@@ -388,7 +425,7 @@ let fat_tree_pod ?(edges = 4) ?(edge_mbps = 100.) ?(oversub = 4.)
   let flows =
     Array.init n (fun i -> routed ~cc ~workload ~start [| i mod edges; edges; edges + 1 |])
   in
-  { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
+  { links; flows; duration; seed; min_rto = default_min_rto }
 
 (* Many-to-one datacenter incast: n senders share one bottleneck
    toward a single receiver host, each firing a synchronized burst
@@ -409,7 +446,7 @@ let incast ?(bottleneck_mbps = 1000.) ?access_mbps ?(rtt_s = 4e-4)
       [| droptail_link ~mbps:bottleneck_mbps ~delay_s:(rtt_s /. 2.) ~capacity:queue_capacity |]
     in
     let flows = Array.init n (fun _ -> routed ~cc ~workload ~start [| 0 |]) in
-    { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
+    { links; flows; duration; seed; min_rto = default_min_rto }
   | Some access ->
     (* Link n is the shared bottleneck; links 0..n-1 are per-sender
        access links carrying a quarter of the propagation budget. *)
@@ -422,7 +459,7 @@ let incast ?(bottleneck_mbps = 1000.) ?access_mbps ?(rtt_s = 4e-4)
               ~capacity:queue_capacity)
     in
     let flows = Array.init n (fun i -> routed ~cc ~workload ~start [| i; n |]) in
-    { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
+    { links; flows; duration; seed; min_rto = default_min_rto }
 
 (* --- registry ------------------------------------------------------ *)
 

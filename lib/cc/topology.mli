@@ -1,4 +1,4 @@
-(** The simulation runner.
+(** The simulation runner, and the one description of a network.
 
     A network is a set of links and per-flow routes: each link is a
     queue discipline + transmission server (constant rate, or a
@@ -13,10 +13,31 @@
     bottlenecks).  The paper's dumbbell (Fig. 2) is the one-link
     network built by {!dumbbell}. *)
 
+(** {1 Links} *)
+
+type qdisc_spec =
+  | Droptail of int  (** capacity in packets; the paper's default is 1000 *)
+  | Codel of int
+  | Sfq_codel of int
+  | Dctcp_red of { capacity : int; threshold : int }
+  | Xcp of int
+      (** capacity in packets; router learns the link rate from the
+          service model (trace links use the long-run mean, footnote 6) *)
+  | With_loss of float * qdisc_spec
+      (** i.i.d. non-congestive loss rate in front of the inner queue *)
+
+type service =
+  | Rate_mbps of float
+  | Trace of Remy_sim.Cell_trace.t  (** replayed cyclically *)
+
+val default_min_rto : float
+(** 0.2 s — small enough not to stall short LTE outages, large enough to
+    avoid spurious timeouts at the design-range RTTs. *)
+
 type link_spec = {
-  service : Dumbbell.service;
+  service : service;
   delay_s : float;  (** one-way propagation at link exit, seconds *)
-  qdisc : Dumbbell.qdisc_spec;
+  qdisc : qdisc_spec;
 }
 
 type flow_spec = {
@@ -96,10 +117,23 @@ val run :
 
 (** {1 Canonical topologies} *)
 
-val dumbbell : Dumbbell.config -> config
-(** The paper's dumbbell: one bottleneck link with no exit delay, each
-    flow reaching its receiver after half its RTT ([access_delay_s =
-    rtt /. 2.]). *)
+val dumbbell :
+  service:service ->
+  qdisc:qdisc_spec ->
+  rtts:float array ->
+  cc:Cc.factory ->
+  workload:Remy_sim.Workload.t ->
+  start:[ `Immediate | `Off_draw ] ->
+  duration:float ->
+  seed:int ->
+  unit ->
+  config
+(** The paper's dumbbell: n senders, one per entry of [rtts] (each
+    flow's two-way propagation delay, seconds, for Section 5.4's
+    differing RTTs), share one bottleneck with no exit delay, each flow
+    reaching its receiver after half its RTT ([access_delay_s = rtt /.
+    2.]); [min_rto] is {!default_min_rto}.  Every flow runs [cc] and
+    [workload]; a caller that mixes them updates [flows]. *)
 
 val parking_lot :
   ?hops:int ->

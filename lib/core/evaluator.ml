@@ -41,39 +41,26 @@ let timed_sim run =
 let specimen_flow_summaries ?override ?tally ?topology ~queue_capacity ~duration
     tree (s : Net_model.specimen) =
   let cc = Remycc.factory ?override ?tally tree in
-  let config =
+  let network =
     match topology with
     | None ->
       Topology.dumbbell
-        {
-          Dumbbell.service = Dumbbell.Rate_mbps s.Net_model.spec_link_mbps;
-          qdisc = Dumbbell.Droptail queue_capacity;
-          flows =
-            Array.init s.Net_model.n (fun _ ->
-                {
-                  Dumbbell.cc;
-                  rtt = s.Net_model.rtt_s;
-                  workload = s.Net_model.workload;
-                  start = `Off_draw;
-                });
-          duration;
-          seed = s.Net_model.spec_seed;
-          min_rto = 1.0;
-        }
+        ~service:(Topology.Rate_mbps s.Net_model.spec_link_mbps)
+        ~qdisc:(Topology.Droptail queue_capacity)
+        ~rtts:(Array.make s.Net_model.n s.Net_model.rtt_s)
+        ~cc ~workload:s.Net_model.workload ~start:`Off_draw ~duration
+        ~seed:s.Net_model.spec_seed ()
     | Some name ->
       let builder =
         match Topology.builder_of_name name with
         | Some b -> b
         | None -> invalid_arg (Printf.sprintf "Evaluator: unknown topology %S" name)
       in
-      {
-        (builder ~n:s.Net_model.n ~cc ~workload:s.Net_model.workload
-           ~link_mbps:s.Net_model.spec_link_mbps ~rtt_s:s.Net_model.rtt_s
-           ~queue_capacity ~duration ~seed:s.Net_model.spec_seed ())
-        with
-        Topology.min_rto = 1.0;
-      }
+      builder ~n:s.Net_model.n ~cc ~workload:s.Net_model.workload
+        ~link_mbps:s.Net_model.spec_link_mbps ~rtt_s:s.Net_model.rtt_s
+        ~queue_capacity ~duration ~seed:s.Net_model.spec_seed ()
   in
+  let config = { network with Topology.min_rto = 1.0 } in
   (timed_sim (fun () -> Topology.run config)).Topology.flows
 
 let specimen_scores ?override ?tally p tree s =

@@ -164,7 +164,8 @@ val specimen_flow_summaries :
   Net_model.specimen ->
   Remy_sim.Metrics.flow_summary array
 (** Run a single specimen and expose the raw per-flow summaries (tests,
-    diagnostics).  The specimen is a {!Remy_cc.Topology.dumbbell}, or,
-    with [topology] (from {!Net_model.t.topology}), the named
-    {!Remy_cc.Topology} builder; either way every sender runs
-    {!Remycc.make} on the table. *)
+    diagnostics).  The specimen is a {!Remy_cc.Topology.dumbbell} over a
+    DropTail queue of [queue_capacity] packets, or, with [topology]
+    (from {!Net_model.t.topology}), the named {!Remy_cc.Topology}
+    builder; either way every sender runs {!Remycc.make} on the table,
+    with a 1 s minimum RTO. *)

@@ -153,7 +153,7 @@ let summary_table fmt summaries ~reference =
 let fig4 fmt opts =
   let scenario =
     Scenario.make
-      ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+      ~service:(Remy_cc.Topology.Rate_mbps 15.)
       ~n:8 ~rtt:0.150
       ~workload:(Workload.by_bytes ~mean_bytes:100e3 ~mean_off:0.5)
       ~duration:opts.duration ~replications:opts.replications
@@ -177,7 +177,7 @@ let fig4 fmt opts =
 let fig5 fmt opts =
   let scenario =
     Scenario.make
-      ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+      ~service:(Remy_cc.Topology.Rate_mbps 15.)
       ~n:12 ~rtt:0.150
       ~workload:(Workload.icsi ~mean_off:0.2)
       ~duration:opts.duration ~replications:opts.replications
@@ -198,7 +198,7 @@ let cellular_experiment fmt opts ~id ~title ~trace_name ~profile ~n =
   let trace = load_trace opts trace_name profile in
   let scenario =
     Scenario.make
-      ~service:(Remy_cc.Dumbbell.Trace trace)
+      ~service:(Remy_cc.Topology.Trace trace)
       ~n ~rtt:0.050
       ~workload:(Workload.by_bytes ~mean_bytes:100e3 ~mean_off:0.5)
       ~duration:opts.duration ~replications:opts.replications
@@ -239,39 +239,27 @@ let fig6_one fmt opts ~id ~label tree =
   Format.fprintf fmt "@.--- %s ---@." label;
   let t_depart = opts.duration /. 2. in
   let series = ref [] in
-  let flows =
-    [|
-      {
-        Remy_cc.Dumbbell.cc = Remy.Remycc.factory tree;
-        rtt = 0.150;
-        workload = Workload.saturating;
-        start = `Immediate;
-      };
-      {
-        Remy_cc.Dumbbell.cc = Remy.Remycc.factory tree;
-        rtt = 0.150;
-        workload =
-          {
-            Workload.off_time = Dist.Constant infinity;
-            on_spec = Workload.By_time (Dist.Constant t_depart);
-          };
-        start = `Immediate;
-      };
-    |]
+  let config =
+    Remy_cc.Topology.dumbbell ~service:(Remy_cc.Topology.Rate_mbps 15.)
+      ~qdisc:(Remy_cc.Topology.Droptail 1000) ~rtts:[| 0.150; 0.150 |]
+      ~cc:(Remy.Remycc.factory tree) ~workload:Workload.saturating ~start:`Immediate
+      ~duration:opts.duration ~seed:opts.base_seed ()
   in
+  (* The competitor sends for [t_depart] seconds, then leaves for good. *)
+  config.flows.(1) <-
+    {
+      (config.flows.(1)) with
+      workload =
+        {
+          Workload.off_time = Dist.Constant infinity;
+          on_spec = Workload.By_time (Dist.Constant t_depart);
+        };
+    };
   let _ =
     Remy_cc.Topology.run
       ~delivery_hook:(fun ~flow ~now ~seq ->
         if flow = 0 then series := (now, seq) :: !series)
-      (Remy_cc.Topology.dumbbell
-         {
-           Remy_cc.Dumbbell.service = Remy_cc.Dumbbell.Rate_mbps 15.;
-           qdisc = Remy_cc.Dumbbell.Droptail 1000;
-           flows;
-           duration = opts.duration;
-           seed = opts.base_seed;
-           min_rto = Remy_cc.Dumbbell.default_min_rto;
-         })
+      config
   in
   let series = Array.of_list (List.rev !series) in
   let rate_between t0 t1 =
@@ -332,7 +320,7 @@ let fig10 fmt opts =
   let rtts = [| 0.050; 0.100; 0.150; 0.200 |] in
   let scenario =
     Scenario.make
-      ~service:(Remy_cc.Dumbbell.Rate_mbps 10.)
+      ~service:(Remy_cc.Topology.Rate_mbps 10.)
       ~n:4 ~rtt:0.1 ~rtts
       ~workload:(Workload.icsi ~mean_off:0.2)
       ~duration:opts.duration ~replications:opts.replications
@@ -396,7 +384,7 @@ let tbl_datacenter fmt opts =
   let replications = max 2 (opts.replications / 2) in
   let scenario =
     Scenario.make
-      ~service:(Remy_cc.Dumbbell.Rate_mbps 1000.)
+      ~service:(Remy_cc.Topology.Rate_mbps 1000.)
       ~n:64 ~rtt:0.004
       ~workload:(Workload.by_bytes ~mean_bytes:2e6 ~mean_off:0.1)
       ~duration ~replications ~base_seed:opts.base_seed ()
@@ -421,46 +409,25 @@ let tbl_datacenter fmt opts =
 
 (* --- Section 5.6: competing protocols -------------------------------- *)
 
-let competing_run opts ~remy_tree ~other_factory ~workload ~seed =
-  (* One RemyCC flow vs one [other] flow on the paper's 15 Mbps / 150 ms
-     bottleneck; returns (remy_tputs, other_tputs) across replications. *)
-  let remy_t = ref [] and other_t = ref [] in
-  for rep = 0 to opts.replications - 1 do
-    let flows =
-      [|
-        {
-          Remy_cc.Dumbbell.cc = Remy.Remycc.factory remy_tree;
-          rtt = 0.150;
-          workload;
-          start = `Off_draw;
-        };
-        {
-          Remy_cc.Dumbbell.cc = other_factory;
-          rtt = 0.150;
-          workload;
-          start = `Off_draw;
-        };
-      |]
-    in
-    let r =
-      Remy_cc.Topology.run
-        (Remy_cc.Topology.dumbbell
-           {
-             Remy_cc.Dumbbell.service = Remy_cc.Dumbbell.Rate_mbps 15.;
-             qdisc = Remy_cc.Dumbbell.Droptail 1000;
-             flows;
-             duration = opts.duration;
-             seed = seed + rep;
-             min_rto = Remy_cc.Dumbbell.default_min_rto;
-           })
-    in
-    let tput i = r.Remy_cc.Topology.flows.(i).Metrics.throughput_mbps in
-    if r.Remy_cc.Topology.flows.(0).Metrics.on_time > 0. then
-      remy_t := tput 0 :: !remy_t;
-    if r.Remy_cc.Topology.flows.(1).Metrics.on_time > 0. then
-      other_t := tput 1 :: !other_t
-  done;
-  (Array.of_list !remy_t, Array.of_list !other_t)
+(* One RemyCC flow vs one [other] flow on the paper's 15 Mbps / 150 ms
+   bottleneck; returns (remy_tputs, other_tputs), one per replication
+   in which the flow switched on, latest replication first. *)
+let competing_run opts ~remy ~other ~workload ~seed =
+  let scenario =
+    Scenario.make ~service:(Remy_cc.Topology.Rate_mbps 15.) ~n:2 ~rtt:0.150
+      ~workload ~duration:opts.duration ~replications:opts.replications
+      ~base_seed:seed ()
+  in
+  let s = Scenario.run_population scenario [| remy; other |] in
+  let tputs i =
+    Array.of_list
+      (Array.fold_left
+         (fun acc (row : Metrics.flow_summary array) ->
+           if row.(i).Metrics.on_time > 0. then row.(i).Metrics.throughput_mbps :: acc
+           else acc)
+         [] s.Scenario.flows)
+  in
+  (tputs 0, tputs 1)
 
 let tbl_competing fmt opts =
   header fmt "Section 5.6 tables: competing with Compound and Cubic"
@@ -468,15 +435,15 @@ let tbl_competing fmt opts =
      the 15 Mbps / 150 ms bottleneck with one conventional flow.  Paper shape:\n\
      RemyCC wins at low duty cycles (it grabs spare bandwidth faster); at high\n\
      duty cycles the buffer-filling protocol takes the larger share.";
-  let tree = Tables.tree Tables.coexist in
+  let remy = Tables.scheme Tables.coexist in
   Format.fprintf fmt "@.vs Compound, ICSI flows, varying mean off time:@.";
   Format.fprintf fmt "%-14s %18s %18s@." "mean off" "RemyCC tput (sd)"
     "Compound tput (sd)";
   List.iteri
     (fun i off ->
       let remy, other =
-        competing_run opts ~remy_tree:tree
-          ~other_factory:(Remy_cc.Compound.factory ())
+        competing_run opts ~remy
+          ~other:Schemes.compound
           ~workload:(Workload.icsi ~mean_off:off)
           ~seed:(opts.base_seed + (1000 * i))
       in
@@ -490,8 +457,8 @@ let tbl_competing fmt opts =
   List.iteri
     (fun i size ->
       let remy, other =
-        competing_run opts ~remy_tree:tree
-          ~other_factory:(Remy_cc.Cubic.factory ())
+        competing_run opts ~remy
+          ~other:Schemes.cubic
           ~workload:(Workload.by_bytes ~mean_bytes:size ~mean_off:0.5)
           ~seed:(opts.base_seed + 5000 + (1000 * i))
       in
@@ -520,7 +487,7 @@ let fig11 fmt opts =
     (fun mbps ->
       let scenario =
         Scenario.make
-          ~service:(Remy_cc.Dumbbell.Rate_mbps mbps)
+          ~service:(Remy_cc.Topology.Rate_mbps mbps)
           ~n:2 ~rtt:0.150
           ~workload:(Workload.by_time ~mean_on:1.0 ~mean_off:1.0)
           ~duration:opts.duration
@@ -576,7 +543,7 @@ let ablation_loss fmt opts =
     (fun loss ->
       let scenario =
         Scenario.make ~loss
-          ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+          ~service:(Remy_cc.Topology.Rate_mbps 15.)
           ~n:2 ~rtt:0.150
           ~workload:(Workload.by_time ~mean_on:2.0 ~mean_off:1.0)
           ~duration:opts.duration ~replications:opts.replications
@@ -623,7 +590,7 @@ let ablation_signals fmt opts =
   let tree = Tables.tree Tables.delta1 in
   let scenario =
     Scenario.make
-      ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+      ~service:(Remy_cc.Topology.Rate_mbps 15.)
       ~n:8 ~rtt:0.150
       ~workload:(Workload.by_bytes ~mean_bytes:100e3 ~mean_off:0.5)
       ~duration:opts.duration ~replications:opts.replications

@@ -3,7 +3,7 @@ open Remy_sim
 open Remy_util
 
 type network =
-  | Dumbbell of { service : Dumbbell.service; rtts : float array; loss : float }
+  | Dumbbell of { service : Topology.service; rtts : float array; loss : float }
   | Topology of { name : string; link_mbps : float; rtt : float }
 
 type t = {
@@ -17,6 +17,10 @@ type t = {
   base_seed : int;
 }
 
+let check_replications fn replications =
+  if replications < 1 then
+    invalid_arg (Printf.sprintf "%s: %d replications, need at least 1" fn replications)
+
 let make ?(capacity = Schemes.droptail_capacity) ?rtts ?(loss = 0.)
     ?(replications = 16) ?(base_seed = 7000) ?(start = `Off_draw) ~service ~n
     ~rtt ~workload ~duration () =
@@ -27,6 +31,7 @@ let make ?(capacity = Schemes.droptail_capacity) ?rtts ?(loss = 0.)
   (* Written so that NaN fails too. *)
   if not (loss >= 0. && loss < 1.) then
     invalid_arg (Printf.sprintf "Scenario.make: loss rate %g outside [0, 1)" loss);
+  check_replications "Scenario.make" replications;
   {
     network = Dumbbell { service; rtts; loss };
     capacity;
@@ -50,6 +55,7 @@ let topology ?(capacity = Schemes.droptail_capacity) ?(replications = 16)
     ?(base_seed = 7000) ?(start = `Off_draw) ~name ~n ~link_mbps ~rtt ~workload
     ~duration () =
   let (_ : Topology.builder) = builder name in
+  check_replications "Scenario.topology" replications;
   {
     network = Topology { name; link_mbps; rtt };
     capacity;
@@ -61,33 +67,47 @@ let topology ?(capacity = Schemes.droptail_capacity) ?(replications = 16)
     base_seed;
   }
 
-(* The concrete network of one replication. *)
-let config t (scheme : Schemes.t) ~seed =
-  match t.network with
-  | Dumbbell { service; rtts; loss } ->
-    let qdisc = Schemes.qdisc_spec scheme ~capacity:t.capacity in
-    Topology.dumbbell
-      {
-        Dumbbell.service;
-        qdisc = (if loss > 0. then Dumbbell.With_loss (loss, qdisc) else qdisc);
-        flows =
-          Array.map
-            (fun rtt ->
-              {
-                Dumbbell.cc = scheme.Schemes.factory;
-                rtt;
-                workload = t.workload;
-                start = t.start;
-              })
-            rtts;
-        duration = t.duration;
-        seed;
-        min_rto = Dumbbell.default_min_rto;
-      }
-  | Topology { name; link_mbps; rtt } ->
-    builder name ~n:t.n ~cc:scheme.Schemes.factory ~workload:t.workload
-      ~start:t.start ~link_mbps ~rtt_s:rtt ~queue_capacity:t.capacity
-      ~duration:t.duration ~seed ()
+(* The scheme whose qdisc pairing queues the dumbbell: every flow
+   crosses one bottleneck, so the population must agree on it.  An
+   empty population builds no flows, which [Topology.run] rejects, so
+   any scheme serves. *)
+let lead (population : Schemes.t array) =
+  if Array.length population = 0 then Schemes.newreno
+  else begin
+    let first = population.(0) in
+    Array.iter
+      (fun (s : Schemes.t) ->
+        if s.Schemes.qdisc <> first.Schemes.qdisc then
+          invalid_arg
+            (Printf.sprintf
+               "Scenario.run_population: %s and %s disagree on the qdisc pairing"
+               first.Schemes.name s.Schemes.name))
+      population;
+    first
+  end
+
+(* The concrete network of one replication: the builders give every
+   flow the lead's factory, and flow [i] then takes [population.(i)]'s. *)
+let config t ~lead population ~seed =
+  let cc = lead.Schemes.factory in
+  let network =
+    match t.network with
+    | Dumbbell { service; rtts; loss } ->
+      let qdisc = Schemes.qdisc_spec lead ~capacity:t.capacity in
+      Topology.dumbbell ~service
+        ~qdisc:(if loss > 0. then Topology.With_loss (loss, qdisc) else qdisc)
+        ~rtts ~cc ~workload:t.workload ~start:t.start ~duration:t.duration ~seed ()
+    | Topology { name; link_mbps; rtt } ->
+      builder name ~n:t.n ~cc ~workload:t.workload ~start:t.start ~link_mbps
+        ~rtt_s:rtt ~queue_capacity:t.capacity ~duration:t.duration ~seed ()
+  in
+  {
+    network with
+    Topology.flows =
+      Array.mapi
+        (fun i (f : Topology.flow_spec) -> { f with cc = population.(i).Schemes.factory })
+        network.Topology.flows;
+  }
 
 type point = { tput_mbps : float; qdelay_ms : float }
 
@@ -102,8 +122,21 @@ type summary = {
   flows : Metrics.flow_summary array array;
 }
 
-let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
-    ?(faults = Remy_faults.Spec.empty) t (scheme : Schemes.t) =
+(* The population's distinct scheme names, in flow order. *)
+let population_name population =
+  Array.fold_left
+    (fun names (s : Schemes.t) ->
+      if List.mem s.Schemes.name names then names else names @ [ s.Schemes.name ])
+    [] population
+  |> String.concat " + "
+
+let run_population ?(tracer = Remy_obs.Trace.off) ?probe_interval
+    ?(faults = Remy_faults.Spec.empty) t (population : Schemes.t array) =
+  if Array.length population <> t.n then
+    invalid_arg
+      (Printf.sprintf "Scenario.run_population: %d schemes for %d senders"
+         (Array.length population) t.n);
+  let lead = lead population in
   let points = ref [] in
   let rtt_sums = ref [] in
   let flows = ref [] in
@@ -111,7 +144,7 @@ let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
     (* Trace only the first replication: one representative run per
        scheme keeps trace files bounded; results are unaffected. *)
     let tracer = if rep = 0 then tracer else Remy_obs.Trace.off in
-    let config = config t scheme ~seed:(t.base_seed + rep) in
+    let config = config t ~lead population ~seed:(t.base_seed + rep) in
     let result = Topology.run ~tracer ?probe_interval ~faults config in
     let rtts = Topology.flow_rtts config in
     flows := result.Topology.flows :: !flows;
@@ -134,7 +167,7 @@ let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
   let delays = Array.map (fun p -> p.qdelay_ms) points in
   let non_empty = Array.length points > 0 in
   {
-    scheme = scheme.Schemes.name;
+    scheme = population_name population;
     points;
     median_tput = (if non_empty then Stats.median tputs else 0.);
     median_qdelay = (if non_empty then Stats.median delays else 0.);
@@ -147,6 +180,9 @@ let run_scheme ?(tracer = Remy_obs.Trace.off) ?probe_interval
       (if !rtt_sums = [] then 0. else Stats.mean (Array.of_list !rtt_sums));
     flows = Array.of_list (List.rev !flows);
   }
+
+let run_scheme ?tracer ?probe_interval ?faults t scheme =
+  run_population ?tracer ?probe_interval ?faults t (Array.make t.n scheme)
 
 let pp_summary_row fmt s =
   let axes =

@@ -36,10 +36,10 @@ let remy ?idle_restart_s ~name tree =
 
 let qdisc_spec t ~capacity =
   match t.qdisc with
-  | Q_droptail -> Dumbbell.Droptail capacity
-  | Q_sfqcodel -> Dumbbell.Sfq_codel capacity
-  | Q_dctcp_red -> Dumbbell.Dctcp_red { capacity; threshold = dctcp_threshold }
-  | Q_xcp -> Dumbbell.Xcp capacity
+  | Q_droptail -> Topology.Droptail capacity
+  | Q_sfqcodel -> Topology.Sfq_codel capacity
+  | Q_dctcp_red -> Topology.Dctcp_red { capacity; threshold = dctcp_threshold }
+  | Q_xcp -> Topology.Xcp capacity
 
 let by_name name =
   List.find_opt (fun t -> String.lowercase_ascii t.name = String.lowercase_ascii name)

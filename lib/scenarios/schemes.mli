@@ -43,7 +43,8 @@ val remy : ?idle_restart_s:float -> name:string -> Remy.Rule_tree.t -> t
     gap longer than this, stale memory EWMAs are reset (graceful
     degradation across link outages).  Default off. *)
 
-val qdisc_spec : t -> capacity:int -> Remy_cc.Dumbbell.qdisc_spec
+val qdisc_spec : t -> capacity:int -> Remy_cc.Topology.qdisc_spec
+(** The scheme's bottleneck queue, [capacity] packets deep. *)
 
 val by_name : string -> t option
 (** Look up a baseline scheme by its printed name. *)

@@ -1,7 +1,4 @@
-(* Dumbbell runs for the tests, through the one simulation runner. *)
-let dumbbell ?tracer ?probe_interval ?delivery_hook ?delack ?faults cfg =
-  Remy_cc.Topology.run ?tracer ?probe_interval ?delivery_hook ?delack ?faults
-    (Remy_cc.Topology.dumbbell cfg)
+(* Helpers shared by the simulation tests. *)
 
 (* Golden digests: the MD5 of a rendered result must not move. *)
 let check_digest name ~expected text =

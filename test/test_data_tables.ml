@@ -54,7 +54,7 @@ let test_delta1_moves_traffic () =
   with_table "delta1" (fun tree ->
       let scenario =
         Scenario.make
-          ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+          ~service:(Remy_cc.Topology.Rate_mbps 15.)
           ~n:2 ~rtt:0.150
           ~workload:(Remy_sim.Workload.by_time ~mean_on:1. ~mean_off:1.)
           ~duration:15. ~replications:2 ()
@@ -70,7 +70,7 @@ let test_delta_family_orders_delay () =
   | Ok t01, Ok t10 ->
     let scenario =
       Scenario.make
-        ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+        ~service:(Remy_cc.Topology.Rate_mbps 15.)
         ~n:4 ~rtt:0.150
         ~workload:(Remy_sim.Workload.by_bytes ~mean_bytes:100e3 ~mean_off:0.5)
         ~duration:20. ~replications:3 ()

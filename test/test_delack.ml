@@ -94,28 +94,13 @@ let test_transfer_with_delack_completes () =
 let test_dumbbell_with_delack () =
   (* The full dumbbell runs with delayed-ACK receivers; throughput stays
      in the same ballpark as per-packet ACKs. *)
-  let flows =
-    [|
-      {
-        Dumbbell.cc = Newreno.factory ();
-        rtt = 0.1;
-        workload = Workload.saturating;
-        start = `Immediate;
-      };
-    |]
-  in
   let config =
-    {
-      Dumbbell.service = Dumbbell.Rate_mbps 10.;
-      qdisc = Dumbbell.Droptail 500;
-      flows;
-      duration = 20.;
-      seed = 77;
-      min_rto = 0.2;
-    }
+    Topology.dumbbell ~service:(Topology.Rate_mbps 10.) ~qdisc:(Topology.Droptail 500)
+      ~rtts:[| 0.1 |] ~cc:(Newreno.factory ()) ~workload:Workload.saturating
+      ~start:`Immediate ~duration:20. ~seed:77 ()
   in
-  let plain = Sims.dumbbell config in
-  let delayed = Sims.dumbbell ~delack:(2, 0.2) config in
+  let plain = Topology.run config in
+  let delayed = Topology.run ~delack:(2, 0.2) config in
   let tput r = r.Topology.flows.(0).Metrics.throughput_mbps in
   Alcotest.(check bool) "delack throughput within 30%" true
     (tput delayed > 0.7 *. tput plain)

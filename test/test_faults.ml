@@ -211,22 +211,11 @@ let fixed_transfer n =
       Workload.By_bytes (Remy_util.Dist.Constant (float_of_int (n * Packet.default_size)));
   }
 
-let dumbbell_config ?(duration = 30.) ?(seed = 9) ?(n = 2) () =
-  {
-    Dumbbell.service = Dumbbell.Rate_mbps 10.;
-    qdisc = Dumbbell.Droptail 1000;
-    flows =
-      Array.init n (fun _ ->
-          {
-            Dumbbell.cc = Newreno.factory ();
-            rtt = 0.1;
-            workload = fixed_transfer 200;
-            start = `Immediate;
-          });
-    duration;
-    seed;
-    min_rto = Dumbbell.default_min_rto;
-  }
+let dumbbell_config ?(cc = Newreno.factory ()) ?(packets = 200) ?(duration = 30.)
+    ?(seed = 9) ?(n = 2) () =
+  Topology.dumbbell ~service:(Topology.Rate_mbps 10.) ~qdisc:(Topology.Droptail 1000)
+    ~rtts:(Array.make n 0.1) ~cc ~workload:(fixed_transfer packets) ~start:`Immediate
+    ~duration ~seed ()
 
 let summaries r =
   Array.to_list
@@ -237,13 +226,13 @@ let summaries r =
        r.Topology.flows)
 
 let test_no_fault_bit_identity () =
-  let a = Sims.dumbbell (dumbbell_config ()) in
-  let b = Sims.dumbbell ~faults:Spec.empty (dumbbell_config ()) in
+  let a = Topology.run (dumbbell_config ()) in
+  let b = Topology.run ~faults:Spec.empty (dumbbell_config ()) in
   Alcotest.(check bool) "empty spec is invisible" true (summaries a = summaries b)
 
 let test_outage_park_delivers_everything () =
   let faults = parse_ok "outage:1+2" in
-  let r = Sims.dumbbell ~faults (dumbbell_config ()) in
+  let r = Topology.run ~faults (dumbbell_config ()) in
   Array.iter
     (fun (f : Metrics.flow_summary) ->
       Alcotest.(check int) "all segments delivered across the outage" 200
@@ -254,7 +243,7 @@ let test_outage_drop_recovers () =
   (* Arrivals during the blackout are discarded: the senders must take
      RTOs and still finish the transfer afterwards. *)
   let faults = parse_ok "outage:1+2,drop" in
-  let r = Sims.dumbbell ~faults (dumbbell_config ()) in
+  let r = Topology.run ~faults (dumbbell_config ()) in
   Array.iter
     (fun (f : Metrics.flow_summary) ->
       Alcotest.(check int) "transfer completes after drop outage" 200
@@ -263,14 +252,14 @@ let test_outage_drop_recovers () =
 
 let test_faulted_run_deterministic () =
   let faults = parse_ok "outage:1+0.5+5;ge:0.02,0.2,0.4;reorder:0.05,0.005;dup:0.01;corrupt:0.005" in
-  let a = Sims.dumbbell ~faults (dumbbell_config ()) in
-  let b = Sims.dumbbell ~faults (dumbbell_config ()) in
+  let a = Topology.run ~faults (dumbbell_config ()) in
+  let b = Topology.run ~faults (dumbbell_config ()) in
   Alcotest.(check bool) "identical runs identical summaries" true
     (summaries a = summaries b)
 
 let test_ge_drops_affect_throughput () =
-  let clean = Sims.dumbbell (dumbbell_config ~duration:10. ()) in
-  let lossy = Sims.dumbbell ~faults:(parse_ok "ge:0.05,0.1,0.8") (dumbbell_config ~duration:10. ()) in
+  let clean = Topology.run (dumbbell_config ~duration:10. ()) in
+  let lossy = Topology.run ~faults:(parse_ok "ge:0.05,0.1,0.8") (dumbbell_config ~duration:10. ()) in
   let tput r =
     Array.fold_left (fun acc (f : Metrics.flow_summary) -> acc +. f.Metrics.throughput_mbps)
       0. r.Topology.flows
@@ -279,28 +268,14 @@ let test_ge_drops_affect_throughput () =
 
 (* ---------- Graceful degradation: idle restart ---------- *)
 
-let remy_dumbbell_config ~factory ?(duration = 20.) ?(seed = 21) () =
-  {
-    Dumbbell.service = Dumbbell.Rate_mbps 10.;
-    qdisc = Dumbbell.Droptail 1000;
-    flows =
-      Array.init 2 (fun _ ->
-          {
-            Dumbbell.cc = factory;
-            rtt = 0.1;
-            workload = fixed_transfer 150;
-            start = `Immediate;
-          });
-    duration;
-    seed;
-    min_rto = Dumbbell.default_min_rto;
-  }
+let remy_dumbbell_config ~factory () =
+  dumbbell_config ~cc:factory ~packets:150 ~duration:20. ~seed:21 ()
 
 let test_idle_restart_off_is_identity () =
   let tree = Remy.Rule_tree.create () in
-  let a = Sims.dumbbell (remy_dumbbell_config ~factory:(Remy.Remycc.factory tree) ()) in
+  let a = Topology.run (remy_dumbbell_config ~factory:(Remy.Remycc.factory tree) ()) in
   let b =
-    Sims.dumbbell
+    Topology.run
       (remy_dumbbell_config
          ~factory:(Remy.Remycc.factory ~idle_restart_s:infinity tree)
          ())
@@ -311,7 +286,7 @@ let test_idle_restart_off_is_identity () =
 let test_idle_restart_deterministic_under_outage () =
   let tree = Remy.Rule_tree.create () in
   let run () =
-    Sims.dumbbell
+    Topology.run
       ~faults:(parse_ok "outage:1+2")
       (remy_dumbbell_config ~factory:(Remy.Remycc.factory ~idle_restart_s:0.5 tree) ())
   in
@@ -319,30 +294,34 @@ let test_idle_restart_deterministic_under_outage () =
     (summaries (run ()) = summaries (run ()))
 
 let test_fleet_matches_records_under_faults () =
-  (* The fault layer and idle restart on the sender core.  The digests
-     were generated by the per-record sender and the RemyCC Fleet that
-     the core replaced, which agreed on them bit for bit. *)
+  (* The fault layer and idle restart on the sender core.  A split table
+     with a different action per rule, because restarting the memory of
+     a one-rule table cannot change the run. *)
   let tree = Remy.Rule_tree.create () in
+  ignore
+    (Remy.Rule_tree.subdivide tree 0
+       ~at:(Remy.Memory.make ~ack_ewma:20. ~send_ewma:20. ~rtt_ratio:1.2));
+  List.iteri
+    (fun i id ->
+      Remy.Rule_tree.set_action tree id
+        {
+          Remy.Action.multiple = 0.5 +. (0.1 *. float_of_int i);
+          increment = float_of_int (i + 1);
+          intersend_ms = 0.5 *. float_of_int (i + 1);
+        })
+    (Remy.Rule_tree.live_ids tree);
   let faults = parse_ok "outage:0.5+1+4;ge:0.02,0.2,0.3" in
-  let config idle =
-    Topology.incast ~n:8
-      ~cc:(Remy.Remycc.factory ?idle_restart_s:idle tree)
-      ~duration:5. ~seed:13 ()
+  let run idle =
+    Sims.render_result
+      (Topology.run ~faults
+         (Topology.incast ~n:8
+            ~cc:(Remy.Remycc.factory ?idle_restart_s:idle tree)
+            ~duration:5. ~seed:13 ()))
   in
-  List.iter
-    (fun (idle, expected) ->
-      let name =
-        Printf.sprintf "fleet = records (idle_restart=%s)"
-          (match idle with None -> "off" | Some s -> string_of_float s)
-      in
-      Sims.check_digest name ~expected
-        (Sims.render_result (Topology.run ~faults (config idle))))
-    (* The one-rule table looks up the same action whatever the memory
-       holds, so restarting the memory leaves the run unchanged. *)
-    [
-      (None, "ff51c5d825300160b0df94b70814180e");
-      (Some 0.3, "ff51c5d825300160b0df94b70814180e");
-    ]
+  let plain = run None and restarted = run (Some 0.3) in
+  Sims.check_digest "fleet = records (idle_restart=off)" ~expected:"34e0ed6dc783bf0639a486d8165b37ec" plain;
+  Sims.check_digest "fleet = records (idle_restart=0.3)" ~expected:"97de868a0ea5ae8438c3f9ff8eeac118" restarted;
+  Alcotest.(check bool) "idle restart changes the run" false (String.equal plain restarted)
 
 (* ---------- RTO under long outages (regression: unbounded doubling) ---------- *)
 
@@ -351,25 +330,8 @@ let test_rto_bounded_under_blackout () =
      the named clamp instead of doubling without bound, and the first
      ACK after recovery must reset it. *)
   let faults = parse_ok "outage:1+60,drop" in
-  let config =
-    {
-      Dumbbell.service = Dumbbell.Rate_mbps 10.;
-      qdisc = Dumbbell.Droptail 1000;
-      flows =
-        [|
-          {
-            Dumbbell.cc = Newreno.factory ();
-            rtt = 0.1;
-            workload = fixed_transfer 100;
-            start = `Immediate;
-          };
-        |];
-      duration = 120.;
-      seed = 31;
-      min_rto = Dumbbell.default_min_rto;
-    }
-  in
-  let r = Sims.dumbbell ~faults config in
+  let config = dumbbell_config ~packets:100 ~duration:120. ~seed:31 ~n:1 () in
+  let r = Topology.run ~faults config in
   Alcotest.(check int) "transfer completes after a 60 s blackout" 100
     r.Topology.flows.(0).Metrics.packets
 

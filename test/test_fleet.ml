@@ -5,9 +5,10 @@
    replaced, which agreed on them bit for bit, so the core still
    "matches the records": on multi-bottleneck scenarios that exercise
    pacing, windowing, NewReno-style recovery, RFC 6298 timeouts under
-   stochastic loss and on/off restarts, plus the override and tally side
-   channels the optimizer depends on.  test_tcp_sender checks the core
-   against the record oracle directly, for every CC. *)
+   stochastic loss and on/off restarts, plus the tally side channel the
+   optimizer depends on.  The override's digest came later, from the
+   core itself.  test_tcp_sender checks the core against the record
+   oracle directly, for every CC, live-rule overrides included. *)
 
 open Remy
 open Remy_cc
@@ -58,11 +59,16 @@ let render_tally tree tally =
     (Rule_tree.live_ids tree);
   Buffer.contents b
 
-(* Run [config] on the core and demand the pinned result. *)
-let check_pinned ~expected name (config : Topology.config) =
+(* Run [config] on the core, demand the pinned result, and return it
+   rendered. *)
+let pinned ~expected name (config : Topology.config) =
   let r = Topology.run config in
   Alcotest.(check bool) (name ^ ": traffic flowed") true (r.Topology.received > 0);
-  Sims.check_digest name ~expected (Sims.render_result r)
+  let text = Sims.render_result r in
+  Sims.check_digest name ~expected text;
+  text
+
+let check_pinned ~expected name config = ignore (pinned ~expected name config)
 
 let test_fleet_matches_records_parking_lot () =
   let tree = make_tree () in
@@ -72,17 +78,20 @@ let test_fleet_matches_records_parking_lot () =
       ~workload:(Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3)
       ~start:`Off_draw ~duration:10. ~seed:23 ()
   in
-  check_pinned ~expected:"d0245b1ea1599ed72c269a9f8f3ea0e5" "parking-lot" (cfg ());
+  let plain = pinned ~expected:"d0245b1ea1599ed72c269a9f8f3ea0e5" "parking-lot" (cfg ()) in
   (* The optimizer's candidate-evaluation side channel: substituting one
-     rule's action must take the same effect as it did on both
-     pinning backends.  Rule 0
-     is the root that the subdivision replaced, not a live leaf, so this
-     override never fires and the run equals the plain one. *)
+     rule's action must take effect.  The override targets the leaf
+     holding the all-zeroes initial memory, which every sender consults
+     first. *)
   let override =
-    (0, { Action.multiple = 0.; increment = 1.; intersend_ms = 40. })
+    ( Rule_tree.lookup tree Memory.zero,
+      { Action.multiple = 0.; increment = 1.; intersend_ms = 40. } )
   in
-  check_pinned ~expected:"d0245b1ea1599ed72c269a9f8f3ea0e5" "parking-lot override"
-    (cfg ~override ())
+  let overridden =
+    pinned ~expected:"4ac7aa7e9dfa4e889959309146ff987c" "parking-lot override"
+      (cfg ~override ())
+  in
+  Alcotest.(check bool) "the override changes the run" false (String.equal plain overridden)
 
 let test_fleet_matches_records_incast () =
   let tree = make_tree () in
@@ -99,9 +108,9 @@ let test_fleet_matches_records_lossy () =
       Topology.links =
         [|
           {
-            Topology.service = Dumbbell.Rate_mbps 8.;
+            Topology.service = Topology.Rate_mbps 8.;
             delay_s = rtt /. 2.;
-            qdisc = Dumbbell.With_loss (0.05, Dumbbell.Droptail 200);
+            qdisc = Topology.With_loss (0.05, Topology.Droptail 200);
           };
         |];
       flows =

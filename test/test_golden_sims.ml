@@ -48,21 +48,14 @@ let figure_case (id, expected) =
 
 (* --- dumbbell runs --------------------------------------------------- *)
 
-let config ?(service = Dumbbell.Rate_mbps 15.) ?(qdisc = Dumbbell.Droptail 1000)
+let config ?(service = Topology.Rate_mbps 15.) ?(qdisc = Topology.Droptail 1000)
     ?(rtts = [| 0.15; 0.15; 0.15 |])
     ?(workload = Workload.by_bytes ~mean_bytes:1e5 ~mean_off:0.5)
     ?(start = `Off_draw) ?(duration = 8.) ?(seed = 11) cc =
-  {
-    Dumbbell.service;
-    qdisc;
-    flows = Array.map (fun rtt -> { Dumbbell.cc; rtt; workload; start }) rtts;
-    duration;
-    seed;
-    min_rto = Dumbbell.default_min_rto;
-  }
+  Topology.dumbbell ~service ~qdisc ~rtts ~cc ~workload ~start ~duration ~seed ()
 
 let run ?tracer ?probe_interval ?delivery_hook ?delack ?faults cfg =
-  let r = Sims.dumbbell ?tracer ?probe_interval ?delivery_hook ?delack ?faults cfg in
+  let r = Topology.run ?tracer ?probe_interval ?delivery_hook ?delack ?faults cfg in
   (r.Topology.flows, r.Topology.drops, r.Topology.delivered, r.Topology.bottleneck_utilization)
 
 let render_flows b (flows : Metrics.flow_summary array) =
@@ -114,7 +107,7 @@ let traced_run () =
   let sink, read = Remy_obs.Sink.memory () in
   let out =
     run ~tracer:(Remy_obs.Trace.make sink) ~probe_interval:0.25
-      (config ~qdisc:(Dumbbell.Droptail 40) ~duration:4. (Newreno.factory ()))
+      (config ~qdisc:(Topology.Droptail 40) ~duration:4. (Newreno.factory ()))
   in
   render out ^ String.concat "\n" (List.map Remy_obs.Record.to_json (read ()))
 
@@ -181,52 +174,52 @@ let sim_cases =
       fun () ->
         render
           (run
-             (config ~qdisc:(Dumbbell.Droptail 30) ~workload:Workload.saturating
+             (config ~qdisc:(Topology.Droptail 30) ~workload:Workload.saturating
                 ~start:`Immediate (Cubic.factory ()))) );
     ( "sfqcodel cubic",
       "82349c58dc9366e2f67765fcc3500713",
-      fun () -> render (run (config ~qdisc:(Dumbbell.Sfq_codel 1000) (Cubic.factory ()))) );
+      fun () -> render (run (config ~qdisc:(Topology.Sfq_codel 1000) (Cubic.factory ()))) );
     ( "codel vegas",
       "1d7af1b181390734c43931923423dd76",
-      fun () -> render (run (config ~qdisc:(Dumbbell.Codel 1000) (Vegas.factory ()))) );
+      fun () -> render (run (config ~qdisc:(Topology.Codel 1000) (Vegas.factory ()))) );
     ( "dctcp red",
       "35a70231ba84f62b49c67ff99abc72cb",
       fun () ->
         render
           (run
              (config
-                ~qdisc:(Dumbbell.Dctcp_red { capacity = 1000; threshold = 65 })
-                ~service:(Dumbbell.Rate_mbps 100.) ~rtts:(Array.make 4 0.004)
+                ~qdisc:(Topology.Dctcp_red { capacity = 1000; threshold = 65 })
+                ~service:(Topology.Rate_mbps 100.) ~rtts:(Array.make 4 0.004)
                 ~workload:(Workload.by_bytes ~mean_bytes:2e5 ~mean_off:0.1)
                 ~duration:2. (Dctcp.factory ()))) );
     ( "xcp",
       "d4e7f142c76d10b79852c736d19f02cc",
-      fun () -> render (run (config ~qdisc:(Dumbbell.Xcp 1000) (Xcp.factory ()))) );
+      fun () -> render (run (config ~qdisc:(Topology.Xcp 1000) (Xcp.factory ()))) );
     ( "with_loss newreno",
       "7627c09437cd6b9338ef57ba71d45f75",
       fun () ->
         render
           (run
-             (config ~qdisc:(Dumbbell.With_loss (0.02, Dumbbell.Droptail 1000))
+             (config ~qdisc:(Topology.With_loss (0.02, Topology.Droptail 1000))
                 (Newreno.factory ()))) );
     ( "cellular trace",
       "b7a0c990495c72ea0af90bc672ee739b",
       fun () ->
         render
-          (run (config ~service:(Dumbbell.Trace (Lazy.force trace)) (Cubic.factory ()))) );
+          (run (config ~service:(Topology.Trace (Lazy.force trace)) (Cubic.factory ()))) );
     ( "cellular trace xcp",
       "9039805bfe6bedcbcc366d80c5622290",
       fun () ->
         render
           (run
-             (config ~service:(Dumbbell.Trace (Lazy.force trace)) ~qdisc:(Dumbbell.Xcp 1000)
+             (config ~service:(Topology.Trace (Lazy.force trace)) ~qdisc:(Topology.Xcp 1000)
                 (Xcp.factory ()))) );
     ( "fig10 mixed rtts",
       "f7eed4683456944b5947c2eaed3d83e8",
       fun () ->
         render
           (run
-             (config ~service:(Dumbbell.Rate_mbps 10.)
+             (config ~service:(Topology.Rate_mbps 10.)
                 ~rtts:[| 0.05; 0.1; 0.15; 0.2 |] ~workload:(Workload.icsi ~mean_off:0.2)
                 (Remy.Remycc.factory (Remy.Rule_tree.create ())))) );
     ("fig6 delivery hook", "b3b486da515b31e685816b06e42621c9", fig6_series);

@@ -14,35 +14,22 @@ let test_incast_draws_are_deterministic () =
   done
 
 let run_incast ~qdisc ~senders ~capacity =
-  let flows =
-    Array.init senders (fun _ ->
-        {
-          Dumbbell.cc = Dctcp.factory ();
-          rtt = 0.004;
-          workload = Workload.incast ~burst_bytes:(64. *. 1500.) ~period:0.05;
-          start = `Immediate;
-        })
-  in
-  Sims.dumbbell
-    {
-      Dumbbell.service = Dumbbell.Rate_mbps 1000.;
-      qdisc = qdisc capacity;
-      flows;
-      duration = 3.;
-      seed = 11;
-      min_rto = 0.2;
-    }
+  Topology.run
+    (Topology.dumbbell ~service:(Topology.Rate_mbps 1000.) ~qdisc:(qdisc capacity)
+       ~rtts:(Array.make senders 0.004) ~cc:(Dctcp.factory ())
+       ~workload:(Workload.incast ~burst_bytes:(64. *. 1500.) ~period:0.05)
+       ~start:`Immediate ~duration:3. ~seed:11 ())
 
 let test_synchronized_bursts_overflow_small_buffer () =
   (* 32 senders x 64-segment synchronized bursts = 2048 packets hitting
      a 128-packet buffer at once: drops are inevitable.  This is the
      incast collapse of Section 3.2's datacenter traffic model. *)
-  let r = run_incast ~qdisc:(fun c -> Dumbbell.Droptail c) ~senders:32 ~capacity:128 in
+  let r = run_incast ~qdisc:(fun c -> Topology.Droptail c) ~senders:32 ~capacity:128 in
   Alcotest.(check bool) "incast drops" true (r.Topology.drops > 0)
 
 let test_big_buffer_absorbs_burst () =
   let r =
-    run_incast ~qdisc:(fun c -> Dumbbell.Droptail c) ~senders:8 ~capacity:4096
+    run_incast ~qdisc:(fun c -> Topology.Droptail c) ~senders:8 ~capacity:4096
   in
   Alcotest.(check int) "no drops with headroom" 0 r.Topology.drops;
   Array.iter
@@ -52,11 +39,11 @@ let test_big_buffer_absorbs_burst () =
 
 let test_ecn_reduces_incast_drops () =
   let droptail =
-    run_incast ~qdisc:(fun c -> Dumbbell.Droptail c) ~senders:32 ~capacity:256
+    run_incast ~qdisc:(fun c -> Topology.Droptail c) ~senders:32 ~capacity:256
   in
   let red =
     run_incast
-      ~qdisc:(fun c -> Dumbbell.Dctcp_red { capacity = c; threshold = 65 })
+      ~qdisc:(fun c -> Topology.Dctcp_red { capacity = c; threshold = 65 })
       ~senders:32 ~capacity:256
   in
   (* DCTCP's marking throttles senders before the buffer fills, so the

@@ -44,31 +44,17 @@ let test_inner_drops_included () =
 
 let test_transfer_completes_under_loss () =
   (* End-to-end: a NewReno transfer completes despite 5% random loss. *)
-  let flows =
-    [|
-      {
-        Dumbbell.cc = Newreno.factory ();
-        rtt = 0.05;
-        workload =
-          {
-            Workload.off_time = Remy_util.Dist.Constant infinity;
-            on_spec =
-              Workload.By_bytes (Remy_util.Dist.Constant (200. *. 1500.));
-          };
-        start = `Immediate;
-      };
-    |]
-  in
   let r =
-    Sims.dumbbell
-      {
-        Dumbbell.service = Dumbbell.Rate_mbps 10.;
-        qdisc = Dumbbell.With_loss (0.05, Dumbbell.Droptail 1000);
-        flows;
-        duration = 60.;
-        seed = 3;
-        min_rto = 0.2;
-      }
+    Topology.run
+      (Topology.dumbbell ~service:(Topology.Rate_mbps 10.)
+         ~qdisc:(Topology.With_loss (0.05, Topology.Droptail 1000))
+         ~rtts:[| 0.05 |] ~cc:(Newreno.factory ())
+         ~workload:
+           {
+             Workload.off_time = Remy_util.Dist.Constant infinity;
+             on_spec = Workload.By_bytes (Remy_util.Dist.Constant (200. *. 1500.));
+           }
+         ~start:`Immediate ~duration:60. ~seed:3 ())
   in
   Alcotest.(check int) "all 200 segments delivered" 200
     r.Topology.flows.(0).Remy_sim.Metrics.packets

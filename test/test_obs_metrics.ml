@@ -349,26 +349,15 @@ let test_dashboard_render () =
 (* --- observation changes nothing ----------------------------------- *)
 
 let obs_config () =
-  {
-    Dumbbell.service = Dumbbell.Rate_mbps 15.;
-    qdisc = Dumbbell.Sfq_codel 1000;
-    flows =
-      Array.init 2 (fun _ ->
-          {
-            Dumbbell.cc = Newreno.factory ();
-            rtt = 0.15;
-            workload = Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3;
-            start = `Off_draw;
-          });
-    duration = 20.;
-    seed = 11;
-    min_rto = 0.2;
-  }
+  Topology.dumbbell ~service:(Topology.Rate_mbps 15.) ~qdisc:(Topology.Sfq_codel 1000)
+    ~rtts:[| 0.15; 0.15 |] ~cc:(Newreno.factory ())
+    ~workload:(Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3) ~start:`Off_draw
+    ~duration:20. ~seed:11 ()
 
 let test_observation_invariance () =
   M.disable ();
   P.disable ();
-  let plain = Sims.dumbbell (obs_config ()) in
+  let plain = Topology.run (obs_config ()) in
   M.enable ();
   M.reset ();
   P.enable ();
@@ -378,7 +367,7 @@ let test_observation_invariance () =
       ~finally:(fun () ->
         M.disable ();
         P.disable ())
-      (fun () -> P.span "obs" (fun () -> Sims.dumbbell (obs_config ())))
+      (fun () -> P.span "obs" (fun () -> Topology.run (obs_config ())))
   in
   Array.iteri
     (fun i (f : Metrics.flow_summary) ->
@@ -405,7 +394,7 @@ let test_trace_summary_delay () =
         Remy_obs.Trace.make
           (Remy_obs.Sink.to_file ~columns:Remy_obs.Trace.columns path)
       in
-      ignore (Sims.dumbbell ~tracer (obs_config ()));
+      ignore (Topology.run ~tracer (obs_config ()));
       Remy_obs.Trace.close tracer;
       match Remy_obs.Trace_summary.of_file path with
       | Error e -> Alcotest.failf "summary: %s" e

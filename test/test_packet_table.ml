@@ -8,18 +8,11 @@ open Remy_sim
 let parse_faults s =
   match Remy_faults.Spec.parse s with Ok f -> f | Error e -> invalid_arg e
 
-let dumbbell ?(qdisc = Dumbbell.Droptail 1000) ?(n = 2)
+let dumbbell ?(qdisc = Topology.Droptail 1000) ?(n = 2)
     ?(workload = Workload.by_bytes ~mean_bytes:1e5 ~mean_off:0.5) ?(start = `Off_draw)
     ?(duration = 4.) cc =
-  Topology.dumbbell
-    {
-      Dumbbell.service = Dumbbell.Rate_mbps 15.;
-      qdisc;
-      flows = Array.init n (fun _ -> { Dumbbell.cc; rtt = 0.15; workload; start });
-      duration;
-      seed = 17;
-      min_rto = Dumbbell.default_min_rto;
-    }
+  Topology.dumbbell ~service:(Topology.Rate_mbps 15.) ~qdisc ~rtts:(Array.make n 0.15) ~cc
+    ~workload ~start ~duration ~seed:17 ()
 
 (* A RemyCC that grows its window by half per ACK and paces at 2 us
    floods the unlimited design-phase queue: well over 2^16 packets. *)
@@ -29,13 +22,13 @@ let flood =
       ~initial_action:{ Remy.Action.multiple = 1.5; increment = 1.; intersend_ms = 0.002 }
       ()
   in
-  dumbbell ~qdisc:(Dumbbell.Droptail Qdisc.unlimited_capacity) ~n:1
+  dumbbell ~qdisc:(Topology.Droptail Qdisc.unlimited_capacity) ~n:1
     ~workload:Workload.saturating ~start:`Immediate ~duration:0.8
     (Remy.Remycc.factory tree)
 
-let xcp = dumbbell ~qdisc:(Dumbbell.Xcp 1000) (Xcp.factory ())
-let sfqcodel = dumbbell ~qdisc:(Dumbbell.Sfq_codel 1000) (Cubic.factory ())
-let lossy = dumbbell ~qdisc:(Dumbbell.With_loss (0.02, Dumbbell.Droptail 1000)) (Newreno.factory ())
+let xcp = dumbbell ~qdisc:(Topology.Xcp 1000) (Xcp.factory ())
+let sfqcodel = dumbbell ~qdisc:(Topology.Sfq_codel 1000) (Cubic.factory ())
+let lossy = dumbbell ~qdisc:(Topology.With_loss (0.02, Topology.Droptail 1000)) (Newreno.factory ())
 
 let parking_lot =
   Topology.parking_lot ~n:4 ~cc:(Newreno.factory ())

@@ -40,23 +40,11 @@ let test_grid_rejects_bad_args () =
 let run_probed ~n ~duration ~probe_interval =
   let sink, read = Remy_obs.Sink.memory () in
   let cfg =
-    {
-      Dumbbell.service = Dumbbell.Rate_mbps 10.;
-      qdisc = Dumbbell.Droptail 100;
-      flows =
-        Array.init n (fun _ ->
-            {
-              Dumbbell.cc = Newreno.factory ();
-              rtt = 0.05;
-              workload = Workload.saturating;
-              start = `Immediate;
-            });
-      duration;
-      seed = 77;
-      min_rto = 0.2;
-    }
+    Topology.dumbbell ~service:(Topology.Rate_mbps 10.) ~qdisc:(Topology.Droptail 100)
+      ~rtts:(Array.make n 0.05) ~cc:(Newreno.factory ()) ~workload:Workload.saturating
+      ~start:`Immediate ~duration ~seed:77 ()
   in
-  ignore (Sims.dumbbell ~tracer:(Remy_obs.Trace.make sink) ~probe_interval cfg);
+  ignore (Topology.run ~tracer:(Remy_obs.Trace.make sink) ~probe_interval cfg);
   read ()
 
 let filter_ev records kind =

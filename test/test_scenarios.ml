@@ -3,7 +3,7 @@ open Remy_sim
 
 let quick_scenario ?(n = 2) () =
   Scenario.make
-    ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+    ~service:(Remy_cc.Topology.Rate_mbps 15.)
     ~n ~rtt:0.15
     ~workload:(Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3)
     ~duration:10. ~replications:3 ()
@@ -25,11 +25,11 @@ let test_registry_names () =
 let test_qdisc_pairings () =
   Alcotest.(check bool) "sfqcodel pairing" true
     (match Schemes.qdisc_spec Schemes.cubic_sfqcodel ~capacity:10 with
-    | Remy_cc.Dumbbell.Sfq_codel 10 -> true
+    | Remy_cc.Topology.Sfq_codel 10 -> true
     | _ -> false);
   Alcotest.(check bool) "dctcp pairing" true
     (match Schemes.qdisc_spec Schemes.dctcp ~capacity:10 with
-    | Remy_cc.Dumbbell.Dctcp_red { capacity = 10; threshold = 65 } -> true
+    | Remy_cc.Topology.Dctcp_red { capacity = 10; threshold = 65 } -> true
     | _ -> false)
 
 let test_run_scheme_points () =
@@ -100,7 +100,7 @@ let test_missing_table_raises () =
 let test_rtts_broadcast () =
   let sc =
     Scenario.make
-      ~service:(Remy_cc.Dumbbell.Rate_mbps 10.)
+      ~service:(Remy_cc.Topology.Rate_mbps 10.)
       ~n:3 ~rtt:0.1
       ~rtts:[| 0.05; 0.1; 0.15 |]
       ~workload:Workload.saturating ~start:`Immediate ~duration:5. ~replications:1 ()
@@ -121,7 +121,7 @@ let test_rtts_length_checked () =
   let msg =
     raises_invalid "1 rtt for 3 senders" (fun () ->
         Scenario.make
-          ~service:(Remy_cc.Dumbbell.Rate_mbps 10.)
+          ~service:(Remy_cc.Topology.Rate_mbps 10.)
           ~n:3 ~rtt:0.1 ~rtts:[| 0.05 |] ~workload:Workload.saturating
           ~duration:5. ())
   in
@@ -131,7 +131,7 @@ let test_rtts_length_checked () =
 let test_loss_rate_checked () =
   let make loss () =
     Scenario.make ~loss
-      ~service:(Remy_cc.Dumbbell.Rate_mbps 15.)
+      ~service:(Remy_cc.Topology.Rate_mbps 15.)
       ~n:2 ~rtt:0.15 ~workload:Workload.saturating ~duration:5. ()
   in
   List.iter
@@ -195,6 +195,66 @@ let test_named_topology name () =
        (run (Schemes.remy ~name:"Remy test" split))
     <> 0)
 
+let test_replications_checked () =
+  ignore
+    (raises_invalid "make, 0 replications" (fun () ->
+         Scenario.make ~service:(Remy_cc.Topology.Rate_mbps 15.) ~n:2 ~rtt:0.15
+           ~workload:Workload.saturating ~duration:5. ~replications:0 ()));
+  ignore
+    (raises_invalid "topology, -1 replications" (fun () ->
+         Scenario.topology ~name:"parking-lot" ~n:2 ~link_mbps:15. ~rtt:0.15
+           ~workload:Workload.saturating ~duration:5. ~replications:(-1) ()))
+
+(* A population whose schemes are all [scheme] is [run_scheme scheme]. *)
+let check_uniform_population name sc (scheme : Schemes.t) =
+  let population = Array.make sc.Scenario.n scheme in
+  Alcotest.(check bool) (name ^ ": uniform population = run_scheme") true
+    (compare (Scenario.run_population sc population) (Scenario.run_scheme sc scheme) = 0)
+
+let test_population_uniform () =
+  check_uniform_population "dumbbell" (quick_scenario ~n:3 ()) Schemes.cubic;
+  check_uniform_population "parking-lot" (tiny_topology "parking-lot") Schemes.newreno
+
+(* Flow [i] runs [population.(i)]: a mixed pair matches the same network
+   built by hand, one replication at a time. *)
+let test_population_mixed () =
+  let tree = Remy.Rule_tree.create () in
+  Remy.Rule_tree.set_action tree 0
+    { Remy.Action.multiple = 0.8; increment = 5.; intersend_ms = 1. };
+  let remy = Schemes.remy ~name:"Remy test" tree in
+  let sc = quick_scenario () in
+  let s = Scenario.run_population sc [| remy; Schemes.cubic |] in
+  Alcotest.(check string) "names both schemes" "Remy test + Cubic" s.Scenario.scheme;
+  Array.iteri
+    (fun rep row ->
+      let config =
+        Remy_cc.Topology.dumbbell ~service:(Remy_cc.Topology.Rate_mbps 15.)
+          ~qdisc:(Remy_cc.Topology.Droptail Schemes.droptail_capacity)
+          ~rtts:[| 0.15; 0.15 |] ~cc:remy.Schemes.factory ~workload:sc.Scenario.workload
+          ~start:`Off_draw ~duration:10. ~seed:(sc.Scenario.base_seed + rep) ()
+      in
+      config.flows.(1) <- { (config.flows.(1)) with cc = Schemes.cubic.Schemes.factory };
+      Alcotest.(check bool)
+        (Printf.sprintf "replication %d matches the hand-built network" rep)
+        true
+        (compare row (Remy_cc.Topology.run config).Remy_cc.Topology.flows = 0))
+    s.Scenario.flows
+
+let test_population_checked () =
+  let sc = quick_scenario () in
+  let msg =
+    raises_invalid "3 schemes for 2 senders" (fun () ->
+        Scenario.run_population sc (Array.make 3 Schemes.newreno))
+  in
+  Alcotest.(check bool) ("names both counts: " ^ msg) true
+    (contains msg "3 schemes" && contains msg "2 senders");
+  let msg =
+    raises_invalid "mixed pairings" (fun () ->
+        Scenario.run_population sc [| Schemes.newreno; Schemes.cubic_sfqcodel |])
+  in
+  Alcotest.(check bool) ("names the schemes: " ^ msg) true
+    (contains msg "NewReno" && contains msg "Cubic/sfqCoDel")
+
 let tests =
   [
     Alcotest.test_case "registry names" `Quick test_registry_names;
@@ -209,6 +269,10 @@ let tests =
     Alcotest.test_case "rtts length checked" `Quick test_rtts_length_checked;
     Alcotest.test_case "loss rate checked" `Quick test_loss_rate_checked;
     Alcotest.test_case "unknown topology" `Quick test_unknown_topology;
+    Alcotest.test_case "replications checked" `Quick test_replications_checked;
+    Alcotest.test_case "uniform population = run_scheme" `Slow test_population_uniform;
+    Alcotest.test_case "mixed population per flow" `Slow test_population_mixed;
+    Alcotest.test_case "population checked" `Quick test_population_checked;
   ]
   @ List.map
       (fun name ->

@@ -131,7 +131,7 @@ let test_registry () =
     Topology.builders
 
 let link ?(mbps = 10.) ?(delay_s = 0.01) () =
-  { Topology.service = Dumbbell.Rate_mbps mbps; delay_s; qdisc = Dumbbell.Droptail 10 }
+  { Topology.service = Topology.Rate_mbps mbps; delay_s; qdisc = Topology.Droptail 10 }
 
 let flow ?(access_delay_s = 0.) route =
   {
@@ -187,6 +187,11 @@ let test_access_delay_validation () =
       rejected "flow 1" (cfg [| flow [| 0 |]; flow ~access_delay_s [| 0 |] |]))
     [ -0.01; nan; infinity ]
 
+let test_duration_validation () =
+  List.iter
+    (fun duration -> rejected "duration" { (cfg [| flow [| 0 |] |]) with duration })
+    [ 0.; -1.; nan; infinity ]
+
 let tests =
   [
     Alcotest.test_case "parking lot shares the chain" `Slow
@@ -203,4 +208,5 @@ let tests =
     Alcotest.test_case "link rate validation" `Quick test_link_rate_validation;
     Alcotest.test_case "link delay validation" `Quick test_link_delay_validation;
     Alcotest.test_case "access delay validation" `Quick test_access_delay_validation;
+    Alcotest.test_case "duration validation" `Quick test_duration_validation;
   ]

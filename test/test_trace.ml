@@ -87,35 +87,22 @@ let test_disabled_noop () =
 (* --- simulation wiring ---------------------------------------------- *)
 
 let config ~qdisc ~cc ~n ~duration ~seed =
-  {
-    Dumbbell.service = Dumbbell.Rate_mbps 10.;
-    qdisc;
-    flows =
-      Array.init n (fun _ ->
-          {
-            Dumbbell.cc;
-            rtt = 0.05;
-            workload = Workload.saturating;
-            start = `Immediate;
-          });
-    duration;
-    seed;
-    min_rto = 0.2;
-  }
+  Topology.dumbbell ~service:(Topology.Rate_mbps 10.) ~qdisc ~rtts:(Array.make n 0.05)
+    ~cc ~workload:Workload.saturating ~start:`Immediate ~duration ~seed ()
 
 let run_traced ?probe_interval cfg =
   let sink, read = Sink.memory () in
-  let result = Sims.dumbbell ~tracer:(Trace.make sink) ?probe_interval cfg in
+  let result = Topology.run ~tracer:(Trace.make sink) ?probe_interval cfg in
   (result, read ())
 
 let test_tracing_preserves_results () =
   (* The determinism contract: results are bit-identical whether the
      tracer is absent, attached, or attached with probes. *)
   let cfg () =
-    config ~qdisc:(Dumbbell.Droptail 20) ~cc:(Newreno.factory ()) ~n:2
+    config ~qdisc:(Topology.Droptail 20) ~cc:(Newreno.factory ()) ~n:2
       ~duration:5. ~seed:42
   in
-  let plain = Sims.dumbbell (cfg ()) in
+  let plain = Topology.run (cfg ()) in
   let traced, records = run_traced ~probe_interval:0.1 (cfg ()) in
   Alcotest.(check bool) "trace not empty" true (List.length records > 0);
   Alcotest.(check bool) "flow summaries identical" true
@@ -129,7 +116,7 @@ let test_tracing_preserves_results () =
 let test_event_ordering () =
   let _, records =
     run_traced
-      (config ~qdisc:(Dumbbell.Droptail 20) ~cc:(Newreno.factory ()) ~n:2
+      (config ~qdisc:(Topology.Droptail 20) ~cc:(Newreno.factory ()) ~n:2
          ~duration:3. ~seed:9)
   in
   (* Events appear in engine-clock order. *)
@@ -181,13 +168,13 @@ let test_all_qdiscs_traced () =
      the queue name trace-summary will aggregate by. *)
   let cases =
     [
-      ("droptail", Dumbbell.Droptail 10, Newreno.factory ());
-      ("codel", Dumbbell.Codel 40, Newreno.factory ());
-      ("sfqcodel", Dumbbell.Sfq_codel 40, Newreno.factory ());
+      ("droptail", Topology.Droptail 10, Newreno.factory ());
+      ("codel", Topology.Codel 40, Newreno.factory ());
+      ("sfqcodel", Topology.Sfq_codel 40, Newreno.factory ());
       ( "dctcp-red",
-        Dumbbell.Dctcp_red { capacity = 100; threshold = 5 },
+        Topology.Dctcp_red { capacity = 100; threshold = 5 },
         Dctcp.factory () );
-      ("xcp", Dumbbell.Xcp 100, Xcp.factory ());
+      ("xcp", Topology.Xcp 100, Xcp.factory ());
     ]
   in
   List.iter
@@ -202,7 +189,7 @@ let test_all_qdiscs_traced () =
     cases
 
 let test_red_marks_and_drops () =
-  (* Classic RED is not a Dumbbell pairing, so exercise it directly:
+  (* Classic RED is not a scheme's pairing, so exercise it directly:
      weight 1.0 makes the EWMA track the instantaneous queue, so pushing
      past max_th forces marks (ECN-capable) and early drops (not). *)
   let sink, read = Sink.memory () in
@@ -231,7 +218,7 @@ let test_timeout_traced () =
   let result, records =
     run_traced
       (config
-         ~qdisc:(Dumbbell.With_loss (0.35, Dumbbell.Droptail 1000))
+         ~qdisc:(Topology.With_loss (0.35, Topology.Droptail 1000))
          ~cc:(Newreno.factory ()) ~n:1 ~duration:20. ~seed:3)
   in
   ignore result;
@@ -247,7 +234,7 @@ let test_fold_file_streams () =
     (fun format ->
       let _, records =
         run_traced ~probe_interval:0.5
-          (config ~qdisc:(Dumbbell.Droptail 10) ~cc:(Newreno.factory ()) ~n:2
+          (config ~qdisc:(Topology.Droptail 10) ~cc:(Newreno.factory ()) ~n:2
              ~duration:2. ~seed:5)
       in
       let suffix = match format with `Jsonl -> ".jsonl" | `Csv -> ".csv" in
@@ -316,7 +303,7 @@ let test_trace_summary_flow_cap () =
 let test_trace_summary_aggregates () =
   let result, records =
     run_traced ~probe_interval:0.5
-      (config ~qdisc:(Dumbbell.Droptail 10) ~cc:(Newreno.factory ()) ~n:2
+      (config ~qdisc:(Topology.Droptail 10) ~cc:(Newreno.factory ()) ~n:2
          ~duration:4. ~seed:21)
   in
   let s = Remy_obs.Trace_summary.of_records records in

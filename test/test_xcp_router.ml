@@ -4,24 +4,10 @@ open Remy_sim
 (* Integration: one XCP flow over an XCP router converges near link
    capacity without loss. *)
 let run_xcp ~n ~mbps ~duration ~seed =
-  let flows =
-    Array.init n (fun _ ->
-        {
-          Dumbbell.cc = Xcp.factory ();
-          rtt = 0.1;
-          workload = Workload.saturating;
-          start = `Immediate;
-        })
-  in
-  Sims.dumbbell
-    {
-      Dumbbell.service = Dumbbell.Rate_mbps mbps;
-      qdisc = Dumbbell.Xcp 1000;
-      flows;
-      duration;
-      seed;
-      min_rto = 0.2;
-    }
+  Topology.run
+    (Topology.dumbbell ~service:(Topology.Rate_mbps mbps) ~qdisc:(Topology.Xcp 1000)
+       ~rtts:(Array.make n 0.1) ~cc:(Xcp.factory ()) ~workload:Workload.saturating
+       ~start:`Immediate ~duration ~seed ())
 
 let test_single_flow_converges () =
   let r = run_xcp ~n:1 ~mbps:10. ~duration:20. ~seed:1 in
@@ -46,26 +32,11 @@ let test_xcp_avoids_loss () =
 let test_router_without_xcp_senders () =
   (* Non-XCP traffic through an XCP router: no feedback, no crash, and
      the router still forwards. *)
-  let flows =
-    [|
-      {
-        Dumbbell.cc = Newreno.factory ();
-        rtt = 0.1;
-        workload = Workload.saturating;
-        start = `Immediate;
-      };
-    |]
-  in
   let r =
-    Sims.dumbbell
-      {
-        Dumbbell.service = Dumbbell.Rate_mbps 10.;
-        qdisc = Dumbbell.Xcp 1000;
-        flows;
-        duration = 10.;
-        seed = 4;
-        min_rto = 0.2;
-      }
+    Topology.run
+      (Topology.dumbbell ~service:(Topology.Rate_mbps 10.) ~qdisc:(Topology.Xcp 1000)
+         ~rtts:[| 0.1 |] ~cc:(Newreno.factory ()) ~workload:Workload.saturating
+         ~start:`Immediate ~duration:10. ~seed:4 ())
   in
   Alcotest.(check bool) "traffic flows" true
     (r.Topology.flows.(0).Metrics.throughput_mbps > 1.)
