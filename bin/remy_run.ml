@@ -140,8 +140,9 @@ let run link rtt_ms senders workload_kind mean_kb mean_on mean_off duration
         | None -> scheme
         | Some q -> { scheme with Schemes.qdisc = q }
       in
-      (* [Topology.run] checks the network itself (rates, delays, sender
-         count, duration) and names what is wrong. *)
+      (* [Topology.run] and the topology builders check the network
+         itself (rates, delays, sender count, duration) and name what is
+         wrong. *)
       let s =
         try Scenario.run_scheme ~tracer ?probe_interval ~faults scenario scheme
         with Invalid_argument msg ->

@@ -36,8 +36,8 @@ let () =
   Format.printf "%-14s %12s %12s@." "mean off" "RemyCC" "Cubic";
   List.iter
     (fun off ->
-      let remy, cubic = race ~remy ~off in
-      Format.printf "%11.0f ms %9.2f Mb %9.2f Mb@." (off *. 1e3) remy cubic)
+      let remy_mbps, cubic_mbps = race ~remy ~off in
+      Format.printf "%11.0f ms %9.2f Mb %9.2f Mb@." (off *. 1e3) remy_mbps cubic_mbps)
     [ 0.5; 0.2; 0.05 ];
   Format.printf
     "@.Paper shape: at long off times (low duty cycle) the RemyCC grabs spare\n\

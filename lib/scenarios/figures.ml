@@ -435,14 +435,14 @@ let tbl_competing fmt opts =
      the 15 Mbps / 150 ms bottleneck with one conventional flow.  Paper shape:\n\
      RemyCC wins at low duty cycles (it grabs spare bandwidth faster); at high\n\
      duty cycles the buffer-filling protocol takes the larger share.";
-  let remy = Tables.scheme Tables.coexist in
+  let coexist = Tables.scheme Tables.coexist in
   Format.fprintf fmt "@.vs Compound, ICSI flows, varying mean off time:@.";
   Format.fprintf fmt "%-14s %18s %18s@." "mean off" "RemyCC tput (sd)"
     "Compound tput (sd)";
   List.iteri
     (fun i off ->
       let remy, other =
-        competing_run opts ~remy
+        competing_run opts ~remy:coexist
           ~other:Schemes.compound
           ~workload:(Workload.icsi ~mean_off:off)
           ~seed:(opts.base_seed + (1000 * i))
@@ -457,7 +457,7 @@ let tbl_competing fmt opts =
   List.iteri
     (fun i size ->
       let remy, other =
-        competing_run opts ~remy
+        competing_run opts ~remy:coexist
           ~other:Schemes.cubic
           ~workload:(Workload.by_bytes ~mean_bytes:size ~mean_off:0.5)
           ~seed:(opts.base_seed + 5000 + (1000 * i))

@@ -142,7 +142,7 @@ let run_population ?(tracer = Remy_obs.Trace.off) ?probe_interval
   let flows = ref [] in
   for rep = 0 to t.replications - 1 do
     (* Trace only the first replication: one representative run per
-       scheme keeps trace files bounded; results are unaffected. *)
+       population keeps trace files bounded; results are unaffected. *)
     let tracer = if rep = 0 then tracer else Remy_obs.Trace.off in
     let config = config t ~lead population ~seed:(t.base_seed + rep) in
     let result = Topology.run ~tracer ?probe_interval ~faults config in
