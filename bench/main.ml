@@ -19,17 +19,6 @@ let micro_tests () =
   let prng_test =
     Test.make ~name:"prng/bits64" (Staged.stage (fun () -> ignore (Prng.bits64 prng)))
   in
-  let heap_test =
-    Test.make ~name:"heap/push+pop-64"
-      (Staged.stage (fun () ->
-           let h = Heap.create () in
-           for i = 0 to 63 do
-             Heap.push h (float_of_int (i * 7919 mod 64)) i
-           done;
-           while not (Heap.is_empty h) do
-             ignore (Heap.pop h)
-           done))
-  in
   let tracker = Remy.Memory.tracker () in
   let memory_test =
     Test.make ~name:"memory/on_ack"
@@ -79,7 +68,7 @@ let micro_tests () =
   in
   Test.make_grouped ~name:"remy"
     [
-      prng_test; heap_test; memory_test; lookup_test; engine_test; codel_test;
+      prng_test; memory_test; lookup_test; engine_test; codel_test;
     ]
 
 let micro_rows () =
@@ -776,9 +765,19 @@ let run full only micro_only replications duration seed out json smoke
         (match replications with Some r -> r | None -> base.Figures.replications);
       duration = (match duration with Some d -> d | None -> base.Figures.duration);
       base_seed = seed;
-      progress = (fun msg -> Format.printf "[bench] %s@." msg);
-      artifact_dir = out;
+      progress = (fun msg -> Format.eprintf "[bench] %s@." msg);
     }
+  in
+  (* Make --out's directory first: a bad path fails before any run. *)
+  (try Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) out
+   with Sys_error msg -> Format.eprintf "error: --out: %s@." msg; exit 1);
+  let write_rows id rows =
+    Option.iter
+      (fun dir ->
+        let sink = Remy_obs.Sink.to_file (Filename.concat dir (id ^ ".jsonl")) in
+        List.iter (Remy_obs.Sink.emit sink) rows;
+        Remy_obs.Sink.close sink)
+      out
   in
   Format.fprintf fmt
     "TCP ex Machina reproduction benchmarks (replications=%d, duration=%.0fs, \
@@ -800,9 +799,11 @@ let run full only micro_only replications duration seed out json smoke
           ids
     in
     List.iter
-      (fun (id, f) ->
+      (fun (id, (fig : Figures.figure)) ->
         let t0 = Unix.gettimeofday () in
-        f fmt opts;
+        let rows = fig.run opts in
+        fig.print fmt rows;
+        write_rows id rows;
         Format.fprintf fmt "@.[%s finished in %.1f s]@." id
           (Unix.gettimeofday () -. t0))
       selected
@@ -829,7 +830,8 @@ let cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "out" ] ~doc:"Directory for gnuplot-ready TSV data files.")
+      & info [ "out" ] ~docv:"DIR"
+          ~doc:"Also write each experiment's rows to $(docv)/<id>.jsonl.")
   in
   let json =
     Arg.(

@@ -114,17 +114,21 @@ let run_robustness file link rtt_ms senders duration replications seed delta
       Remy_scenarios.Schemes.remy ?idle_restart_s:idle_restart
         ~name:(Filename.basename file) tree
     in
-    let scenario =
-      Remy_scenarios.Scenario.make
-        ~service:(Remy_cc.Topology.Rate_mbps link)
-        ~n:senders ~rtt:(rtt_ms /. 1e3)
-        ~workload:(Remy_sim.Workload.by_bytes ~mean_bytes:100e3 ~mean_off:0.5)
-        ~duration ~replications ~base_seed:seed ()
-    in
     let report =
-      Remy_scenarios.Robustness.run
-        ~objective:(Objective.proportional ~delta)
-        scenario scheme
+      (* A bad network or sweep is refused by the library, naming the
+         field, before anything is printed. *)
+      try
+        Remy_scenarios.Robustness.run
+          ~objective:(Objective.proportional ~delta)
+          (Remy_scenarios.Scenario.make
+             ~service:(Remy_cc.Topology.Rate_mbps link)
+             ~n:senders ~rtt:(rtt_ms /. 1e3)
+             ~workload:(Remy_sim.Workload.by_bytes ~mean_bytes:100e3 ~mean_off:0.5)
+             ~duration ~replications ~base_seed:seed ())
+          scheme
+      with Invalid_argument msg ->
+        Printf.eprintf "error: %s\n" msg;
+        exit 1
     in
     Format.printf "%a@." Remy_scenarios.Robustness.pp report;
     (match json with

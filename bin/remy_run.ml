@@ -113,6 +113,9 @@ let run link rtt_ms senders workload_kind mean_kb mean_on mean_off duration
   | Some _ when loss <> 0. ->
     Printf.eprintf "error: --loss applies to the dumbbell only\n";
     exit 1
+  | _ when workload_kind <> `Time && mean_on <> 1. ->
+    Printf.eprintf "error: --mean-on applies to --workload time only\n";
+    exit 1
   | _ -> ());
   let scenario =
     let rtt = rtt_ms /. 1e3 in
@@ -212,7 +215,9 @@ let cmd =
     Arg.(value & opt float 100. & info [ "mean-kb" ] ~doc:"Mean transfer, KB.")
   in
   let mean_on =
-    Arg.(value & opt float 1. & info [ "mean-on" ] ~doc:"Mean on time, s.")
+    Arg.(
+      value & opt float 1.
+      & info [ "mean-on" ] ~doc:"Mean on time, s (--workload time only).")
   in
   let mean_off =
     Arg.(value & opt float 0.5 & info [ "mean-off" ] ~doc:"Mean off time, s.")

@@ -89,6 +89,33 @@ let fault_seed ~seed ~link = (seed + (link * 7919)) lxor 0xFA17
 let link_rates (config : config) =
   Array.map (fun (l : link_spec) -> service_rate_mbps l.service) config.links
 
+(* A queue holds at least one packet, and DCTCP marks at a threshold
+   of at least one packet. *)
+let rec validate_qdisc li = function
+  | With_loss (_, inner) -> validate_qdisc li inner
+  | (Droptail c | Codel c | Sfq_codel c | Xcp c | Dctcp_red { capacity = c; _ }) as q -> (
+    if c < 1 then invalid "Topology.run: link %d has qdisc capacity %d packets" li c;
+    match q with
+    | Dctcp_red { threshold; _ } when threshold < 1 ->
+      invalid "Topology.run: link %d has DCTCP marking threshold %d packets" li threshold
+    | _ -> ())
+
+(* Every distribution parameter is a number >= 0 (NaN fails); +inf is
+   legal, [Workload.saturating] uses it for "never". *)
+let validate_dist ~flow field (d : Dist.t) =
+  let params =
+    match d with
+    | Constant x | Exponential x -> [ x ]
+    | Uniform (a, b) -> [ a; b ]
+    | Pareto { xm; alpha; shift } -> [ xm; alpha; shift ]
+    | Empirical xs -> Array.to_list xs
+  in
+  List.iter
+    (fun x ->
+      if not (x >= 0.) then
+        invalid "Topology.run: flow %d workload %s has parameter %g" flow field x)
+    params
+
 let validate (config : config) ~rates =
   let nl = Array.length config.links in
   if nl = 0 then invalid_arg "Topology.run: no links";
@@ -101,12 +128,18 @@ let validate (config : config) ~rates =
       if not (Float.is_finite rate && rate > 0.) then
         invalid "Topology.run: link %d has rate %g Mbps" li rate;
       if not (Float.is_finite l.delay_s && l.delay_s >= 0.) then
-        invalid "Topology.run: link %d has delay %g s" li l.delay_s)
+        invalid "Topology.run: link %d has delay %g s" li l.delay_s;
+      validate_qdisc li l.qdisc)
     config.links;
   Array.iteri
     (fun i f ->
       if not (Float.is_finite f.access_delay_s && f.access_delay_s >= 0.) then
         invalid "Topology.run: flow %d has access delay %g s" i f.access_delay_s;
+      validate_dist ~flow:i "off_time" f.workload.Workload.off_time;
+      (match f.workload.Workload.on_spec with
+      | Workload.By_time d -> validate_dist ~flow:i "on_spec By_time" d
+      | Workload.By_bytes d -> validate_dist ~flow:i "on_spec By_bytes" d
+      | Workload.Icsi_flow_lengths -> ());
       if Array.length f.route = 0 then invalid "Topology.run: flow %d has an empty route" i;
       Array.iter
         (fun li ->

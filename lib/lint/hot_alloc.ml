@@ -91,8 +91,8 @@ let check_hot_body (ctx : Pass.ctx) ~file ~fn_name body =
         when List.exists (fun (_, a) -> Option.is_none a) args ->
         (* An omitted labelled argument proves the application partial.
            Positional partial application is indistinguishable from a
-           call that returns a function (e.g. Heap.pop_exn handing back
-           an event callback) by the result type alone, so it is not
+           call that returns a function (e.g. Hashtbl.find handing back
+           a stored callback) by the result type alone, so it is not
            flagged — see the .mli. *)
         flag e "partial application (allocates a closure)"
       | _ -> ());

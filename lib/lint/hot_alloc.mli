@@ -5,7 +5,7 @@
     partial applications (which allocate a closure).  Partial
     application is only provable when a labelled argument is omitted:
     by result type alone, [add 1] (partial, allocates) and
-    [Heap.pop_exn h] (total, returns a stored callback) look identical,
+    [Hashtbl.find tbl key] (total, returns a stored callback) look identical,
     so positional under-application goes undetected rather than
     flagging every function-returning call.
 

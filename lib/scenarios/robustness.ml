@@ -19,8 +19,8 @@ let axis_of_strings axis levels =
   { axis; levels = List.map (fun (label, s) -> { label; spec = spec s }) levels }
 
 (* Three intensities per axis, mild through severe.  Timed clauses
-   assume a run longer than ~15 s (the sweep's default duration is 30);
-   shorter runs simply see fewer outage cycles / a later rate cut. *)
+   start at 5 s (outages) and 10 s (rate cuts), so [run] needs a run
+   longer than 10 s; the sweep's default duration is 30. *)
 let default_axes =
   [
     axis_of_strings "outage"
@@ -99,9 +99,31 @@ let score_of_summary objective (t : Scenario.t) (s : Scenario.summary) =
              ~mean_rtt_ms:(p.Scenario.qdelay_ms +. prop_ms))
          s.Scenario.points)
 
+(* A level whose faults cannot act before [until] (no probabilistic
+   clause, and every outage, rate or delay shift starts at or after it)
+   would report the baseline's score as immunity. *)
+let check_acts ~until axis l =
+  let open Remy_faults.Spec in
+  let links = l.spec.all :: List.map snd l.spec.per_link in
+  let random f = f.ge <> None || f.reorder <> None || f.dup_prob > 0. || f.corrupt_prob > 0. in
+  let at =
+    List.fold_left Float.min infinity
+      (List.concat_map
+         (fun f ->
+           List.map (fun o -> o.start_s) f.outages
+           @ List.map (fun r -> r.rate_at_s) f.rate_shifts
+           @ List.map (fun d -> d.delay_at_s) f.delay_shifts)
+         links)
+  in
+  if at >= until && not (List.exists random links) then
+    invalid_arg
+      (Printf.sprintf "Robustness.run: axis %s level %s first acts at %g s, at or after the %g s \
+                       run's end" axis l.label at until)
+
 let run ?(axes = default_axes)
     ?(objective = Remy.Objective.proportional ~delta:1.0) (t : Scenario.t)
     (sch : Schemes.t) =
+  List.iter (fun a -> List.iter (check_acts ~until:t.Scenario.duration a.axis) a.levels) axes;
   let clean = Scenario.run_scheme t sch in
   let baseline_score = score_of_summary objective t clean in
   let cells =

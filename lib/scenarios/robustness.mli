@@ -13,8 +13,8 @@ type axis = { axis : string; levels : level list }
 
 val default_axes : axis list
 (** Six axes, three intensities each (mild / moderate / severe).  Timed
-    clauses (outage cycles, the rate cut at t = 10 s) assume runs of
-    roughly 15 s or longer. *)
+    clauses start at t = 5 s (outage cycles) and t = 10 s (the rate
+    cut), so {!run} needs a duration above 10 s. *)
 
 type cell = {
   cell_axis : string;
@@ -39,7 +39,9 @@ val run : ?axes:axis list -> ?objective:Remy.Objective.t -> Scenario.t -> Scheme
 (** Runs the clean baseline plus one {!Scenario.run_scheme} per cell,
     all on the scenario's seeds — identical seeds across cells, so
     score differences come only from the faults.  Default objective:
-    proportional with delta = 1. *)
+    proportional with delta = 1.  Raises [Invalid_argument], naming the
+    axis, level and time, when a level's faults cannot act before the
+    scenario's duration ends (none is probabilistic, none starts sooner). *)
 
 val to_records : report -> Remy_obs.Record.t list
 (** One flat record per row — a ["baseline"] row then one ["cell"] row

@@ -21,9 +21,15 @@ let check_replications fn replications =
   if replications < 1 then
     invalid_arg (Printf.sprintf "%s: %d replications, need at least 1" fn replications)
 
+(* A negative count cannot size the flows; no senders at all is left to
+   the network's check ([Topology.run]'s, or the named builder's). *)
+let check_senders fn n =
+  if n < 0 then invalid_arg (Printf.sprintf "%s: %d senders is negative" fn n)
+
 let make ?(capacity = Schemes.droptail_capacity) ?rtts ?(loss = 0.)
     ?(replications = 16) ?(base_seed = 7000) ?(start = `Off_draw) ~service ~n
     ~rtt ~workload ~duration () =
+  check_senders "Scenario.make" n;
   let rtts = match rtts with Some r -> r | None -> Array.make n rtt in
   if Array.length rtts <> n then
     invalid_arg
@@ -55,6 +61,7 @@ let topology ?(capacity = Schemes.droptail_capacity) ?(replications = 16)
     ?(base_seed = 7000) ?(start = `Off_draw) ~name ~n ~link_mbps ~rtt ~workload
     ~duration () =
   let (_ : Topology.builder) = builder name in
+  check_senders "Scenario.topology" n;
   check_replications "Scenario.topology" replications;
   {
     network = Topology { name; link_mbps; rtt };

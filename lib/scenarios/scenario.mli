@@ -57,11 +57,12 @@ val make :
 (** A dumbbell experiment.  Defaults: capacity 1000, no loss, 16
     replications, base seed 7000, all flows at [rtt], senders start
     with an off-time draw (use [`Immediate] for saturating workloads).
-    Raises [Invalid_argument] when [rtts] does not have length [n],
-    when [loss] is outside [\[0, 1)] (NaN included), or when
-    [replications < 1].  The network itself (rates, delays, sender
-    count, duration) is checked by {!Remy_cc.Topology.run}, which
-    raises [Invalid_argument] from {!run_population}. *)
+    Raises [Invalid_argument] when [n < 0], when [rtts] does not have
+    length [n], when [loss] is outside [\[0, 1)] (NaN included), or
+    when [replications < 1].  The network itself (rates, delays, queue
+    capacities, workloads, a sender count of 0, duration) is checked by
+    {!Remy_cc.Topology.run}, which raises [Invalid_argument] from
+    {!run_population}. *)
 
 val topology :
   ?capacity:int ->
@@ -78,7 +79,7 @@ val topology :
   t
 (** A named-topology experiment, with the defaults of {!make}.  Raises
     [Invalid_argument], listing every {!Remy_cc.Topology.names} entry,
-    on an unknown [name], and on [replications < 1]. *)
+    on an unknown [name], and on [n < 0] or [replications < 1]. *)
 
 type point = { tput_mbps : float; qdelay_ms : float }
 

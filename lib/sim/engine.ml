@@ -6,7 +6,7 @@
    live in a handle table: a registered source owns its slot for the
    engine's lifetime, and [schedule] lends a closure a free-listed
    one-shot slot until it fires.  test_engine checks the firing order
-   against {!Remy_util.Heap}. *)
+   against a binary-heap oracle (test/heap.ml). *)
 
 let handle_bits = 22
 let handle_mask = (1 lsl handle_bits) - 1

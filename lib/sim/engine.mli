@@ -23,7 +23,8 @@
     same as if every value had been scheduled on its own.
 
     The agenda is a 4-ary min-heap over unboxed float and int columns;
-    test_engine checks its firing order against {!Remy_util.Heap}. *)
+    test_engine checks its firing order against a binary-heap oracle
+    (test/heap.ml). *)
 
 type t
 

@@ -1,8 +1,8 @@
 (** Growable binary min-heap keyed by [(priority, sequence)].
 
-    The simulator's event queue: ties on priority are broken by insertion
-    order so that runs are fully deterministic regardless of heap
-    internals. *)
+    The test oracle of the simulator's event agenda ({!Remy_sim.Engine}):
+    ties on priority are broken by insertion order, as the agenda breaks
+    them. *)
 
 type 'a t
 

@@ -121,7 +121,7 @@ let prop_random_schedule_fires_in_order =
 (* --- the heap oracle ---------------------------------------------------- *)
 
 (* The same program must fire in the same order on the engine as on a
-   minimal scheduler over {!Remy_util.Heap} (clamped times, FIFO ties,
+   minimal scheduler over the test-only {!Heap} (clamped times, FIFO ties,
    clock set on pop), where a registered handle is just its closure and
    a delay-line push is one event [delay] later.  A program mixes
    one-shot events, registered handles and pushes onto three delay
@@ -194,10 +194,10 @@ let on_engine prog =
     prog
 
 let on_heap prog =
-  let h = Remy_util.Heap.create () and clock = ref 0. in
-  let at t f = Remy_util.Heap.push h (Float.max t !clock) f in
+  let h = Heap.create () and clock = ref 0. in
+  let at t f = Heap.push h (Float.max t !clock) f in
   let rec run () =
-    match Remy_util.Heap.pop h with
+    match Heap.pop h with
     | Some (t, f) ->
       clock := t;
       f ();

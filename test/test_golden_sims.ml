@@ -1,10 +1,10 @@
 (* Golden outputs of the simulator.  Each case pins the MD5 of a
-   printed result: every [Figures.all] experiment's report at the
-   test_figures micro options, and the per-flow summaries (at %.17g) of
-   a fixed set of dumbbell runs that covers every queue family, a
-   trace-driven link, mixed RTTs, the delivery hook, delayed ACKs, a
-   fault schedule, a traced run with probes, and the optimizer's
-   specimen path.  A refactor of the simulator must leave every digest
+   printed result: every [Figures.all] experiment's report, printed
+   from its rows at the test_figures micro options, and the per-flow
+   summaries (at %.17g) of a fixed set of dumbbell runs that covers
+   every queue family, a trace-driven link, mixed RTTs, the delivery
+   hook, delayed ACKs, a fault schedule, a traced run with probes, and
+   the optimizer's specimen path.  A refactor of the simulator must leave every digest
    unchanged; a change that means to alter results updates the digests
    it moves in the same commit and says why. *)
 
@@ -39,10 +39,10 @@ let figure_case (id, expected) =
   Alcotest.test_case ("figure " ^ id) `Slow (fun () ->
       match List.assoc_opt id Remy_scenarios.Figures.all with
       | None -> Alcotest.failf "experiment %s not registered" id
-      | Some f ->
+      | Some fig ->
         let buf = Buffer.create 4096 in
         let fmt = Format.formatter_of_buffer buf in
-        f fmt (Test_figures.micro_opts ());
+        fig.Remy_scenarios.Figures.print fmt (Test_figures.rows id);
         Format.pp_print_flush fmt ();
         check_digest id ~expected (Buffer.contents buf))
 

@@ -1,5 +1,3 @@
-open Remy_util
-
 let test_ordering () =
   let h = Heap.create () in
   List.iter (fun (p, v) -> Heap.push h p v) [ (3., "c"); (1., "a"); (2., "b") ];

@@ -205,6 +205,16 @@ let test_replications_checked () =
          Scenario.topology ~name:"parking-lot" ~n:2 ~link_mbps:15. ~rtt:0.15
            ~workload:Workload.saturating ~duration:5. ~replications:(-1) ()))
 
+let test_senders_checked () =
+  ignore
+    (raises_invalid "make, -1 senders" (fun () ->
+         Scenario.make ~service:(Remy_cc.Topology.Rate_mbps 15.) ~n:(-1) ~rtt:0.15
+           ~workload:Workload.saturating ~duration:5. ()));
+  ignore
+    (raises_invalid "topology, -1 senders" (fun () ->
+         Scenario.topology ~name:"parking-lot" ~n:(-1) ~link_mbps:15. ~rtt:0.15
+           ~workload:Workload.saturating ~duration:5. ()))
+
 (* A population whose schemes are all [scheme] is [run_scheme scheme]. *)
 let check_uniform_population name sc (scheme : Schemes.t) =
   let population = Array.make sc.Scenario.n scheme in
@@ -270,6 +280,7 @@ let tests =
     Alcotest.test_case "loss rate checked" `Quick test_loss_rate_checked;
     Alcotest.test_case "unknown topology" `Quick test_unknown_topology;
     Alcotest.test_case "replications checked" `Quick test_replications_checked;
+    Alcotest.test_case "senders checked" `Quick test_senders_checked;
     Alcotest.test_case "uniform population = run_scheme" `Slow test_population_uniform;
     Alcotest.test_case "mixed population per flow" `Slow test_population_mixed;
     Alcotest.test_case "population checked" `Quick test_population_checked;

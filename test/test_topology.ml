@@ -192,6 +192,40 @@ let test_duration_validation () =
     (fun duration -> rejected "duration" { (cfg [| flow [| 0 |] |]) with duration })
     [ 0.; -1.; nan; infinity ]
 
+(* Every qdisc variant needs room for a packet, also under a loss
+   stage, and DCTCP's marking threshold must be at least one packet. *)
+let test_qdisc_validation () =
+  let on_link_1 qdisc = cfg ~links:(with_link_1 { (link ()) with qdisc }) [| flow [| 0; 1 |] |] in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun qdisc -> rejected "qdisc capacity" (on_link_1 qdisc))
+        Topology.
+          [
+            Droptail c;
+            Codel c;
+            Sfq_codel c;
+            Xcp c;
+            Dctcp_red { capacity = c; threshold = 5 };
+            With_loss (0.01, With_loss (0.01, Droptail c));
+          ])
+    [ 0; -3 ];
+  rejected "threshold"
+    (on_link_1 (Topology.With_loss (0.01, Dctcp_red { capacity = 10; threshold = 0 })))
+
+(* A workload's distribution parameters are numbers >= 0; +inf, the
+   saturating workload's "never", stays legal. *)
+let test_workload_validation () =
+  let with_workload workload = cfg [| flow [| 0 |]; { (flow [| 0 |]) with workload } |] in
+  List.iter
+    (fun x ->
+      rejected "flow 1 workload off_time" (with_workload (Workload.by_time ~mean_on:1. ~mean_off:x));
+      rejected "flow 1 workload on_spec By_time" (with_workload (Workload.by_time ~mean_on:x ~mean_off:1.));
+      rejected "flow 1 workload on_spec By_bytes"
+        (with_workload (Workload.by_bytes ~mean_bytes:x ~mean_off:1.)))
+    [ -1.; nan; neg_infinity ];
+  ignore (Topology.run (with_workload (Workload.by_time ~mean_on:infinity ~mean_off:infinity)))
+
 let tests =
   [
     Alcotest.test_case "parking lot shares the chain" `Slow
@@ -209,4 +243,6 @@ let tests =
     Alcotest.test_case "link delay validation" `Quick test_link_delay_validation;
     Alcotest.test_case "access delay validation" `Quick test_access_delay_validation;
     Alcotest.test_case "duration validation" `Quick test_duration_validation;
+    Alcotest.test_case "qdisc validation" `Quick test_qdisc_validation;
+    Alcotest.test_case "workload validation" `Quick test_workload_validation;
   ]
