@@ -1,14 +1,18 @@
 (** FIFO of packet handles, each with the time it was queued.
 
-    A growable ring of ints beside a float column, so queueing a packet
-    is two array stores and dequeueing allocates nothing.  The queue
-    disciplines keep their packets here; CoDel reads the queued-at time
-    to measure sojourn. *)
+    A growable ring: a handle column beside a queued-at column, both
+    bigarrays as in {!Packet.table}.  Queueing a packet is two stores,
+    dequeueing allocates nothing, and the GC never scans a column,
+    however far a queue flood grows it.
+    A queue starts on shared zero-length columns and gets its own at
+    its first push, so creating one (sfqCoDel makes 1,024 bins)
+    allocates only its record.  The queue disciplines keep their packets
+    here; CoDel reads the queued-at time to measure sojourn. *)
 
 type t
 
 val create : unit -> t
-(** Empty; the ring is allocated on the first {!push}. *)
+(** Empty; its own columns are allocated on the first {!push}. *)
 
 val push : t -> int -> at:float -> unit
 

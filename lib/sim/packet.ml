@@ -34,20 +34,14 @@ type table = {
 
 let initial_capacity = 1024
 
-(* Capacity a reset keeps: a queue-flood run may grow the table far
-   past this, but the next run starts from here again. *)
-let max_kept = 1 lsl 16
-
-(* Reallocate every column at [cap] handles; [keep] copies the old
-   contents over, else they are dropped.  A fresh column is left
-   uninitialised: every element is written before it is read, and pages
-   no handle reaches are never touched. *)
-let resize t cap ~keep =
+(* Reallocate every column at [cap] handles, copying the old contents
+   over.  The rest of a column is left uninitialised: every element is
+   written before it is read, and pages no handle reaches are never
+   touched. *)
+let resize t cap =
   let column kind old =
     let c = Bigarray.Array1.create kind Bigarray.c_layout cap in
-    (if keep then
-       let n = Bigarray.Array1.dim old in
-       Bigarray.Array1.blit old (Bigarray.Array1.sub c 0 n));
+    Bigarray.Array1.blit old (Bigarray.Array1.sub c 0 (Bigarray.Array1.dim old));
     c
   in
   t.flow <- column Bigarray.int t.flow;
@@ -87,14 +81,14 @@ let create () =
       misses = 0;
     }
   in
-  resize t initial_capacity ~keep:false;
+  resize t initial_capacity;
   t
 
 (* The free stack is empty and every handle below capacity is in use:
    double, keeping the live handles' columns. *)
 let grow t =
   t.misses <- t.misses + 1;
-  resize t (2 * Bigarray.Array1.dim t.flow) ~keep:true
+  resize t (2 * Bigarray.Array1.dim t.flow)
 
 (* remy-lint: hot *)
 let acquire t ~flow ~seq ~conn ~flags ~now =
@@ -130,7 +124,6 @@ let release t h =
   t.released <- t.released + 1
 
 let reset t =
-  if Bigarray.Array1.dim t.flow > max_kept then resize t max_kept ~keep:false;
   t.n_free <- 0;
   t.fresh <- 0;
   t.acquired <- 0;

@@ -102,8 +102,10 @@ val release : table -> int -> unit
 
 val reset : table -> unit
 (** Forget every handle: all become free at once, in O(1), and the
-    counters restart at zero.  Capacity above 2^16 handles is dropped,
-    so a queue-flood run does not pin its memory. *)
+    counters restart at zero.  The table keeps the capacity it grew to,
+    so a run after a queue flood acquires as many handles again without
+    a miss.  What a flood's columns hold is off the GC's heap, and
+    their pages are touched only as far as handles reach. *)
 
 val with_domain_table : (table -> 'a) -> 'a
 (** [with_domain_table f] runs [f] on this domain's table, reset first,

@@ -139,26 +139,63 @@ let test_double_release_raises () =
     (Invalid_argument (Printf.sprintf "Packet.release: handle %d is not live" h))
     (fun () -> Packet.release t h)
 
+(* A second run of the same config on the same domain finds the table
+   as large as the first left it: after a flood too, every acquire is a
+   hit. *)
 let test_second_run_no_misses () =
-  let config = dumbbell ~duration:6. (Cubic.factory ()) in
-  let first = run config in
-  let before = Remy_obs.Counters.snapshot () in
-  let second = run config in
-  let d = Remy_obs.Counters.diff (Remy_obs.Counters.snapshot ()) before in
-  Alcotest.(check string) "same results" first second;
-  Alcotest.(check int) "no table growth" 0 (Packet.domain_table ()).Packet.misses;
-  Alcotest.(check int) "no misses reported" 0 d.Remy_obs.Counters.pool_misses;
-  Alcotest.(check bool) "hits reported" true (d.Remy_obs.Counters.pool_hits > 0)
+  List.iter
+    (fun (name, config) ->
+      let first = run config in
+      let before = Remy_obs.Counters.snapshot () in
+      let second = run config in
+      let d = Remy_obs.Counters.diff (Remy_obs.Counters.snapshot ()) before in
+      Alcotest.(check string) (name ^ ": same results") first second;
+      Alcotest.(check int) (name ^ ": no table growth") 0
+        (Packet.domain_table ()).Packet.misses;
+      Alcotest.(check int) (name ^ ": no misses reported") 0 d.Remy_obs.Counters.pool_misses;
+      Alcotest.(check bool) (name ^ ": hits reported") true (d.Remy_obs.Counters.pool_hits > 0))
+    [ ("cubic", dumbbell ~duration:6. (Cubic.factory ())); ("flood", flood) ]
 
-let test_reset_drops_capacity () =
+let test_reset_keeps_capacity () =
   let t = Packet.create () in
-  for seq = 0 to (1 lsl 16) + 10 do
-    ignore (Packet.acquire t ~flow:0 ~seq ~conn:0 ~flags:0 ~now:0.)
-  done;
-  Alcotest.(check bool) "grown past 2^16" true (Bigarray.Array1.dim t.Packet.flow > 1 lsl 16);
+  let n = (1 lsl 16) + 11 in
+  let fill () =
+    for seq = 0 to n - 1 do
+      ignore (Packet.acquire t ~flow:0 ~seq ~conn:0 ~flags:0 ~now:0.)
+    done
+  in
+  fill ();
+  let cap = Bigarray.Array1.dim t.Packet.flow in
+  Alcotest.(check bool) "grown past 2^16" true (cap > 1 lsl 16);
   Packet.reset t;
-  Alcotest.(check int) "capped at 2^16" (1 lsl 16) (Bigarray.Array1.dim t.Packet.flow);
-  Alcotest.(check int) "every column" (1 lsl 16) (Bigarray.Array1.dim t.Packet.received_at)
+  let dim = Bigarray.Array1.dim in
+  List.iter
+    (fun (column, dim) -> Alcotest.(check int) (column ^ " keeps its dimension") cap dim)
+    [
+      ("flow", dim t.Packet.flow);
+      ("seq", dim t.Packet.seq);
+      ("conn", dim t.Packet.conn);
+      ("size", dim t.Packet.size);
+      ("flags", dim t.Packet.flags);
+      ("sent_at", dim t.Packet.sent_at);
+      ("xcp_cwnd", dim t.Packet.xcp_cwnd);
+      ("xcp_rtt", dim t.Packet.xcp_rtt);
+      ("xcp_feedback", dim t.Packet.xcp_feedback);
+      ("cum_ack", dim t.Packet.cum_ack);
+      ("received_at", dim t.Packet.received_at);
+      ("free", dim t.Packet.free);
+    ];
+  List.iter
+    (fun (field, v) -> Alcotest.(check int) (field ^ " restarts") 0 v)
+    [
+      ("fresh", t.Packet.fresh);
+      ("n_free", t.Packet.n_free);
+      ("acquired", t.Packet.acquired);
+      ("released", t.Packet.released);
+      ("misses", t.Packet.misses);
+    ];
+  fill ();
+  Alcotest.(check int) "refilling makes no miss" 0 t.Packet.misses
 
 let tests =
   [
@@ -171,5 +208,5 @@ let tests =
     Alcotest.test_case "acquired - released = in flight" `Slow test_conservation;
     Alcotest.test_case "double release raises" `Quick test_double_release_raises;
     Alcotest.test_case "second run reports no misses" `Quick test_second_run_no_misses;
-    Alcotest.test_case "reset drops capacity above 2^16" `Quick test_reset_drops_capacity;
+    Alcotest.test_case "reset keeps capacity" `Quick test_reset_keeps_capacity;
   ]
