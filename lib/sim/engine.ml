@@ -14,12 +14,17 @@ let max_seq = max_int lsr handle_bits
 
 type handle = int
 
+(* The clock is a record of one float field, which OCaml lays out flat:
+   [drain] stores each event's time unboxed and without [caml_modify],
+   and [now], inlined into its caller, reads it unboxed. *)
+type clock = { mutable now : float }
+
 (* Slot 0 is bound at creation to a callback that fails loudly, so a
    placeholder handle scheduled by mistake cannot fire silently. *)
 let no_handle = 0
 
 type t = {
-  mutable clock : float;
+  clock : clock;
   mutable tracer : Remy_obs.Trace.t;
   (* Heap columns, [size] entries in heap order. *)
   mutable times : float array;
@@ -47,7 +52,7 @@ let schedule_epsilon = 1e-9
 
 let create ?(tracer = Remy_obs.Trace.off) () =
   {
-    clock = 0.;
+    clock = { now = 0. };
     tracer;
     times = Array.make 64 0.;
     keys = Array.make 64 0;
@@ -61,7 +66,7 @@ let create ?(tracer = Remy_obs.Trace.off) () =
     nfree = 0;
   }
 
-let now t = t.clock
+let[@inline] now t = t.clock.now
 let tracer t = t.tracer
 let set_tracer t tr = t.tracer <- tr
 
@@ -202,31 +207,32 @@ let[@inline] key t h =
 
 (* One comparison rejects both the past and NaN, which compares false
    with everything and would otherwise be filed into the heap. *)
-let[@inline] in_range t at = at >= t.clock -. schedule_epsilon
+let[@inline] in_range t at = at >= t.clock.now -. schedule_epsilon
 
-let bad_time t at =
+let[@inline never] bad_time t at =
   invalid_arg
     (if Float.is_nan at then "Engine.schedule: time is NaN"
-     else Printf.sprintf "Engine.schedule: time %.9f is before now %.9f" at t.clock)
+     else Printf.sprintf "Engine.schedule: time %.9f is before now %.9f" at t.clock.now)
 
 (* remy-lint: hot *)
-let schedule_handle t at h =
+let[@inline] schedule_handle t at h =
   if not (in_range t at) then bad_time t at;
   let k = key t h in
   let i = slot t in
-  t.times.(i) <- Float.max at t.clock;
+  t.times.(i) <- Float.max at t.clock.now;
   t.keys.(i) <- k;
   settle t i
 
 (* remy-lint: hot *)
-let schedule_handle_in t dt h =
-  let at = t.clock +. dt in
+let[@inline] schedule_handle_in t dt h =
+  let at = t.clock.now +. dt in
   if not (in_range t at) then bad_time t at;
   let k = key t h in
   let i = slot t in
-  (* [Float.max at t.clock] without its sign-bit calls: the two differ
-     only on a -0. time, and [t.clock +. dt] is never -0. *)
-  t.times.(i) <- (if at < t.clock then t.clock else at);
+  (* [Float.max at now] without its sign-bit calls: the two differ only
+     on a -0. time, and [now +. dt] is never -0. *)
+  let now = t.clock.now in
+  t.times.(i) <- (if at < now then now else at);
   t.keys.(i) <- k;
   settle t i
 
@@ -235,10 +241,10 @@ let schedule t at f =
   if not (in_range t at) then bad_time t at;
   schedule_handle t at (take_oneshot t f)
 
-let schedule_in t dt f = schedule t (t.clock +. dt) f
+let schedule_in t dt f = schedule t (t.clock.now +. dt) f
 
 (* remy-lint: hot *)
-let file t (dues : float array) (keys : int array) j =
+let[@inline] file t (dues : float array) (keys : int array) j =
   let i = slot t in
   t.times.(i) <- dues.(j);
   t.keys.(i) <- keys.(j);
@@ -246,11 +252,11 @@ let file t (dues : float array) (keys : int array) j =
 
 (* --- running --------------------------------------------------------- *)
 
-(* Per event the drain reads the root, sets the clock and calls; the
-   callback's first push (a delay line filing its next head, a link
-   starting its next transmission) lands in the root slot.  The event
-   tally accumulates in an argument register, flushed to the atomic
-   counter once per run. *)
+(* Per event the drain reads the root, stores its time in the clock
+   (unboxed, no write barrier) and calls; the callback's first push (a
+   delay line filing its next head, a link starting its next
+   transmission) lands in the root slot.  The event tally accumulates in
+   an argument register, flushed to the atomic counter once per run. *)
 
 (* remy-lint: hot *)
 let rec drain t ~until fired =
@@ -262,7 +268,7 @@ let rec drain t ~until fired =
       let h = t.keys.(0) land handle_mask in
       let f = t.cbs.(h) in
       if t.oneshot.(h) then release t h;
-      t.clock <- at;
+      t.clock.now <- at;
       t.live_root <- true;
       f ();
       if t.live_root then pop_root t;
@@ -273,6 +279,6 @@ let run t ~until =
   if t.live_root then pop_root t;
   let fired = drain t ~until 0 in
   Remy_obs.Counters.add Remy_obs.Counters.events_run fired;
-  t.clock <- Float.max t.clock until
+  t.clock.now <- Float.max t.clock.now until
 
 let pending t = if t.live_root then t.size - 1 else t.size

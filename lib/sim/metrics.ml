@@ -1,36 +1,40 @@
-type flow = {
-  mutable bytes : int;
-  mutable packets : int;
-  mutable delay_sum : float;
-  mutable on_time : float;
-  mutable on_since : float option;
+(* One column per field, indexed by flow: recording a delivery or an
+   on/off switch stores ints and unboxed floats, and allocates nothing. *)
+type t = {
+  bytes : int array;
+  packets : int array;
+  delay_sum : float array;
+  on_time : float array;
+  on_since : float array;  (* NaN while the flow is off *)
 }
 
-type t = flow array
-
 let create ~n_flows =
-  Array.init n_flows (fun _ ->
-      { bytes = 0; packets = 0; delay_sum = 0.; on_time = 0.; on_since = None })
+  {
+    bytes = Array.make n_flows 0;
+    packets = Array.make n_flows 0;
+    delay_sum = Array.make n_flows 0.;
+    on_time = Array.make n_flows 0.;
+    on_since = Array.make n_flows Float.nan;
+  }
 
-let flow_on t i now =
-  let f = t.(i) in
-  match f.on_since with Some _ -> () | None -> f.on_since <- Some now
+let[@inline] flow_on t i now = if Float.is_nan t.on_since.(i) then t.on_since.(i) <- now
 
-let flow_off t i now =
-  let f = t.(i) in
-  match f.on_since with
-  | None -> ()
-  | Some start ->
-    f.on_time <- f.on_time +. (now -. start);
-    f.on_since <- None
+let[@inline] flow_off t i now =
+  let start = t.on_since.(i) in
+  if not (Float.is_nan start) then begin
+    t.on_time.(i) <- t.on_time.(i) +. (now -. start);
+    t.on_since.(i) <- Float.nan
+  end
 
-let packet_delivered t i ~bytes ~queueing_delay =
-  let f = t.(i) in
-  f.bytes <- f.bytes + bytes;
-  f.packets <- f.packets + 1;
-  f.delay_sum <- f.delay_sum +. queueing_delay
+let[@inline] packet_delivered t i ~bytes ~queueing_delay =
+  t.bytes.(i) <- t.bytes.(i) + bytes;
+  t.packets.(i) <- t.packets.(i) + 1;
+  t.delay_sum.(i) <- t.delay_sum.(i) +. queueing_delay
 
-let finish t now = Array.iteri (fun i _ -> flow_off t i now) t
+let finish t now =
+  for i = 0 to Array.length t.on_since - 1 do
+    flow_off t i now
+  done
 
 type flow_summary = {
   throughput_mbps : float;
@@ -40,15 +44,14 @@ type flow_summary = {
   on_time : float;
 }
 
-let summary t i =
-  let (f : flow) = t.(i) in
+let summary (t : t) i =
+  let bytes = t.bytes.(i) and packets = t.packets.(i) and on_time = t.on_time.(i) in
   let throughput_mbps =
-    if f.on_time > 0. then float_of_int f.bytes *. 8. /. f.on_time /. 1e6 else 0.
+    if on_time > 0. then float_of_int bytes *. 8. /. on_time /. 1e6 else 0.
   in
   let mean_queueing_delay_ms =
-    if f.packets > 0 then f.delay_sum /. float_of_int f.packets *. 1e3 else 0.
+    if packets > 0 then t.delay_sum.(i) /. float_of_int packets *. 1e3 else 0.
   in
-  { throughput_mbps; mean_queueing_delay_ms; bytes = f.bytes; packets = f.packets;
-    on_time = f.on_time }
+  { throughput_mbps; mean_queueing_delay_ms; bytes; packets; on_time }
 
-let summaries t = Array.init (Array.length t) (summary t)
+let summaries (t : t) = Array.init (Array.length t.bytes) (summary t)
