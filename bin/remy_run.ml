@@ -116,6 +116,12 @@ let run link rtt_ms senders workload_kind mean_kb mean_on mean_off duration
   | _ when workload_kind <> `Time && mean_on <> 1. ->
     Printf.eprintf "error: --mean-on applies to --workload time only\n";
     exit 1
+  | _ when workload_kind <> `Bytes && workload_kind <> `Incast && mean_kb <> 100. ->
+    Printf.eprintf "error: --mean-kb applies to --workload bytes and incast only\n";
+    exit 1
+  | _ when workload_kind = `Saturating && mean_off <> 0.5 ->
+    Printf.eprintf "error: --mean-off applies to every --workload but saturating\n";
+    exit 1
   | _ -> ());
   let scenario =
     let rtt = rtt_ms /. 1e3 in
@@ -212,7 +218,9 @@ let cmd =
              --mean-kb bursts every --mean-off seconds).")
   in
   let mean_kb =
-    Arg.(value & opt float 100. & info [ "mean-kb" ] ~doc:"Mean transfer, KB.")
+    Arg.(
+      value & opt float 100.
+      & info [ "mean-kb" ] ~doc:"Mean transfer, KB (--workload bytes and incast only).")
   in
   let mean_on =
     Arg.(
@@ -220,7 +228,9 @@ let cmd =
       & info [ "mean-on" ] ~doc:"Mean on time, s (--workload time only).")
   in
   let mean_off =
-    Arg.(value & opt float 0.5 & info [ "mean-off" ] ~doc:"Mean off time, s.")
+    Arg.(
+      value & opt float 0.5
+      & info [ "mean-off" ] ~doc:"Mean off time, s (every --workload but saturating).")
   in
   let duration = Arg.(value & opt float 60. & info [ "duration" ] ~doc:"Seconds.") in
   let replications =
