@@ -11,8 +11,9 @@ type queue_stats = {
 (* A full histogram is ~10 KB; keeping one per flow is what made
    summarizing a 10k-flow trace blow up.  Per-flow detail is therefore
    capped: the first [detailed_flow_cap] flows seen get their own
-   histogram, every delay sample additionally lands in the aggregate
-   [delay_all], and flows beyond the cap only set [delay_capped]. *)
+   histogram, every delay sample additionally lands in its run's
+   aggregate in [delay_by_run], and flows beyond the cap only set
+   [delay_capped]. *)
 let detailed_flow_cap = 64
 
 type t = {
@@ -23,9 +24,11 @@ type t = {
   mutable notes : int;
   by_event : (string, int ref) Hashtbl.t;
   by_queue : (string, queue_stats) Hashtbl.t;
-  delivers_by_flow : (int, int ref) Hashtbl.t;
-  delay_by_flow : (int, Histogram.t) Hashtbl.t;
-  delay_all : Histogram.t;
+  mutable run : int;
+  schemes : (int, string) Hashtbl.t;
+  delivers_by_flow : (int * int, int ref) Hashtbl.t;
+  delay_by_flow : (int * int, Histogram.t) Hashtbl.t;
+  delay_by_run : (int, Histogram.t) Hashtbl.t;
   mutable delay_capped : bool;
 }
 
@@ -38,25 +41,35 @@ let create () =
     notes = 0;
     by_event = Hashtbl.create 16;
     by_queue = Hashtbl.create 8;
+    run = 0;
+    schemes = Hashtbl.create 4;
     delivers_by_flow = Hashtbl.create 16;
     delay_by_flow = Hashtbl.create 16;
-    delay_all = Histogram.create ();
+    delay_by_run = Hashtbl.create 4;
     delay_capped = false;
   }
 
-let flow_delay_histogram t flow =
-  match Hashtbl.find_opt t.delay_by_flow flow with
+let flow_delay_histogram t key =
+  match Hashtbl.find_opt t.delay_by_flow key with
   | Some h -> Some h
   | None ->
     if Hashtbl.length t.delay_by_flow < detailed_flow_cap then begin
       let h = Histogram.create () in
-      Hashtbl.add t.delay_by_flow flow h;
+      Hashtbl.add t.delay_by_flow key h;
       Some h
     end
     else begin
       t.delay_capped <- true;
       None
     end
+
+let run_delay_histogram t =
+  match Hashtbl.find_opt t.delay_by_run t.run with
+  | Some h -> h
+  | None ->
+    let h = Histogram.create () in
+    Hashtbl.add t.delay_by_run t.run h;
+    h
 
 let queue_stats t q =
   match Hashtbl.find_opt t.by_queue q with
@@ -119,17 +132,25 @@ let add t (r : Record.t) =
       ignore (observe_qlen ());
       match Option.bind (Record.find "flow" r) Record.to_int with
       | Some flow ->
-        bump t.delivers_by_flow flow;
+        bump t.delivers_by_flow (t.run, flow);
         (match Option.bind (Record.find "delay_s" r) Record.to_float with
         | Some d ->
-          Histogram.record t.delay_all d;
-          (match flow_delay_histogram t flow with
+          Histogram.record (run_delay_histogram t) d;
+          (match flow_delay_histogram t (t.run, flow) with
           | Some h -> Histogram.record h d
           | None -> ())
         | None -> ())
       | None -> ())
     | "timeout" -> t.timeouts <- t.timeouts + 1
-    | "note" -> t.notes <- t.notes + 1
+    | "note" -> (
+      t.notes <- t.notes + 1;
+      (* Each traced scheme opens with a note naming it, and its flow
+         ids restart at 0. *)
+      match Option.bind (Record.find "scheme" r) Record.to_str with
+      | Some scheme ->
+        t.run <- t.run + 1;
+        Hashtbl.replace t.schemes t.run scheme
+      | None -> ())
     | _ -> ())
 
 let of_records records =
@@ -152,6 +173,47 @@ let count t ev =
    and polymorphic compare is linted against. *)
 let sorted_keys cmp tbl =
   List.sort cmp (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+
+(* The flows of [run] that have an entry in [tbl], in order. *)
+let run_flows tbl run =
+  List.sort Int.compare
+    (Hashtbl.fold (fun (r, flow) _ acc -> if r = run then flow :: acc else acc) tbl [])
+
+(* Deliveries and queueing delay of one run's flows.  [label] names the
+   run's scheme, if a note named it. *)
+let pp_run fmt t ~label run =
+  let flows = run_flows t.delivers_by_flow run in
+  let delivers f = !(Hashtbl.find t.delivers_by_flow (run, f)) in
+  let total = List.fold_left (fun acc f -> acc + delivers f) 0 flows in
+  Format.fprintf fmt "@.deliveries%s: %d across %d flow(s)" label total (List.length flows);
+  if List.length flows <= 16 then begin
+    Format.fprintf fmt " —";
+    List.iter (fun f -> Format.fprintf fmt " %d:%d" f (delivers f)) flows
+  end;
+  Format.fprintf fmt "@.";
+  let delay_flows = run_flows t.delay_by_flow run in
+  if delay_flows <> [] then
+    if (not t.delay_capped) && List.length delay_flows <= 16 then begin
+      Format.fprintf fmt "@.%-6s %9s %12s %12s %12s@." "flow" "samples" "delay p50"
+        "delay p99" "max";
+      List.iter
+        (fun f ->
+          let h = Hashtbl.find t.delay_by_flow (run, f) in
+          Format.fprintf fmt "%-6d %9d %11.4gs %11.4gs %11.4gs@." f (Histogram.count h)
+            (Histogram.quantile h 0.5) (Histogram.quantile h 0.99) (Histogram.max_value h))
+        delay_flows
+    end
+    else begin
+      (* Too many flows for a per-flow table: one aggregate row.  The
+         run's aggregate histogram covers every flow, including those
+         past the per-flow detail cap. *)
+      let h = Hashtbl.find t.delay_by_run run in
+      Format.fprintf fmt "@.%-6s %9s %12s %12s %12s@." "flows" "samples" "delay p50"
+        "delay p99" "max";
+      Format.fprintf fmt "%-6d %9d %11.4gs %11.4gs %11.4gs@." (List.length flows)
+        (Histogram.count h) (Histogram.quantile h 0.5) (Histogram.quantile h 0.99)
+        (Histogram.max_value h)
+    end
 
 let pp fmt t =
   if t.records = 0 then Format.fprintf fmt "empty trace@."
@@ -182,44 +244,18 @@ let pp fmt t =
             s.dequeues s.drops s.marks mean s.qlen_max)
         (sorted_keys String.compare t.by_queue)
     end;
-    let flows = sorted_keys Int.compare t.delivers_by_flow in
-    if flows <> [] then begin
-      let total =
-        List.fold_left (fun acc f -> acc + !(Hashtbl.find t.delivers_by_flow f)) 0 flows
-      in
-      Format.fprintf fmt "@.deliveries: %d across %d flow(s)" total (List.length flows);
-      if List.length flows <= 16 then begin
-        Format.fprintf fmt " —";
-        List.iter
-          (fun f -> Format.fprintf fmt " %d:%d" f !(Hashtbl.find t.delivers_by_flow f))
-          flows
-      end;
-      Format.fprintf fmt "@."
-    end;
-    let delay_flows = sorted_keys Int.compare t.delay_by_flow in
-    if delay_flows <> [] then
-      if (not t.delay_capped) && List.length delay_flows <= 16 then begin
-        Format.fprintf fmt "@.%-6s %9s %12s %12s %12s@." "flow" "samples"
-          "delay p50" "delay p99" "max";
-        List.iter
-          (fun f ->
-            let h = Hashtbl.find t.delay_by_flow f in
-            Format.fprintf fmt "%-6d %9d %11.4gs %11.4gs %11.4gs@." f
-              (Histogram.count h) (Histogram.quantile h 0.5)
-              (Histogram.quantile h 0.99) (Histogram.max_value h))
-          delay_flows
-      end
-      else begin
-        (* Too many flows for a per-flow table: one aggregate row.  The
-           aggregate histogram covers every flow, including those past
-           the per-flow detail cap. *)
-        let h = t.delay_all in
-        Format.fprintf fmt "@.%-6s %9s %12s %12s %12s@." "flows" "samples"
-          "delay p50" "delay p99" "max";
-        Format.fprintf fmt "%-6d %9d %11.4gs %11.4gs %11.4gs@."
-          (Hashtbl.length t.delivers_by_flow)
-          (Histogram.count h) (Histogram.quantile h 0.5)
-          (Histogram.quantile h 0.99) (Histogram.max_value h)
-      end;
+    let runs =
+      List.sort_uniq Int.compare
+        (Hashtbl.fold (fun (run, _) _ acc -> run :: acc) t.delivers_by_flow [])
+    in
+    List.iter
+      (fun run ->
+        let label =
+          match Hashtbl.find_opt t.schemes run with
+          | Some scheme -> Printf.sprintf " (%s)" scheme
+          | None -> ""
+        in
+        pp_run fmt t ~label run)
+      runs;
     if t.timeouts > 0 then Format.fprintf fmt "timeouts: %d@." t.timeouts
   end

@@ -5,7 +5,14 @@
     per-event totals, per-queue enqueue/dequeue/drop/mark counts with
     queue-occupancy statistics (over event [qlen] fields and [qsample]
     rows), per-flow delivery counts and queueing-delay percentiles (over
-    [deliver] rows' [delay_s]), and the covered time span. *)
+    [deliver] rows' [delay_s]), and the covered time span.
+
+    A [note] row with a [scheme] field starts a new run: [remy_run
+    --trace] writes each scheme's first replication into one file, each
+    opening with such a note, and flow ids restart at 0 in every run.
+    Per-flow figures are therefore kept and printed per run, labelled by
+    the scheme; the rows before the first such note are run 0, so a
+    trace without notes prints one unlabelled run. *)
 
 type queue_stats = {
   mutable enqueues : int;
@@ -25,20 +32,23 @@ type t = {
   mutable notes : int;
   by_event : (string, int ref) Hashtbl.t;
   by_queue : (string, queue_stats) Hashtbl.t;
-  delivers_by_flow : (int, int ref) Hashtbl.t;
-  delay_by_flow : (int, Histogram.t) Hashtbl.t;
-      (** per-flow queueing delay, from [deliver] rows' [delay_s] field;
-          detailed histograms are kept for the first {!detailed_flow_cap}
-          flows only *)
-  delay_all : Histogram.t;
-      (** queueing delay aggregated over every flow, uncapped *)
+  mutable run : int;  (** the run rows are added to: scheme notes seen so far *)
+  schemes : (int, string) Hashtbl.t;  (** the scheme whose note opened a run *)
+  delivers_by_flow : (int * int, int ref) Hashtbl.t;  (** keyed by (run, flow) *)
+  delay_by_flow : (int * int, Histogram.t) Hashtbl.t;
+      (** per-flow queueing delay keyed by (run, flow), from [deliver]
+          rows' [delay_s] field; detailed histograms are kept for the
+          first {!detailed_flow_cap} flows only *)
+  delay_by_run : (int, Histogram.t) Hashtbl.t;
+      (** queueing delay aggregated over every flow of a run, uncapped *)
   mutable delay_capped : bool;
       (** true when some flow exceeded the per-flow detail cap *)
 }
 
 val detailed_flow_cap : int
-(** Per-flow delay histograms kept (64); beyond it flows contribute to
-    [delay_all] only, so summarizing a 10k-flow trace stays bounded. *)
+(** Per-flow delay histograms kept (64), over all runs; beyond it flows
+    contribute to [delay_by_run] only, so summarizing a 10k-flow trace
+    stays bounded. *)
 
 val of_records : Record.t list -> t
 

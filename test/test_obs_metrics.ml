@@ -400,7 +400,7 @@ let test_trace_summary_delay () =
       | Error e -> Alcotest.failf "summary: %s" e
       | Ok s ->
         let h =
-          match Hashtbl.find_opt s.Remy_obs.Trace_summary.delay_by_flow 0 with
+          match Hashtbl.find_opt s.Remy_obs.Trace_summary.delay_by_flow (0, 0) with
           | Some h -> h
           | None -> Alcotest.fail "flow 0 has no delay histogram"
         in

@@ -296,9 +296,37 @@ let test_trace_summary_flow_cap () =
     (Hashtbl.length s.TS.delay_by_flow);
   Alcotest.(check bool) "cap flagged" true s.TS.delay_capped;
   Alcotest.(check int) "aggregate sees every sample" n
-    (Remy_obs.Histogram.count s.TS.delay_all);
+    (Remy_obs.Histogram.count (Hashtbl.find s.TS.delay_by_run 0));
   (* The capped pretty-printer path must not raise. *)
   ignore (Format.asprintf "%a" TS.pp s)
+
+let test_trace_summary_runs () =
+  (* Two traced schemes, flow ids restarting at 0 after each scheme
+     note: their flows are tallied and printed apart. *)
+  let module TS = Remy_obs.Trace_summary in
+  let deliver flow delay =
+    [ ("t", R.Float 0.); ("ev", R.Str "deliver"); ("flow", R.Int flow); ("delay_s", R.Float delay) ]
+  in
+  let note scheme = [ ("t", R.Float 0.); ("ev", R.Str "note"); ("scheme", R.Str scheme) ] in
+  let s =
+    TS.of_records
+      [ note "A"; deliver 0 0.001; deliver 0 0.001; note "B"; deliver 0 0.002; deliver 1 0.003 ]
+  in
+  let delivers run flow = !(Hashtbl.find s.TS.delivers_by_flow (run, flow)) in
+  Alcotest.(check (list int)) "per-run flow tallies" [ 2; 1; 1 ]
+    [ delivers 1 0; delivers 2 0; delivers 2 1 ];
+  Alcotest.(check int) "run B's aggregate" 2
+    (Remy_obs.Histogram.count (Hashtbl.find s.TS.delay_by_run 2));
+  let lines s = String.split_on_char '\n' (Format.asprintf "%a" TS.pp s) in
+  let printed = lines s in
+  Alcotest.(check bool) "run A labelled" true
+    (List.mem "deliveries (A): 2 across 1 flow(s) — 0:2" printed);
+  Alcotest.(check bool) "run B labelled" true
+    (List.mem "deliveries (B): 2 across 2 flow(s) — 0:1 1:1" printed);
+  (* Without a scheme note, every row is run 0 and prints unlabelled. *)
+  Alcotest.(check bool) "no label without notes" true
+    (List.mem "deliveries: 2 across 2 flow(s) — 0:1 1:1"
+       (lines (TS.of_records [ deliver 0 0.001; deliver 1 0.002 ])))
 
 let test_trace_summary_aggregates () =
   let result, records =
@@ -335,6 +363,8 @@ let tests =
       test_trace_summary_aggregates;
     Alcotest.test_case "fold_file streams both encodings" `Slow
       test_fold_file_streams;
+    Alcotest.test_case "trace-summary splits runs at scheme notes" `Quick
+      test_trace_summary_runs;
     Alcotest.test_case "trace-summary caps per-flow detail" `Quick
       test_trace_summary_flow_cap;
   ]
