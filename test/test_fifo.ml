@@ -21,7 +21,8 @@ let gen_op =
       ])
 
 let arb_ops =
-  QCheck.make ~print:QCheck.Print.(list print_op) QCheck.Gen.(list_size (int_range 0 600) gen_op)
+  QCheck.make ~print:QCheck.Print.(list print_op) ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 0 600) gen_op)
 
 (* The mirrored queue's copy of a pushed pair. *)
 let mirror (h, at) = (lnot h, -.at)
