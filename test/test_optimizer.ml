@@ -361,6 +361,32 @@ let test_robustness_record_roundtrip () =
       | Some back -> Alcotest.(check bool) "round-trips exactly" true (back = e)
       | None -> Alcotest.fail "robustness_of_record rejected its own encoding")
     events;
+  (* Every event kind by its encoding, the vocabulary a telemetry reader
+     sees: each line decodes to an event that re-encodes to the same
+     bytes, and that event survives its own round trip. *)
+  List.iter
+    (fun line ->
+      match Remy_obs.Record.of_json line with
+      | Error e -> Alcotest.failf "%s: %s" line e
+      | Ok r -> (
+        match Remy_obs.Telemetry.robustness_of_record r with
+        | None -> Alcotest.failf "robustness_of_record rejected %s" line
+        | Some e ->
+          Alcotest.(check string) "re-encodes to the same line" line
+            (Remy_obs.Record.to_json (Remy_obs.Telemetry.robustness_to_record e));
+          Alcotest.(check bool) "event round-trips" true
+            (Remy_obs.Telemetry.robustness_of_record
+               (Remy_obs.Telemetry.robustness_to_record e)
+            = Some e)))
+    [
+      {|{"event":"checkpoint_written","epoch":2,"rounds":9,"duration_s":0.0125,"path":"ckpt/checkpoint.sexp"}|};
+      {|{"event":"resumed_from","epoch":2,"rounds":9,"elapsed_s":31.5,"path":"ckpt/checkpoint.sexp"}|};
+      {|{"event":"worker_retry","task":17,"attempt":2,"error":"Failure(\"boom\")"}|};
+      {|{"event":"table_verified","rounds":4,"rules":8,"sound":false,"problems":3,"window_hi":4096.5}|};
+      {|{"event":"worker_joined","worker":1,"addr":"spawn:4242","pid":4242}|};
+      {|{"event":"worker_lost","worker":0,"addr":"127.0.0.1:7000","reason":"EOF","requeued":2}|};
+      {|{"event":"task_reissued","index":17,"from_worker":0,"to_worker":1}|};
+    ];
   (* The two record families must not decode as each other: that is what
      keeps a mixed telemetry stream unambiguous. *)
   let ep =
