@@ -165,10 +165,6 @@ let pp_problem fmt = function
   | Bad_action { id; reason } -> Format.fprintf fmt "rule %d: %s" id reason
 
 let to_record r =
-  let float_field k f =
-    if Float.is_finite f then (k, Remy_obs.Record.Float f)
-    else (k, Remy_obs.Record.Str (Float.to_string f))
-  in
   [
     ("verified", Remy_obs.Record.Bool (sound r));
     ("rules", Remy_obs.Record.Int r.live);
@@ -181,7 +177,7 @@ let to_record r =
     | p :: _ ->
       [ ("problem", Remy_obs.Record.Str (Format.asprintf "%a" pp_problem p)) ])
   @ [
-      float_field "window_hi" r.window_hi;
+      ("window_hi", Remy_obs.Record.Float r.window_hi);
       ("window_iters", Remy_obs.Record.Int r.window_iters);
       ("window_widened", Remy_obs.Record.Bool r.window_widened);
       ("divergent_rules", Remy_obs.Record.Int (List.length r.divergent));

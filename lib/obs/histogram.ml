@@ -116,7 +116,5 @@ let summarize t =
 
 let summary_fields ~prefix t : Record.t =
   let s = summarize t in
-  let f k v =
-    (prefix ^ "_" ^ k, if Float.is_finite v then Record.Float v else Record.Str (Float.to_string v))
-  in
+  let f k v = (prefix ^ "_" ^ k, Record.Float v) in
   [ (prefix ^ "_count", Record.Int s.n); f "p50" s.p50; f "p90" s.p90; f "p99" s.p99; f "p999" s.p999 ]

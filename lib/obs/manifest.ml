@@ -22,9 +22,6 @@ type t = {
   extras : Record.t;  (* h_* histogram summary fields *)
 }
 
-let float_field k f =
-  if Float.is_finite f then (k, Record.Float f) else (k, Record.Str (Float.to_string f))
-
 let to_record m : Record.t =
   [
     ("schema", Record.Str schema);
@@ -35,7 +32,7 @@ let to_record m : Record.t =
     ("config", Record.Str m.config_fingerprint);
     ("host_cores", Record.Int m.host_cores);
     ("seed", Record.Int m.seed);
-    float_field "wall_s" m.wall_s;
+    ("wall_s", Record.Float m.wall_s);
   ]
   @ Counters.to_record m.counters
   @ m.extras

@@ -6,6 +6,8 @@ let find = List.assoc_opt
 let to_float = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
+  (* How [to_json] writes a non-finite float; see [value_into]. *)
+  | Str ("inf" | "-inf" | "nan" | "-nan" as s) -> Some (float_of_string s)
   | Bool _ | Str _ -> None
 
 let to_int = function Int i -> Some i | Float _ | Bool _ | Str _ -> None

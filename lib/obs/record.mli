@@ -10,7 +10,9 @@ type t = (string * value) list
 
 val find : string -> t -> value option
 val to_float : value -> float option
-(** [Int] coerces to float; other shapes return [None]. *)
+(** [Int] coerces to float, and the four strings {!to_json} writes for a
+    non-finite float (["inf"], ["-inf"], ["nan"], ["-nan"]) read back as
+    that float; other shapes return [None]. *)
 
 val to_int : value -> int option
 val to_str : value -> string option
@@ -21,7 +23,8 @@ val float_str : float -> string
 
 val to_json : t -> string
 (** One JSON object, no trailing newline.  Non-finite floats are written
-    as quoted strings (JSON has no literal for them). *)
+    as their quoted [Float.to_string] (JSON has no literal for them),
+    which {!to_float} reads back. *)
 
 val of_json : string -> (t, string) result
 (** Parse one line written by {!to_json}.  Flat objects only. *)

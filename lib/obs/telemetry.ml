@@ -16,9 +16,6 @@ type epoch = {
   spec_skips : int;
 }
 
-let float_field k f =
-  if Float.is_finite f then (k, Record.Float f) else (k, Record.Str (Float.to_string f))
-
 let to_record (e : epoch) : Record.t =
   [
     ("epoch", Record.Int e.epoch);
@@ -31,8 +28,8 @@ let to_record (e : epoch) : Record.t =
       ("evaluations", Record.Int e.evaluations);
       ("improvements", Record.Int e.improvements);
       ("subdivisions", Record.Int e.subdivisions);
-      float_field "score" e.score;
-      float_field "wall_s" e.wall_s;
+      ("score", Record.Float e.score);
+      ("wall_s", Record.Float e.wall_s);
       ("domains", Record.Int e.domains);
       ("par_tasks", Record.Int e.par_tasks);
       ("par_spawns", Record.Int e.par_spawns);
@@ -72,7 +69,7 @@ let robustness_to_record = function
       ("event", Record.Str "checkpoint_written");
       ("epoch", Record.Int epoch);
       ("rounds", Record.Int rounds);
-      float_field "duration_s" duration_s;
+      ("duration_s", Record.Float duration_s);
       ("path", Record.Str path);
     ]
   | Resumed_from { epoch; rounds; elapsed_s; path } ->
@@ -80,7 +77,7 @@ let robustness_to_record = function
       ("event", Record.Str "resumed_from");
       ("epoch", Record.Int epoch);
       ("rounds", Record.Int rounds);
-      float_field "elapsed_s" elapsed_s;
+      ("elapsed_s", Record.Float elapsed_s);
       ("path", Record.Str path);
     ]
   | Worker_retry { task; attempt; error } ->
@@ -97,7 +94,7 @@ let robustness_to_record = function
       ("rules", Record.Int rules);
       ("sound", Record.Bool sound);
       ("problems", Record.Int problems);
-      float_field "window_hi" window_hi;
+      ("window_hi", Record.Float window_hi);
     ]
   | Worker_joined { worker; addr; pid } ->
     [
