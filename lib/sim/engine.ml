@@ -219,7 +219,11 @@ let[@inline] schedule_handle t at h =
   if not (in_range t at) then bad_time t at;
   let k = key t h in
   let i = slot t in
-  t.times.(i) <- Float.max at t.clock.now;
+  (* [Float.max at now] without its sign-bit calls: a -0. time compares
+     [<=] to the +0. clock, so it too is filed at now, and the clock
+     never takes a -0. *)
+  let now = t.clock.now in
+  t.times.(i) <- (if at <= now then now else at);
   t.keys.(i) <- k;
   settle t i
 

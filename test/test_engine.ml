@@ -224,6 +224,16 @@ let prop_engine_matches_heap =
   QCheck.Test.make ~name:"agenda matches the heap oracle" ~count:100 program_arb
     (fun prog -> on_engine prog = on_heap prog)
 
+(* A -0. time from time 0 is filed at now, +0.: the callback must see
+   a clock whose reciprocal is +infinity. *)
+let test_negative_zero_time () =
+  let e = Engine.create () in
+  let seen = ref Float.nan in
+  let h = Engine.register e (fun () -> seen := 1. /. Engine.now e) in
+  Engine.schedule_handle e (-0.) h;
+  Engine.run e ~until:1.;
+  Alcotest.(check bool) "fired at +0." true (!seen = Float.infinity)
+
 let test_stress_many_events () =
   let e = Engine.create () in
   let count = ref 0 in
@@ -246,6 +256,7 @@ let tests =
     Alcotest.test_case "cascading self-scheduling" `Quick test_cascading;
     Alcotest.test_case "scheduling in the past rejected" `Quick test_past_scheduling_rejected;
     Alcotest.test_case "scheduling at NaN rejected" `Quick test_nan_scheduling_rejected;
+    Alcotest.test_case "a -0. time is filed at now" `Quick test_negative_zero_time;
     Alcotest.test_case "same-instant follow-up" `Quick test_schedule_now_during_event;
     Alcotest.test_case "a raising callback is consumed" `Quick test_raising_callback;
   ]
