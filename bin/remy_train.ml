@@ -52,7 +52,7 @@ let install_signal_handlers () =
 let run model topology objective delta epochs specimens multipliers rounds
     prune domains wall seed sim_duration task_retries
     stall_timeout checkpoint_dir resume checkpoint_every stop_after output
-    telemetry quiet verify dashboard profile manifest workers worker_timeout
+    telemetry quiet verify profile manifest workers worker_timeout
     chaos_kill_worker =
   let model =
     match model with
@@ -168,10 +168,6 @@ let run model topology objective delta epochs specimens multipliers rounds
       (Remy_obs.Manifest.finalize manifest0 ~status
          ~wall_s:(Remy_obs.Clock.now_s () -. t0))
   in
-  let dash =
-    if dashboard then Some (Remy_obs.Dashboard.create ~wall_budget_s:wall ())
-    else None
-  in
   let rounds_this_run = ref 0 in
   let stop_requested () =
     Atomic.get stop_flag
@@ -201,13 +197,8 @@ let run model topology objective delta epochs specimens multipliers rounds
       Remy_obs.Telemetry.write_robustness s
         (Remy_obs.Telemetry.Worker_retry { task; attempt; error })
     | _ -> ());
-    (match (ev, dash) with
-    | Optimizer.Epoch_done e, Some d -> Remy_obs.Dashboard.update d e
-    | _ -> ());
     (match ev with Optimizer.Improving _ -> incr rounds_this_run | _ -> ());
-    (* The dashboard owns the terminal: interleaved narration would tear
-       its in-place redraw, so --dashboard implies --quiet narration. *)
-    if (not quiet) && not dashboard then
+    if not quiet then
       Format.printf "%a@.%!" Optimizer.pp_event ev
   in
   (* --verify: run the static analyzer over the live tree at every round
@@ -253,7 +244,7 @@ let run model topology objective delta epochs specimens multipliers rounds
       Remy_obs.Telemetry.write_robustness s
         (Remy_obs.Telemetry.Task_reissued { index; from_worker; to_worker })
     | _, None -> ());
-    if (not quiet) && not dashboard then
+    if not quiet then
       match ev with
       | Remy_dist.Coordinator.Worker_joined { worker; addr; pid } ->
         Printf.printf "worker %d joined (%s, pid %d)\n%!" worker addr pid
@@ -326,7 +317,6 @@ let run model topology objective delta epochs specimens multipliers rounds
       exit 3
   in
   Option.iter Remy_dist.Coordinator.shutdown coord;
-  Option.iter Remy_obs.Dashboard.finish dash;
   Rule_tree.save output report.Optimizer.tree;
   Option.iter Remy_obs.Sink.close sink;
   Printf.printf
@@ -559,15 +549,6 @@ let cmd =
              interpretation).  Each check emits a table_verified telemetry \
              event; an unsound table fails the run with exit 4.")
   in
-  let dashboard =
-    Arg.(
-      value & flag
-      & info [ "dashboard" ]
-          ~doc:
-            "Live TTY dashboard: redraw score sparkline, evals/s, cache hit \
-             rate, pool utilization and wall/ETA in place after every epoch \
-             (implies quiet narration; telemetry still written).")
-  in
   let profile =
     Arg.(
       value
@@ -633,7 +614,7 @@ let cmd =
       $ multipliers
       $ rounds $ prune $ domains $ wall $ seed $ sim_duration
       $ task_retries $ stall_timeout $ checkpoint_dir $ resume $ checkpoint_every
-      $ stop_after $ output $ telemetry $ quiet $ verify $ dashboard $ profile
+      $ stop_after $ output $ telemetry $ quiet $ verify $ profile
       $ manifest $ workers $ worker_timeout $ chaos_kill_worker)
 
 let () =

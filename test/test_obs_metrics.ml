@@ -296,56 +296,6 @@ let test_manifest_rejects_garbage () =
   Alcotest.(check bool) "missing schema refused" true
     (Result.is_error (Manifest.of_record [ ("tool", R.Str "x") ]))
 
-(* --- dashboard ----------------------------------------------------- *)
-
-module Dashboard = Remy_obs.Dashboard
-
-let sample_epoch =
-  {
-    Remy_obs.Telemetry.epoch = 3;
-    live_rules = 7;
-    most_used_rule = Some 0;
-    evaluations = 480;
-    improvements = 5;
-    subdivisions = 2;
-    score = -3.5;
-    wall_s = 12.;
-    domains = 2;
-    par_tasks = 100;
-    par_spawns = 2;
-    par_jobs = 50;
-    par_helper_tasks = 40;
-    spec_sims = 300;
-    spec_skips = 100;
-  }
-
-let test_sparkline () =
-  Alcotest.(check string) "empty" "" (Dashboard.sparkline []);
-  (* Each cell is one 3-byte UTF-8 block element. *)
-  Alcotest.(check int) "one cell per value" 9
-    (String.length (Dashboard.sparkline [ 1.; 2.; 3. ]));
-  let flat = Dashboard.sparkline [ 5.; 5.; 5. ] in
-  Alcotest.(check int) "flat series still draws" 9 (String.length flat)
-
-let test_dashboard_render () =
-  (* Point repaints at /dev/null; [render] is what we assert on. *)
-  let null = open_out "/dev/null" in
-  Fun.protect ~finally:(fun () -> close_out null) @@ fun () ->
-  let d = Dashboard.create ~out:null ~wall_budget_s:600. () in
-  Dashboard.update d sample_epoch;
-  let frame = Dashboard.render d in
-  let contains needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "epoch shown" true (contains "epoch" frame);
-  Alcotest.(check bool) "cache hit rate" true (contains "25.0%" frame);
-  Alcotest.(check bool) "pool utilization" true (contains "40.0%" frame);
-  Alcotest.(check bool) "eta present" true (contains "eta" frame);
-  Alcotest.(check bool) "no cursor control in render" true
-    (not (contains "\027" frame))
-
 (* --- observation changes nothing ----------------------------------- *)
 
 let obs_config () =
@@ -437,8 +387,6 @@ let tests =
       test_manifest_file_roundtrip;
     Alcotest.test_case "manifest rejects garbage" `Quick
       test_manifest_rejects_garbage;
-    Alcotest.test_case "sparkline" `Quick test_sparkline;
-    Alcotest.test_case "dashboard render" `Quick test_dashboard_render;
     Alcotest.test_case "observation invariance" `Slow test_observation_invariance;
     Alcotest.test_case "trace summary delay percentiles" `Slow
       test_trace_summary_delay;
