@@ -178,28 +178,10 @@ let run model topology objective delta epochs specimens multipliers rounds
        silences the console narration. *)
     (match (ev, sink) with
     | Optimizer.Epoch_done e, Some s -> Remy_obs.Telemetry.write s e
-    | Optimizer.Checkpoint_saved { path; epoch; rounds; duration_s }, Some s ->
-      Remy_obs.Telemetry.write_robustness s
-        (Remy_obs.Telemetry.Checkpoint_written { epoch; rounds; duration_s; path })
-    | Optimizer.Resumed { epoch; rounds; elapsed_s }, Some s ->
-      Remy_obs.Telemetry.write_robustness s
-        (Remy_obs.Telemetry.Resumed_from
-           {
-             epoch;
-             rounds;
-             elapsed_s;
-             path =
-               (match checkpoint_dir with
-               | Some dir -> Checkpoint.file ~dir
-               | None -> "");
-           })
-    | Optimizer.Worker_retry { task; attempt; error }, Some s ->
-      Remy_obs.Telemetry.write_robustness s
-        (Remy_obs.Telemetry.Worker_retry { task; attempt; error })
+    | Optimizer.Robustness r, Some s -> Remy_obs.Telemetry.write_robustness s r
     | _ -> ());
     (match ev with Optimizer.Improving _ -> incr rounds_this_run | _ -> ());
-    if not quiet then
-      Format.printf "%a@.%!" Optimizer.pp_event ev
+    if not quiet then Format.printf "%a@.%!" Optimizer.pp_event ev
   in
   (* --verify: run the static analyzer over the live tree at every round
      boundary (the same consistent point where checkpoints are taken).
@@ -229,32 +211,9 @@ let run model topology objective delta epochs specimens multipliers rounds
     end
   in
   (* Distributed mode: spawn/connect the workers up front; design skips
-     its in-process pool when handed a backend. *)
-  let dist_event ev =
-    (match (ev, sink) with
-    | Remy_dist.Coordinator.Worker_joined { worker; addr; pid }, Some s ->
-      Remy_obs.Telemetry.write_robustness s
-        (Remy_obs.Telemetry.Worker_joined { worker; addr; pid })
-    | Remy_dist.Coordinator.Worker_lost { worker; addr; reason; requeued }, Some s
-      ->
-      Remy_obs.Telemetry.write_robustness s
-        (Remy_obs.Telemetry.Worker_lost { worker; addr; reason; requeued })
-    | Remy_dist.Coordinator.Task_reissued { index; from_worker; to_worker }, Some s
-      ->
-      Remy_obs.Telemetry.write_robustness s
-        (Remy_obs.Telemetry.Task_reissued { index; from_worker; to_worker })
-    | _, None -> ());
-    if not quiet then
-      match ev with
-      | Remy_dist.Coordinator.Worker_joined { worker; addr; pid } ->
-        Printf.printf "worker %d joined (%s, pid %d)\n%!" worker addr pid
-      | Remy_dist.Coordinator.Worker_lost { worker; addr; reason; requeued } ->
-        Printf.printf "worker %d lost (%s): %s — %d task(s) requeued\n%!" worker
-          addr reason requeued
-      | Remy_dist.Coordinator.Task_reissued { index; from_worker; to_worker } ->
-        Printf.printf "task %d reissued: worker %d -> worker %d\n%!" index
-          from_worker to_worker
-  in
+     its in-process pool when handed a backend.  Worker events join the
+     optimizer's in telemetry and narration. *)
+  let dist_event ev = progress (Optimizer.Robustness (Remy_obs.Telemetry.Worker ev)) in
   let coord =
     Option.map
       (fun specs ->
@@ -271,6 +230,19 @@ let run model topology objective delta epochs specimens multipliers rounds
   let backend =
     Option.map (fun c -> Remy_dist.Coordinator.backend c ~incremental:true) coord
   in
+  (* A run that cannot go on closes its telemetry, marks its manifest
+     failed and names the checkpoint it can resume from. *)
+  let fail msg =
+    Option.iter Remy_obs.Sink.close sink;
+    finalize_manifest "failed";
+    Printf.eprintf "error: %s\n" msg;
+    Option.iter
+      (fun dir ->
+        Printf.eprintf "the last round-boundary checkpoint is intact: %s\n"
+          (Checkpoint.file ~dir))
+      checkpoint_dir;
+    exit 3
+  in
   install_signal_handlers ();
   if not quiet then
     Format.printf "designing RemyCC for model [%a], objective %a@.%!" Net_model.pp
@@ -285,36 +257,11 @@ let run model topology objective delta epochs specimens multipliers rounds
     with
     | Remy_dist.Coordinator.Dist_error msg ->
       Option.iter Remy_dist.Coordinator.shutdown coord;
-      Option.iter Remy_obs.Sink.close sink;
-      finalize_manifest "failed";
-      Printf.eprintf "error: distributed run failed: %s\n" msg;
-      (match checkpoint_dir with
-      | Some dir ->
-        Printf.eprintf "the last round-boundary checkpoint is intact: %s\n"
-          (Checkpoint.file ~dir)
-      | None -> ());
-      exit 3
-    | Par.Task_failed _ as e ->
-      Option.iter Remy_obs.Sink.close sink;
-      finalize_manifest "failed";
-      Printf.eprintf "error: %s\n" (Printexc.to_string e);
-      (match checkpoint_dir with
-      | Some dir ->
-        Printf.eprintf "the last round-boundary checkpoint is intact: %s\n"
-          (Checkpoint.file ~dir)
-      | None -> ());
-      exit 3
-    | Par.Stalled _ as e ->
-      Option.iter Remy_obs.Sink.close sink;
-      finalize_manifest "failed";
-      Printf.eprintf "error: %s\n" (Printexc.to_string e);
-      (match checkpoint_dir with
-      | Some dir ->
-        Printf.eprintf "the last round-boundary checkpoint is intact: %s\n"
-          (Checkpoint.file ~dir)
-      | None -> ());
-      (* The wedged worker domain cannot be joined; exit without waiting. *)
-      exit 3
+      fail ("distributed run failed: " ^ msg)
+    | (Par.Task_failed _ | Par.Stalled _) as e ->
+      (* A stalled pool's wedged worker domain cannot be joined; [fail]
+         exits without waiting for it. *)
+      fail (Printexc.to_string e)
   in
   Option.iter Remy_dist.Coordinator.shutdown coord;
   Rule_tree.save output report.Optimizer.tree;

@@ -114,14 +114,7 @@ type event =
   | Subdivided of { rule : int; at : Memory.t; rules_now : int }
   | Pruned of { collapsed : int; rules_now : int }
   | Epoch_done of Remy_obs.Telemetry.epoch
-  | Checkpoint_saved of {
-      path : string;
-      epoch : int;
-      rounds : int;
-      duration_s : float;
-    }
-  | Resumed of { epoch : int; rounds : int; elapsed_s : float }
-  | Worker_retry of { task : int; attempt : int; error : string }
+  | Robustness of Remy_obs.Telemetry.robustness
 
 let pp_event ppf = function
   | Improving { epoch; rule; uses; score } ->
@@ -141,16 +134,7 @@ let pp_event ppf = function
       e.Remy_obs.Telemetry.epoch e.Remy_obs.Telemetry.live_rules
       e.Remy_obs.Telemetry.score e.Remy_obs.Telemetry.evaluations
       e.Remy_obs.Telemetry.improvements e.Remy_obs.Telemetry.wall_s
-  | Checkpoint_saved { path; epoch; rounds; duration_s } ->
-    Format.fprintf ppf "checkpoint -> %s (epoch %d, round %d, %.0f ms)" path epoch
-      rounds (duration_s *. 1e3)
-  | Resumed { epoch; rounds; elapsed_s } ->
-    Format.fprintf ppf
-      "resumed from checkpoint: epoch %d, round %d, %.1f s already spent" epoch
-      rounds elapsed_s
-  | Worker_retry { task; attempt; error } ->
-    Format.fprintf ppf "worker task %d failed (attempt %d), retrying: %s" task
-      attempt error
+  | Robustness r -> Remy_obs.Telemetry.pp_robustness ppf r
 
 type eval_backend = Evaluator.backend = {
   eval_baseline :
@@ -243,7 +227,7 @@ let design ?backend ?(progress = fun (_ : event) -> ()) ?checkpoint ?resume
     Mutex.unlock retry_mutex;
     List.iter
       (fun (task, attempt, error) ->
-        progress (Worker_retry { task; attempt; error }))
+        progress (Robustness (Remy_obs.Telemetry.Worker_retry { task; attempt; error })))
       pending
   in
   (* With an external [backend] (e.g. a distributed coordinator) no
@@ -282,13 +266,14 @@ let design ?backend ?(progress = fun (_ : event) -> ()) ?checkpoint ?resume
           tree;
         });
       progress
-        (Checkpoint_saved
-           {
-             path = Checkpoint.file ~dir;
-             epoch = !global_epoch;
-             rounds = !rounds;
-             duration_s = Remy_obs.Clock.now_s () -. t0;
-           })
+        (Robustness
+           (Remy_obs.Telemetry.Checkpoint_written
+              {
+                epoch = !global_epoch;
+                rounds = !rounds;
+                duration_s = Remy_obs.Clock.now_s () -. t0;
+                path = Checkpoint.file ~dir;
+              }))
   in
   let round_checkpoint position =
     match checkpoint with
@@ -388,12 +373,17 @@ let design ?backend ?(progress = fun (_ : event) -> ()) ?checkpoint ?resume
   (match resume with
   | Some s ->
     progress
-      (Resumed
-         {
-           epoch = s.Checkpoint.epoch;
-           rounds = s.Checkpoint.rounds;
-           elapsed_s = s.Checkpoint.elapsed_s;
-         })
+      (Robustness
+         (Remy_obs.Telemetry.Resumed_from
+            {
+              epoch = s.Checkpoint.epoch;
+              rounds = s.Checkpoint.rounds;
+              elapsed_s = s.Checkpoint.elapsed_s;
+              path =
+                (match checkpoint with
+                | Some { dir; _ } -> Checkpoint.file ~dir
+                | None -> "");
+            }))
   | None -> ());
   (try
      Remy_obs.Profiler.span "design" @@ fun () ->

@@ -136,17 +136,9 @@ type event =
   | Subdivided of { rule : int; at : Memory.t; rules_now : int }
   | Pruned of { collapsed : int; rules_now : int }
   | Epoch_done of Remy_obs.Telemetry.epoch
-  | Checkpoint_saved of {
-      path : string;
-      epoch : int;
-      rounds : int;
-      duration_s : float;
-    }  (** a snapshot hit the disk (atomically) *)
-  | Resumed of { epoch : int; rounds : int; elapsed_s : float }
-      (** the run restarted from a snapshot instead of from scratch *)
-  | Worker_retry of { task : int; attempt : int; error : string }
-      (** a pool task raised and was re-run; reported at the next round
-          boundary, from the main domain *)
+  | Robustness of Remy_obs.Telemetry.robustness
+      (** [Checkpoint_written], [Resumed_from] (its [path] is the
+          checkpoint file, [""] without [checkpoint]) or [Worker_retry] *)
 
 val pp_event : Format.formatter -> event -> unit
 (** Render an event as the one-line status message it replaces. *)

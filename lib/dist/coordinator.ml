@@ -34,7 +34,7 @@ let specs_of_string s =
         in
         check parts
 
-type event =
+type event = Remy_obs.Telemetry.worker_event =
   | Worker_joined of { worker : int; addr : string; pid : int }
   | Worker_lost of { worker : int; addr : string; reason : string; requeued : int }
   | Task_reissued of { index : int; from_worker : int; to_worker : int }

@@ -37,7 +37,7 @@ val specs_of_string : string -> (worker_spec list, string) result
     {!Worker.serve_if_child} first thing); otherwise a comma-separated
     list of [host:port] endpoints. *)
 
-type event =
+type event = Remy_obs.Telemetry.worker_event =
   | Worker_joined of { worker : int; addr : string; pid : int }
   | Worker_lost of { worker : int; addr : string; reason : string; requeued : int }
   | Task_reissued of { index : int; from_worker : int; to_worker : int }

@@ -43,6 +43,11 @@ let write sink e = Sink.emit sink (to_record e)
 
 (* --- robustness events ---------------------------------------------- *)
 
+type worker_event =
+  | Worker_joined of { worker : int; addr : string; pid : int }
+  | Worker_lost of { worker : int; addr : string; reason : string; requeued : int }
+  | Task_reissued of { index : int; from_worker : int; to_worker : int }
+
 type robustness =
   | Checkpoint_written of {
       epoch : int;
@@ -59,9 +64,7 @@ type robustness =
       problems : int;
       window_hi : float;
     }
-  | Worker_joined of { worker : int; addr : string; pid : int }
-  | Worker_lost of { worker : int; addr : string; reason : string; requeued : int }
-  | Task_reissued of { index : int; from_worker : int; to_worker : int }
+  | Worker of worker_event
 
 let robustness_to_record = function
   | Checkpoint_written { epoch; rounds; duration_s; path } ->
@@ -96,14 +99,14 @@ let robustness_to_record = function
       ("problems", Record.Int problems);
       ("window_hi", Record.Float window_hi);
     ]
-  | Worker_joined { worker; addr; pid } ->
+  | Worker (Worker_joined { worker; addr; pid }) ->
     [
       ("event", Record.Str "worker_joined");
       ("worker", Record.Int worker);
       ("addr", Record.Str addr);
       ("pid", Record.Int pid);
     ]
-  | Worker_lost { worker; addr; reason; requeued } ->
+  | Worker (Worker_lost { worker; addr; reason; requeued }) ->
     [
       ("event", Record.Str "worker_lost");
       ("worker", Record.Int worker);
@@ -111,7 +114,7 @@ let robustness_to_record = function
       ("reason", Record.Str reason);
       ("requeued", Record.Int requeued);
     ]
-  | Task_reissued { index; from_worker; to_worker } ->
+  | Worker (Task_reissued { index; from_worker; to_worker }) ->
     [
       ("event", Record.Str "task_reissued");
       ("index", Record.Int index);
@@ -175,33 +178,60 @@ let robustness_of_record (r : Record.t) =
     match int "worker" with
     | Some worker ->
       Some
-        (Worker_joined
-           {
-             worker;
-             addr = Option.value ~default:"" (str "addr");
-             pid = Option.value ~default:0 (int "pid");
-           })
+        (Worker
+           (Worker_joined
+              {
+                worker;
+                addr = Option.value ~default:"" (str "addr");
+                pid = Option.value ~default:0 (int "pid");
+              }))
     | None -> None)
   | Some "worker_lost" -> (
     match int "worker" with
     | Some worker ->
       Some
-        (Worker_lost
-           {
-             worker;
-             addr = Option.value ~default:"" (str "addr");
-             reason = Option.value ~default:"" (str "reason");
-             requeued = Option.value ~default:0 (int "requeued");
-           })
+        (Worker
+           (Worker_lost
+              {
+                worker;
+                addr = Option.value ~default:"" (str "addr");
+                reason = Option.value ~default:"" (str "reason");
+                requeued = Option.value ~default:0 (int "requeued");
+              }))
     | None -> None)
   | Some "task_reissued" -> (
     match (int "index", int "from_worker", int "to_worker") with
     | Some index, Some from_worker, Some to_worker ->
-      Some (Task_reissued { index; from_worker; to_worker })
+      Some (Worker (Task_reissued { index; from_worker; to_worker }))
     | _ -> None)
   | _ -> None
 
 let write_robustness sink e = Sink.emit sink (robustness_to_record e)
+
+let pp_robustness ppf = function
+  | Checkpoint_written { path; epoch; rounds; duration_s } ->
+    Format.fprintf ppf "checkpoint -> %s (epoch %d, round %d, %.0f ms)" path epoch
+      rounds (duration_s *. 1e3)
+  | Resumed_from { epoch; rounds; elapsed_s; path = _ } ->
+    Format.fprintf ppf
+      "resumed from checkpoint: epoch %d, round %d, %.1f s already spent" epoch
+      rounds elapsed_s
+  | Worker_retry { task; attempt; error } ->
+    Format.fprintf ppf "worker task %d failed (attempt %d), retrying: %s" task
+      attempt error
+  | Table_verified { rounds; rules; sound; problems; window_hi } ->
+    Format.fprintf ppf
+      "round %d: table %s (%d rules, %d problem(s), every window <= %g)" rounds
+      (if sound then "sound" else "UNSOUND")
+      rules problems window_hi
+  | Worker (Worker_joined { worker; addr; pid }) ->
+    Format.fprintf ppf "worker %d joined (%s, pid %d)" worker addr pid
+  | Worker (Worker_lost { worker; addr; reason; requeued }) ->
+    Format.fprintf ppf "worker %d lost (%s): %s — %d task(s) requeued" worker addr
+      reason requeued
+  | Worker (Task_reissued { index; from_worker; to_worker }) ->
+    Format.fprintf ppf "task %d reissued: worker %d -> worker %d" index from_worker
+      to_worker
 
 let of_record (r : Record.t) =
   let int k = Option.bind (Record.find k r) Record.to_int in

@@ -37,24 +37,40 @@ val to_record : epoch -> Record.t
 val of_record : Record.t -> epoch option
 val write : Sink.t -> epoch -> unit
 
+(** What a distributed training run's coordinator reports about its
+    workers ({!Remy_dist.Coordinator.event} is this type). *)
+type worker_event =
+  | Worker_joined of { worker : int; addr : string; pid : int }
+      (** a distributed worker completed the handshake *)
+  | Worker_lost of { worker : int; addr : string; reason : string; requeued : int }
+      (** a distributed worker died or timed out; [requeued] of its
+          in-flight tasks went back on the queue *)
+  | Task_reissued of { index : int; from_worker : int; to_worker : int }
+      (** a requeued task was dispatched to a surviving worker *)
+
 (** Robustness events emitted by crash-safe training runs into the same
     stream as the epoch records.  Each carries an ["event"] string field
     as discriminator (epoch records have none), so mixed JSONL files
-    stay unambiguous: filter on the presence/value of ["event"]. *)
+    stay unambiguous: filter on the presence/value of ["event"].  The
+    optimizer reports the first three ({!Remy.Optimizer.event}'s
+    [Robustness]), [remy_train --verify] the fourth, and the distributed
+    coordinator the worker events. *)
 type robustness =
   | Checkpoint_written of {
       epoch : int;
       rounds : int;
       duration_s : float;  (** time spent serializing + fsyncing *)
       path : string;
-    }
+    }  (** a snapshot hit the disk (atomically) *)
   | Resumed_from of {
       epoch : int;
       rounds : int;
       elapsed_s : float;  (** wall time the resumed run had already spent *)
       path : string;
-    }
+    }  (** the run restarted from a snapshot instead of from scratch *)
   | Worker_retry of { task : int; attempt : int; error : string }
+      (** a pool task raised and was re-run; reported at the next round
+          boundary, from the main domain *)
   | Table_verified of {
       rounds : int;  (** cumulative improvement rounds at the check *)
       rules : int;  (** live rules analyzed *)
@@ -64,13 +80,7 @@ type robustness =
     }
       (** the static analyzer ran over the training table
           ([remy_train --verify]'s post-round check) *)
-  | Worker_joined of { worker : int; addr : string; pid : int }
-      (** a distributed worker completed the handshake *)
-  | Worker_lost of { worker : int; addr : string; reason : string; requeued : int }
-      (** a distributed worker died or timed out; [requeued] of its
-          in-flight tasks went back on the queue *)
-  | Task_reissued of { index : int; from_worker : int; to_worker : int }
-      (** a requeued task was dispatched to a surviving worker *)
+  | Worker of worker_event
 
 val robustness_to_record : robustness -> Record.t
 val robustness_of_record : Record.t -> robustness option
@@ -78,3 +88,6 @@ val robustness_of_record : Record.t -> robustness option
     records in the same stream decode as [None] here, and vice versa. *)
 
 val write_robustness : Sink.t -> robustness -> unit
+
+val pp_robustness : Format.formatter -> robustness -> unit
+(** The event as one line of console narration. *)

@@ -299,7 +299,8 @@ let test_checkpoint_events_emitted () =
     Optimizer.design
       ~progress:(fun ev ->
         match ev with
-        | Optimizer.Checkpoint_saved { path; duration_s; _ } ->
+        | Optimizer.Robustness
+            (Remy_obs.Telemetry.Checkpoint_written { path; duration_s; _ }) ->
           incr saves;
           Alcotest.(check string) "event names the file" (Checkpoint.file ~dir) path;
           Alcotest.(check bool) "duration nonnegative" true (duration_s >= 0.)
