@@ -290,20 +290,15 @@ let run model topology objective delta epochs specimens multipliers rounds
   finalize_manifest
     (if report.Optimizer.interrupted then "interrupted" else "completed");
   (match profile with
-  | Some path ->
+  | Some path -> (
     let roots = Remy_obs.Profiler.snapshot () in
-    let dump p contents =
-      try
-        let oc = open_out p in
-        output_string oc contents;
-        close_out oc
-      with Sys_error msg ->
-        Printf.eprintf "warning: cannot write profile %s: %s\n%!" p msg
-    in
-    dump path (Remy_obs.Profiler.to_collapsed roots);
-    dump (path ^ ".json") (Remy_obs.Profiler.to_json roots);
-    Printf.printf "wrote profile: %s (collapsed stacks), %s.json (phase tree)\n%!"
-      path path
+    try
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Remy_obs.Profiler.to_collapsed roots));
+      Remy_obs.Sink.write_file (path ^ ".jsonl") (Remy_obs.Profiler.to_records roots);
+      Printf.printf "wrote profile: %s (collapsed stacks), %s.jsonl (span rows)\n%!"
+        path path
+    with Sys_error msg -> Printf.eprintf "warning: cannot write profile: %s\n%!" msg)
   | None -> ());
   if report.Optimizer.interrupted then (
     match checkpoint_dir with
@@ -503,8 +498,8 @@ let cmd =
       & info [ "profile" ]
           ~doc:
             "Enable the span profiler and runtime histograms; at exit write \
-             collapsed stacks (flamegraph.pl input) to $(docv) and the phase \
-             tree as JSON to $(docv).json.  Purely observational: results \
+             collapsed stacks (flamegraph.pl input) to $(docv) and one JSONL \
+             row per span to $(docv).jsonl.  Purely observational: results \
              are bit-identical with or without."
           ~docv:"OUT")
   in

@@ -163,49 +163,36 @@ let find root path =
 
 (* A root node is a container: its own total/count are zero and only its
    children carry measurements, so exports report children with the root
-   as the stack prefix. *)
+   as the path prefix.  [iter_paths] visits every such node depth first,
+   children in name order, with its ';'-joined path. *)
+let iter_paths roots f =
+  let rec go prefix n =
+    let path = if prefix = "" then n.name else prefix ^ ";" ^ n.name in
+    f path n;
+    List.iter (go path) (sorted_children n)
+  in
+  List.iter (fun root -> List.iter (go root.name) (sorted_children root)) roots
 
-let rec node_json b (n : node) =
-  Buffer.add_string b "{\"name\":\"";
-  Buffer.add_string b (String.concat "" (List.map (fun c ->
-      match c with '"' | '\\' -> Printf.sprintf "\\%c" c | c -> String.make 1 c)
-      (List.init (String.length n.name) (String.get n.name))));
-  Buffer.add_string b "\",\"total_s\":";
-  Buffer.add_string b (Record.float_str n.total_s);
-  Buffer.add_string b ",\"self_s\":";
-  Buffer.add_string b (Record.float_str (self_s n));
-  Buffer.add_string b ",\"count\":";
-  Buffer.add_string b (string_of_int n.count);
-  Buffer.add_string b ",\"children\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      node_json b c)
-    (sorted_children n);
-  Buffer.add_string b "]}"
-
-let to_json roots =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      node_json b r)
-    roots;
-  Buffer.add_char b ']';
-  Buffer.contents b
+let to_records roots =
+  let rows = ref [] in
+  iter_paths roots (fun path n ->
+      rows :=
+        [
+          ("path", Record.Str path);
+          ("total_s", Record.Float n.total_s);
+          ("self_s", Record.Float (self_s n));
+          ("count", Record.Int n.count);
+        ]
+        :: !rows);
+  List.rev !rows
 
 (* Collapsed-stack format: one "frame;frame;frame count" line per stack,
    weights in integer microseconds of self time — what flamegraph.pl and
    speedscope ingest directly. *)
 let to_collapsed roots =
   let b = Buffer.create 1024 in
-  let rec go prefix n =
-    let path = if prefix = "" then n.name else prefix ^ ";" ^ n.name in
-    let self_us = int_of_float (Float.round (self_s n *. 1e6)) in
-    if self_us > 0 || Hashtbl.length n.children = 0 then
-      Buffer.add_string b (Printf.sprintf "%s %d\n" path (Stdlib.max 0 self_us));
-    List.iter (go path) (sorted_children n)
-  in
-  List.iter (fun root -> List.iter (go root.name) (sorted_children root)) roots;
+  iter_paths roots (fun path n ->
+      let self_us = int_of_float (Float.round (self_s n *. 1e6)) in
+      if self_us > 0 || Hashtbl.length n.children = 0 then
+        Buffer.add_string b (Printf.sprintf "%s %d\n" path (Stdlib.max 0 self_us)));
   Buffer.contents b

@@ -51,8 +51,10 @@ val self_s : node -> float
 val find : node -> string list -> node option
 (** Descend by child names, e.g. [find main ["remy_train"; "design"]]. *)
 
-val to_json : node list -> string
-(** Nested phase tree: name, total_s, self_s, count, children. *)
+val to_records : node list -> Record.t list
+(** One row per span node, depth first with children in name order:
+    [path] (the node's frames from its root, [';']-joined, as in
+    {!to_collapsed}), [total_s], [self_s] and [count]. *)
 
 val to_collapsed : node list -> string
 (** Collapsed-stack lines ["main;remy_train;design 12345"] weighted by

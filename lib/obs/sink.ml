@@ -117,3 +117,8 @@ let fold_file path ~init f =
 
 let read_file path =
   Result.map List.rev (fold_file path ~init:[] (fun acc r -> r :: acc))
+
+let write_file ?columns path rows =
+  let sink = to_file ?columns path in
+  List.iter (emit sink) rows;
+  close sink

@@ -35,6 +35,9 @@ val to_file : ?append:bool -> ?columns:string list -> string -> t
     are appended, and a CSV header is only written if the file was
     empty. *)
 
+val write_file : ?columns:string list -> string -> Record.t list -> unit
+(** [to_file path], every row emitted in order, then [close]. *)
+
 val fold_file : string -> init:'a -> ('a -> Record.t -> 'a) -> ('a, string) result
 (** Stream a trace through a fold, one record in memory at a time —
     constant space even for multi-gigabyte traces of 10k-flow runs.
