@@ -470,150 +470,91 @@ let pp_scale fmt (rows : scale_row list) =
 
 (* --- machine-readable output ------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6g" f
-  else Printf.sprintf "\"%s\"" (Float.to_string f)
-
-let counters_json (c : Remy_obs.Counters.snapshot) =
-  Printf.sprintf
-    "{\"events_run\": %d, \"acks_processed\": %d, \"lookups\": %d, \
-     \"index_builds\": %d, \"pool_hits\": %d, \"pool_misses\": %d}"
-    c.Remy_obs.Counters.events_run c.Remy_obs.Counters.acks_processed
-    c.Remy_obs.Counters.lookups c.Remy_obs.Counters.index_builds
-    c.Remy_obs.Counters.pool_hits c.Remy_obs.Counters.pool_misses
-
-(* The gate's extractor finds the FIRST occurrence of a quoted key, so
-   every numeric key below is globally unique across the document:
-   hold rows carry the pending count, scale rows the scenario and flow
-   count. *)
-let hold_json oc (rows : hold_result list) =
-  let out fmt = Printf.fprintf oc fmt in
-  out "  \"agenda_hold\": {\n";
-  List.iteri
-    (fun i (r : hold_result) ->
-      out "    \"hold%d_ops\": %d,\n" r.hd_pending r.hd_ops;
-      out "    \"agenda_hold%d_ops_per_sec\": %s%s\n" r.hd_pending
-        (json_float r.hd_ops_per_sec)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  },\n"
-
-let scale_json oc (rows : scale_row list) =
-  let out fmt = Printf.fprintf oc fmt in
-  out "  \"sim_scale\": {\n";
-  List.iteri
-    (fun i (r : scale_row) ->
-      let key = Printf.sprintf "%s%d" r.sc_scenario r.sc_flows in
-      out "    \"%s_sim_s\": %s,\n" key (json_float r.sc_sim_s);
-      out "    \"%s_events\": %d,\n" key r.sc_arm.sa_events;
-      out "    \"%s_events_per_sec\": %s,\n" key (json_float r.sc_arm.sa_events_per_sec);
-      out "    \"%s_acks_per_sec\": %s,\n" key (json_float r.sc_arm.sa_acks_per_sec);
-      out "    \"%s_pool_hit_rate\": %s%s\n" key
-        (json_float r.sc_arm.sa_pool_hit_rate)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  },\n"
-
-let write_json path micro (macro : macro_result) (sim : sim_result)
+(* One flat row per section, its "row" field naming the section as a
+   figure's rows are tagged; the micro section has one row per
+   benchmark.  The gate looks each gated key up across all rows and
+   requires it in exactly one, so every numeric key outside the micro
+   rows is unique in the file: hold keys carry the pending count, scale
+   keys the scenario and flow count. *)
+let bench_rows micro (macro : macro_result) (sim : sim_result)
     (hold : hold_result list) (scale : scale_row list) =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"schema\": \"remy-bench-v1\",\n";
-  out "  \"host\": {\"cores\": %d},\n" (Domain.recommended_domain_count ());
-  out "  \"micro\": [\n";
-  List.iteri
-    (fun i (name, ns, r2) ->
-      out "    {\"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s}%s\n"
-        (json_escape name) (json_float ns) (json_float r2)
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  out "  ],\n";
-  out "  \"sim_microbench\": {\n";
-  out "    \"sim_s\": %s,\n" (json_float sim.sb_sim_s);
-  out "    \"wall_s\": %s,\n" (json_float sim.sb_wall_s);
-  out "    \"events\": %d,\n" sim.sb_events;
-  out "    \"events_per_sec\": %s,\n" (json_float sim.sb_events_per_sec);
-  out "    \"acks\": %d,\n" sim.sb_acks;
-  out "    \"acks_per_sec\": %s,\n" (json_float sim.sb_acks_per_sec);
-  out "    \"lookups_per_sec\": %s,\n" (json_float sim.sb_lookups_per_sec);
-  out "    \"minor_words_per_sim_s\": %s,\n" (json_float sim.sb_minor_words_per_sim_s);
-  out "    \"pool_hit_rate\": %s,\n" (json_float sim.sb_pool_hit_rate);
-  out "    \"counters\": %s\n" (counters_json sim.sb_counters);
-  out "  },\n";
-  hold_json oc hold;
-  scale_json oc scale;
-  out "  \"optimizer_macrobench\": {\n";
-  out "    \"domains\": %d,\n" macro.mr_domains;
-  out "    \"smoke\": %b,\n" macro.mr_smoke;
-  out "    \"evaluations\": %d,\n" macro.mr_evaluations;
-  out "    \"wall_s\": %s,\n" (json_float macro.mr_wall_s);
-  out "    \"evals_per_sec\": %s,\n" (json_float macro.mr_evals_per_sec);
-  out "    \"spec_sims\": %d,\n" macro.mr_spec_sims;
-  out "    \"spec_skips\": %d,\n" macro.mr_spec_skips;
-  out "    \"pool_jobs\": %d,\n" macro.mr_pool_jobs;
-  out "    \"pool_tasks\": %d,\n" macro.mr_pool_tasks;
-  out "    \"pool_helper_tasks\": %d,\n" macro.mr_pool_helper_tasks;
-  out "    \"rules\": %d,\n" macro.mr_rules;
-  out "    \"final_score\": %s,\n" (json_float macro.mr_final_score);
-  out "    \"counters\": %s\n" (counters_json macro.mr_counters);
-  out "  }\n";
-  out "}\n";
-  close_out oc
+  let open Remy_obs.Record in
+  let row tag fields = ("row", Str tag) :: fields in
+  let counters c = Remy_obs.Counters.to_record ~prefix:"" c in
+  [ row "host" [ ("schema", Str "remy-bench-v1");
+                 ("cores", Int (Domain.recommended_domain_count ())) ] ]
+  @ List.map
+      (fun (name, ns, r2) ->
+        row "micro" [ ("name", Str name); ("ns_per_run", Float ns); ("r_square", Float r2) ])
+      micro
+  @ [
+      row "sim_microbench"
+        ([
+           ("sim_s", Float sim.sb_sim_s);
+           ("wall_s", Float sim.sb_wall_s);
+           ("events", Int sim.sb_events);
+           ("events_per_sec", Float sim.sb_events_per_sec);
+           ("acks", Int sim.sb_acks);
+           ("acks_per_sec", Float sim.sb_acks_per_sec);
+           ("lookups_per_sec", Float sim.sb_lookups_per_sec);
+           ("minor_words_per_sim_s", Float sim.sb_minor_words_per_sim_s);
+           ("pool_hit_rate", Float sim.sb_pool_hit_rate);
+         ]
+        @ counters sim.sb_counters);
+      row "agenda_hold"
+        (List.concat_map
+           (fun r ->
+             [
+               (Printf.sprintf "hold%d_ops" r.hd_pending, Int r.hd_ops);
+               (Printf.sprintf "agenda_hold%d_ops_per_sec" r.hd_pending, Float r.hd_ops_per_sec);
+             ])
+           hold);
+      row "sim_scale"
+        (List.concat_map
+           (fun r ->
+             let key k = Printf.sprintf "%s%d_%s" r.sc_scenario r.sc_flows k in
+             [
+               (key "sim_s", Float r.sc_sim_s);
+               (key "events", Int r.sc_arm.sa_events);
+               (key "events_per_sec", Float r.sc_arm.sa_events_per_sec);
+               (key "acks_per_sec", Float r.sc_arm.sa_acks_per_sec);
+               (key "pool_hit_rate", Float r.sc_arm.sa_pool_hit_rate);
+             ])
+           scale);
+      row "optimizer_macrobench"
+        ([
+           ("domains", Int macro.mr_domains);
+           ("smoke", Bool macro.mr_smoke);
+           ("evaluations", Int macro.mr_evaluations);
+           ("wall_s", Float macro.mr_wall_s);
+           ("evals_per_sec", Float macro.mr_evals_per_sec);
+           ("spec_sims", Int macro.mr_spec_sims);
+           ("spec_skips", Int macro.mr_spec_skips);
+           ("pool_jobs", Int macro.mr_pool_jobs);
+           ("pool_tasks", Int macro.mr_pool_tasks);
+           ("pool_helper_tasks", Int macro.mr_pool_helper_tasks);
+           ("rules", Int macro.mr_rules);
+           ("final_score", Float macro.mr_final_score);
+         ]
+        @ counters macro.mr_counters);
+    ]
 
 (* --- benchmark-regression gate ---------------------------------------- *)
 
-(* The gate reads back its own output format, so a full JSON parser would
-   be overkill (and the build has none): each gated key appears exactly
-   once, quoted, followed by a colon and a plain number. *)
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let read_rows path =
+  match Remy_obs.Sink.read_file path with
+  | Ok rows -> rows
+  | Error e ->
+    Printf.eprintf "bench: %s\n" e;
+    exit 2
 
-let extract_number content key =
-  let pat = "\"" ^ key ^ "\"" in
-  let n = String.length content and m = String.length pat in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub content i m = pat then Some (i + m)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-    let j = ref i in
-    while
-      !j < n && (content.[!j] = ':' || content.[!j] = ' ' || content.[!j] = '\t')
-    do
-      incr j
-    done;
-    let k = ref !j in
-    while
-      !k < n
-      &&
-      match content.[!k] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr k
-    done;
-    if !k > !j then float_of_string_opt (String.sub content !j (!k - !j))
-    else None
+(* A key's value is its one occurrence across the file's rows. *)
+let lookup rows key =
+  match List.filter_map (Remy_obs.Record.find key) rows with
+  | [] -> `Missing
+  | [ v ] -> (
+    match Remy_obs.Record.to_float v with Some x -> `Value x | None -> `Missing)
+  | vs -> `Repeated (List.length vs)
 
 (* Higher-is-better throughput metrics the CI gate guards.  Allocation
    and score metrics are recorded but not gated: minor_words is already
@@ -634,37 +575,38 @@ let gated_metrics =
   ]
 
 let run_gate ?(metrics = gated_metrics) ~tolerance ~candidate ~baseline () =
-  let cand = read_file candidate and base = read_file baseline in
+  let cand = read_rows candidate and base = read_rows baseline in
   Printf.printf "comparing %s against baseline %s (tolerance %.0f%%)\n" candidate
     baseline (100. *. tolerance);
-  (match (extract_number cand "cores", extract_number base "cores") with
-  | Some c, Some b when c <> b ->
+  (match (lookup cand "cores", lookup base "cores") with
+  | `Value c, `Value b when c <> b ->
     Printf.printf
       "warning: host core counts differ (candidate %g, baseline %g); throughput \
        ratios may reflect the machine, not the code\n"
       c b
   | _ -> ());
   let failures = ref 0 in
+  let fail fmt =
+    incr failures;
+    Printf.printf fmt
+  in
   List.iter
     (fun key ->
-      match (extract_number cand key, extract_number base key) with
-      | Some c, Some b when b > 0. ->
+      match (lookup cand key, lookup base key) with
+      (* A key in several rows has no one value to compare. *)
+      | `Repeated n, _ -> fail "%-22s in %d candidate rows  FAIL\n" key n
+      | _, `Repeated n -> fail "%-22s in %d baseline rows  FAIL\n" key n
+      | `Value c, `Value b when b > 0. ->
         let ratio = c /. b in
-        let verdict =
-          if ratio < 1. -. tolerance then (
-            incr failures;
-            "FAIL")
-          else "ok"
-        in
+        let verdict = if ratio < 1. -. tolerance then (incr failures; "FAIL") else "ok" in
         Printf.printf "%-22s baseline %14.1f  candidate %14.1f  %5.2fx  %s\n" key
           b c ratio verdict
-      | None, _ ->
+      | `Missing, _ ->
         (* A gated key the candidate no longer reports (renamed or
            deleted) would otherwise go unguarded. *)
-        incr failures;
-        Printf.printf "%-22s missing in candidate  FAIL\n" key
-      | _, None -> Printf.printf "%-22s missing in baseline; skipped\n" key
-      | Some _, Some _ -> Printf.printf "%-22s baseline non-positive; skipped\n" key)
+        fail "%-22s missing in candidate  FAIL\n" key
+      | _, `Missing -> Printf.printf "%-22s missing in baseline; skipped\n" key
+      | `Value _, `Value _ -> Printf.printf "%-22s baseline non-positive; skipped\n" key)
     metrics;
   if !failures > 0 then
     Printf.printf
@@ -694,14 +636,14 @@ let run full only micro_only replications duration seed out json smoke
        self-test that the gate trips on a seeded slowdown). *)
     match compare_base with
     | None ->
-      prerr_endline "bench: --gate requires --compare BASELINE.json";
+      prerr_endline "bench: --gate requires --compare BASELINE.jsonl";
       exit 2
     | Some baseline ->
       if not (run_gate ~metrics ~tolerance ~candidate ~baseline ()) then exit 1)
   | None, Some path ->
     (* Machine-readable mode: the optimizer-throughput macrobench, then
        the simulator-only microbench, then bechamel microbenchmarks,
-       written as one JSON document for perf trajectories.  The
+       written as one file of rows for perf trajectories.  The
        macrobench goes first so bechamel's heap churn cannot distort the
        timed training run. *)
     let t0 = Remy_obs.Clock.now_s () in
@@ -733,24 +675,20 @@ let run full only micro_only replications duration seed out json smoke
     pp_scale fmt scale;
     Format.fprintf fmt "running microbenchmarks...@.";
     let rows = Remy_obs.Profiler.span "bechamel" micro_rows in
-    write_json path rows macro sim hold scale;
+    Remy_obs.Sink.write_file path (bench_rows rows macro sim hold scale);
     Format.fprintf fmt "wrote %s@." path;
     write_manifest
       (Remy_obs.Manifest.finalize manifest0 ~status:"completed"
          ~wall_s:(Remy_obs.Clock.now_s () -. t0));
     if obs then begin
       let roots = Remy_obs.Profiler.snapshot () in
-      let dump p contents =
-        try
-          let oc = open_out p in
-          output_string oc contents;
-          close_out oc;
-          Format.fprintf fmt "wrote %s@." p
-        with Sys_error msg ->
-          Printf.eprintf "warning: cannot write profile %s: %s\n%!" p msg
-      in
-      dump (path ^ ".profile") (Remy_obs.Profiler.to_collapsed roots);
-      dump (path ^ ".profile.json") (Remy_obs.Profiler.to_json roots)
+      try
+        Out_channel.with_open_text (path ^ ".profile") (fun oc ->
+            output_string oc (Remy_obs.Profiler.to_collapsed roots));
+        Remy_obs.Sink.write_file (path ^ ".profile.jsonl")
+          (Remy_obs.Profiler.to_records roots);
+        Format.fprintf fmt "wrote %s.profile, %s.profile.jsonl@." path path
+      with Sys_error msg -> Printf.eprintf "warning: cannot write profile: %s\n%!" msg
     end;
     (match compare_base with
     | Some baseline ->
@@ -773,10 +711,7 @@ let run full only micro_only replications duration seed out json smoke
    with Sys_error msg -> Format.eprintf "error: --out: %s@." msg; exit 1);
   let write_rows id rows =
     Option.iter
-      (fun dir ->
-        let sink = Remy_obs.Sink.to_file (Filename.concat dir (id ^ ".jsonl")) in
-        List.iter (Remy_obs.Sink.emit sink) rows;
-        Remy_obs.Sink.close sink)
+      (fun dir -> Remy_obs.Sink.write_file (Filename.concat dir (id ^ ".jsonl")) rows)
       out
   in
   Format.fprintf fmt
@@ -839,8 +774,10 @@ let cmd =
       & opt (some string) None
       & info [ "json" ]
           ~doc:
-            "Write machine-readable results (microbench ns/run + the optimizer \
-             throughput macrobench) to $(docv) and skip the figure experiments."
+            "Write machine-readable results (the optimizer macrobench, the \
+             simulator, agenda-hold and flow-scale benches, microbench ns/run) \
+             to $(docv) as JSONL rows, one per section, and skip the figure \
+             experiments."
           ~docv:"FILE")
   in
   let smoke =
@@ -860,9 +797,9 @@ let cmd =
       & opt (some string) None
       & info [ "compare" ]
           ~doc:
-            "Baseline results file.  With --json, gate the fresh results \
-             against it after the run; with --gate, compare two existing \
-             files.  Exits 1 if any gated throughput metric (evals/s, \
+            "Baseline results file (--json rows).  With --json, gate the \
+             fresh results against it after the run; with --gate, compare two \
+             existing files.  Exits 1 if any gated throughput metric (evals/s, \
              events/s, acks/s, lookups/s) falls more than --tolerance below \
              the baseline."
           ~docv:"FILE")
@@ -902,8 +839,8 @@ let cmd =
           ~doc:
             "Enable runtime histograms and the span profiler during the \
              benchmarks; with --json, also write <FILE>.profile (collapsed \
-             stacks) and <FILE>.profile.json.  Used by CI to bound \
-             observability overhead.")
+             stacks) and <FILE>.profile.jsonl (one row per span).  Used by CI \
+             to bound observability overhead.")
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Reproduce the paper's tables and figures")
