@@ -17,12 +17,10 @@ val to_float : value -> float option
 val to_int : value -> int option
 val to_str : value -> string option
 
-val float_str : float -> string
-(** Deterministic rendering: integral floats as ["%.1f"], others as
-    ["%.12g"] — stable across runs, precise enough for trace analysis. *)
-
 val to_json : t -> string
-(** One JSON object, no trailing newline.  Non-finite floats are written
+(** One JSON object, no trailing newline.  Floats are rendered
+    deterministically, integral ones as ["%.1f"] and others as ["%.12g"]
+    (the CSV writer does the same).  Non-finite floats are written
     as their quoted [Float.to_string] (JSON has no literal for them),
     which {!to_float} reads back. *)
 

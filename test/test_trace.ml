@@ -54,32 +54,33 @@ let test_csv_roundtrip () =
 (* JSON has no literal for a non-finite float: the writer quotes its
    [Float.to_string], and the reader must take those strings back as the
    float, sign bit included. *)
-let test_nonfinite_roundtrip format () =
-  let suffix = match format with `Jsonl -> ".jsonl" | `Csv -> ".csv" in
-  let path = Filename.temp_file "nonfinite" suffix in
+let test_nonfinite_roundtrip () =
   let cases =
     [ ("inf", Float.infinity); ("ninf", Float.neg_infinity); ("nan", Float.nan);
       ("nnan", Float.neg Float.nan) ]
   in
-  let sink = Sink.to_file path in
-  Sink.emit sink (List.map (fun (k, f) -> (k, R.Float f)) cases);
-  Sink.close sink;
-  let back =
-    match Sink.read_file path with
-    | Ok [ r ] -> r
-    | Ok rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
-    | Error e -> Alcotest.failf "read_file: %s" e
-  in
-  Sys.remove path;
   List.iter
-    (fun (k, f) ->
-      match R.to_float (find_exn k back) with
-      | None -> Alcotest.failf "%s: not read back as a float" k
-      | Some g ->
-        Alcotest.(check bool) (k ^ " class") true
-          (Float.classify_float g = Float.classify_float f);
-        Alcotest.(check bool) (k ^ " sign") (Float.sign_bit f) (Float.sign_bit g))
-    cases
+    (fun suffix ->
+      let path = Filename.temp_file "nonfinite" suffix in
+      Sink.write_file path [ List.map (fun (k, f) -> (k, R.Float f)) cases ];
+      let back =
+        match Sink.read_file path with
+        | Ok [ r ] -> r
+        | Ok rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
+        | Error e -> Alcotest.failf "read_file: %s" e
+      in
+      Sys.remove path;
+      List.iter
+        (fun (k, f) ->
+          let label = k ^ suffix in
+          match R.to_float (find_exn k back) with
+          | None -> Alcotest.failf "%s: not read back as a float" label
+          | Some g ->
+            Alcotest.(check bool) (label ^ " class") true
+              (Float.classify_float g = Float.classify_float f);
+            Alcotest.(check bool) (label ^ " sign") (Float.sign_bit f) (Float.sign_bit g))
+        cases)
+    [ ".jsonl"; ".csv" ]
 
 let test_file_roundtrip format () =
   let suffix = match format with `Jsonl -> ".jsonl" | `Csv -> ".csv" in
@@ -382,10 +383,7 @@ let tests =
     Alcotest.test_case "csv round-trip" `Quick test_csv_roundtrip;
     Alcotest.test_case "jsonl file round-trip" `Quick (test_file_roundtrip `Jsonl);
     Alcotest.test_case "csv file round-trip" `Quick (test_file_roundtrip `Csv);
-    Alcotest.test_case "non-finite floats round-trip (jsonl)" `Quick
-      (test_nonfinite_roundtrip `Jsonl);
-    Alcotest.test_case "non-finite floats round-trip (csv)" `Quick
-      (test_nonfinite_roundtrip `Csv);
+    Alcotest.test_case "non-finite floats round-trip" `Quick test_nonfinite_roundtrip;
     Alcotest.test_case "disabled tracer is a no-op" `Quick test_disabled_noop;
     Alcotest.test_case "tracing preserves results" `Slow
       test_tracing_preserves_results;
