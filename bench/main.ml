@@ -473,19 +473,26 @@ let pp_scale fmt (rows : scale_row list) =
 (* One flat row per section, its "row" field naming the section as a
    figure's rows are tagged; the micro section has one row per
    benchmark.  The gate looks each gated key up across all rows and
-   requires it in exactly one, so every numeric key outside the micro
-   rows is unique in the file: hold keys carry the pending count, scale
-   keys the scenario and flow count. *)
+   requires it in exactly one, so gated keys carry what tells them
+   apart (hold keys the pending count, scale keys the scenario and flow
+   count); ungated keys such as wall_s and the counters repeat across
+   sections. *)
 let bench_rows micro (macro : macro_result) (sim : sim_result)
     (hold : hold_result list) (scale : scale_row list) =
   let open Remy_obs.Record in
   let row tag fields = ("row", Str tag) :: fields in
   let counters c = Remy_obs.Counters.to_record ~prefix:"" c in
-  [ row "host" [ ("schema", Str "remy-bench-v1");
-                 ("cores", Int (Domain.recommended_domain_count ())) ] ]
+  [
+    row "host"
+      [
+        ("schema", Str "remy-bench-v1");
+        ("cores", Int (Domain.recommended_domain_count ()));
+      ];
+  ]
   @ List.map
       (fun (name, ns, r2) ->
-        row "micro" [ ("name", Str name); ("ns_per_run", Float ns); ("r_square", Float r2) ])
+        row "micro"
+          [ ("name", Str name); ("ns_per_run", Float ns); ("r_square", Float r2) ])
       micro
   @ [
       row "sim_microbench"
@@ -506,7 +513,8 @@ let bench_rows micro (macro : macro_result) (sim : sim_result)
            (fun r ->
              [
                (Printf.sprintf "hold%d_ops" r.hd_pending, Int r.hd_ops);
-               (Printf.sprintf "agenda_hold%d_ops_per_sec" r.hd_pending, Float r.hd_ops_per_sec);
+               ( Printf.sprintf "agenda_hold%d_ops_per_sec" r.hd_pending,
+                 Float r.hd_ops_per_sec );
              ])
            hold);
       row "sim_scale"

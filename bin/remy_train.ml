@@ -211,8 +211,9 @@ let run model topology objective delta epochs specimens multipliers rounds
     end
   in
   (* Distributed mode: spawn/connect the workers up front; design skips
-     its in-process pool when handed a backend.  Worker events join the
-     optimizer's in telemetry and narration. *)
+     its in-process pool when handed a backend.  Worker events reach the
+     telemetry and the narration through [progress], as the optimizer's
+     own do. *)
   let dist_event ev = progress (Optimizer.Robustness (Remy_obs.Telemetry.Worker ev)) in
   let coord =
     Option.map

@@ -227,7 +227,8 @@ let design ?backend ?(progress = fun (_ : event) -> ()) ?checkpoint ?resume
     Mutex.unlock retry_mutex;
     List.iter
       (fun (task, attempt, error) ->
-        progress (Robustness (Remy_obs.Telemetry.Worker_retry { task; attempt; error })))
+        progress
+          (Robustness (Remy_obs.Telemetry.Worker_retry { task; attempt; error })))
       pending
   in
   (* With an external [backend] (e.g. a distributed coordinator) no

@@ -149,6 +149,28 @@ let test_merge_deterministic () =
   in
   Alcotest.(check (list string)) "sorted children" [ "alpha"; "zeta" ] names
 
+let test_profile_rows () =
+  with_profiler @@ fun () ->
+  P.span "work" (fun () ->
+      P.span "step" ignore;
+      P.span "step" ignore);
+  let rows = P.to_records (P.snapshot ()) in
+  let field conv k r = Option.bind (R.find k r) conv in
+  Alcotest.(check (list (option string)))
+    "one row per node, depth first"
+    [ Some "main;work"; Some "main;work;step" ]
+    (List.map (field R.to_str "path") rows);
+  Alcotest.(check (list (option int)))
+    "entry counts" [ Some 1; Some 2 ]
+    (List.map (field R.to_int "count") rows);
+  List.iter
+    (fun r ->
+      match (field R.to_float "total_s" r, field R.to_float "self_s" r) with
+      | Some total, Some self ->
+        Alcotest.(check bool) "self time within total" true (self >= 0. && self <= total)
+      | _ -> Alcotest.fail "timing fields missing")
+    rows
+
 let test_collapsed_format () =
   with_profiler @@ fun () ->
   P.span "work" (fun () -> P.span "step" ignore);
@@ -373,6 +395,7 @@ let tests =
       test_span_disabled_passthrough;
     Alcotest.test_case "profiler merge deterministic" `Quick
       test_merge_deterministic;
+    Alcotest.test_case "profile rows" `Quick test_profile_rows;
     Alcotest.test_case "collapsed stack format" `Quick test_collapsed_format;
     Alcotest.test_case "metrics disabled no-op" `Quick test_metrics_disabled_noop;
     Alcotest.test_case "metrics record and merge" `Quick
