@@ -689,12 +689,8 @@ let run full only micro_only replications duration seed out json smoke
       (Remy_obs.Manifest.finalize manifest0 ~status:"completed"
          ~wall_s:(Remy_obs.Clock.now_s () -. t0));
     if obs then begin
-      let roots = Remy_obs.Profiler.snapshot () in
       try
-        Out_channel.with_open_text (path ^ ".profile") (fun oc ->
-            output_string oc (Remy_obs.Profiler.to_collapsed roots));
-        Remy_obs.Sink.write_file (path ^ ".profile.jsonl")
-          (Remy_obs.Profiler.to_records roots);
+        Remy_obs.Profiler.write_files (path ^ ".profile") (Remy_obs.Profiler.snapshot ());
         Format.fprintf fmt "wrote %s.profile, %s.profile.jsonl@." path path
       with Sys_error msg -> Printf.eprintf "warning: cannot write profile: %s\n%!" msg
     end;

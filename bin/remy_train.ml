@@ -292,11 +292,8 @@ let run model topology objective delta epochs specimens multipliers rounds
     (if report.Optimizer.interrupted then "interrupted" else "completed");
   (match profile with
   | Some path -> (
-    let roots = Remy_obs.Profiler.snapshot () in
     try
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Remy_obs.Profiler.to_collapsed roots));
-      Remy_obs.Sink.write_file (path ^ ".jsonl") (Remy_obs.Profiler.to_records roots);
+      Remy_obs.Profiler.write_files path (Remy_obs.Profiler.snapshot ());
       Printf.printf "wrote profile: %s (collapsed stacks), %s.jsonl (span rows)\n%!"
         path path
     with Sys_error msg -> Printf.eprintf "warning: cannot write profile: %s\n%!" msg)

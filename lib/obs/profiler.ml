@@ -196,3 +196,7 @@ let to_collapsed roots =
       if self_us > 0 || Hashtbl.length n.children = 0 then
         Buffer.add_string b (Printf.sprintf "%s %d\n" path (Stdlib.max 0 self_us)));
   Buffer.contents b
+
+let write_files path roots =
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_collapsed roots));
+  Sink.write_file (path ^ ".jsonl") (to_records roots)

@@ -60,3 +60,8 @@ val to_collapsed : node list -> string
 (** Collapsed-stack lines ["main;remy_train;design 12345"] weighted by
     integer microseconds of self time — flamegraph.pl / speedscope
     input. *)
+
+val write_files : string -> node list -> unit
+(** [write_files path roots] writes {!to_collapsed} to [path] and
+    {!to_records} to [path ^ ".jsonl"] (through {!Sink}).  Raises
+    [Sys_error] if either cannot be written. *)
