@@ -112,20 +112,10 @@ let finalize m ~status ~wall_s =
     extras = keep @ Metrics.summary_fields ();
   }
 
-let write ~path m =
-  let oc = open_out path in
-  output_string oc (Record.to_json (to_record m));
-  output_char oc '\n';
-  close_out oc
+let write ~path m = Sink.write_file path [ to_record m ]
 
 let load ~path =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "%s: no such file" path)
-  else begin
-    let ic = open_in path in
-    let line = try input_line ic with End_of_file -> "" in
-    close_in ic;
-    match Record.of_json line with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok r -> of_record r
-  end
+  match Sink.read_file path with
+  | Ok [ r ] -> of_record r
+  | Ok rs -> Error (Printf.sprintf "%s: %d records, expected one" path (List.length rs))
+  | Error e -> Error e

@@ -51,9 +51,11 @@ val of_record : Record.t -> (t, string) result
     through the record codec. *)
 
 val write : path:string -> t -> unit
-(** One JSON object plus newline, atomically small; overwrites. *)
+(** {!to_record} as the one row of [path], through {!Sink.write_file};
+    overwrites. *)
 
 val load : path:string -> (t, string) result
+(** Read back what {!write} wrote. *)
 
 val git_describe : unit -> string
 (** [git describe --always --dirty --tags], or ["unknown"] when git or
