@@ -561,7 +561,12 @@ let lookup rows key =
   match List.filter_map (Remy_obs.Record.find key) rows with
   | [] -> `Missing
   | [ v ] -> (
-    match Remy_obs.Record.to_float v with Some x -> `Value x | None -> `Missing)
+    (* A value with no finite reading (a string, or the "nan" or "inf" of
+       a section that timed nothing) has no ratio to gate: it counts as
+       missing, a FAIL in the candidate and skipped in the baseline. *)
+    match Remy_obs.Record.to_float v with
+    | Some x when Float.is_finite x -> `Value x
+    | _ -> `Missing)
   | vs -> `Repeated (List.length vs)
 
 (* Higher-is-better throughput metrics the CI gate guards.  Allocation

@@ -86,8 +86,11 @@ let run_verify file do_exercise json =
     | None -> ()
     | Some path ->
       (try
-         Remy_obs.Sink.write_file path
-           [ ("table", Remy_obs.Record.Str file) :: Remy_analysis.Verify.to_record report ]
+         let sink = Remy_obs.Sink.to_file path in
+         Remy_obs.Sink.emit sink
+           (("table", Remy_obs.Record.Str file)
+           :: Remy_analysis.Verify.to_record report);
+         Remy_obs.Sink.close sink
        with Sys_error msg ->
          Printf.eprintf "error: cannot write verdict: %s\n" msg;
          exit 1));
@@ -132,7 +135,11 @@ let run_robustness file link rtt_ms senders duration replications seed delta
     | None -> ()
     | Some path -> (
       try
-        Remy_obs.Sink.write_file path (Remy_scenarios.Robustness.to_records report);
+        let sink = Remy_obs.Sink.to_file path in
+        List.iter
+          (Remy_obs.Sink.emit sink)
+          (Remy_scenarios.Robustness.to_records report);
+        Remy_obs.Sink.close sink;
         Format.printf "wrote robustness records to %s@." path
       with Sys_error msg ->
         Printf.eprintf "error: cannot write records: %s\n" msg;
