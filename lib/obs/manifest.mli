@@ -51,8 +51,8 @@ val of_record : Record.t -> (t, string) result
     through the record codec. *)
 
 val write : path:string -> t -> unit
-(** {!to_record} as the one row of [path], through {!Sink.write_file};
-    overwrites. *)
+(** {!to_record} as the one JSONL row of [path], whatever its extension,
+    through {!Sink.write_file}; overwrites. *)
 
 val load : path:string -> (t, string) result
 (** Read back what {!write} wrote. *)

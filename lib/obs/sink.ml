@@ -57,17 +57,12 @@ let is_csv_path path = Filename.check_suffix (String.lowercase_ascii path) ".csv
    so there is no atomic publish.  Close does flush + fsync, making the
    complete trace durable once [close] returns (the chaos harness diffs
    traces across crashed runs, so "closed" must mean "on disk"). *)
-let to_file ?(append = false) ?columns path =
+let file_sink ~append path encoder =
   let oc =
     if append then open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
     else open_out path
   in
-  (* When appending to a non-empty CSV, the header is already there. *)
-  let had_content = append && out_channel_length oc > 0 in
-  let inner =
-    if is_csv_path path then csv_gen ~emit_header:(not had_content) ?columns oc
-    else jsonl oc
-  in
+  let inner = encoder oc in
   {
     emit = inner.emit;
     close =
@@ -78,6 +73,13 @@ let to_file ?(append = false) ?columns path =
          with Unix.Unix_error _ -> ());
         close_out oc);
   }
+
+let to_file ?(append = false) ?columns path =
+  file_sink ~append path (fun oc ->
+      if is_csv_path path then
+        (* When appending to a non-empty CSV, the header is already there. *)
+        csv_gen ~emit_header:(not (append && out_channel_length oc > 0)) ?columns oc
+      else jsonl oc)
 
 (* Streaming reader: one record in memory at a time, so a multi-gigabyte
    trace of a 10k-flow run folds in constant space.  The first non-empty
@@ -118,7 +120,7 @@ let fold_file path ~init f =
 let read_file path =
   Result.map List.rev (fold_file path ~init:[] (fun acc r -> r :: acc))
 
-let write_file ?columns path rows =
-  let sink = to_file ?columns path in
+let write_file path rows =
+  let sink = file_sink ~append:false path jsonl in
   List.iter (emit sink) rows;
   close sink

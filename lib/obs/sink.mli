@@ -35,8 +35,12 @@ val to_file : ?append:bool -> ?columns:string list -> string -> t
     are appended, and a CSV header is only written if the file was
     empty. *)
 
-val write_file : ?columns:string list -> string -> Record.t list -> unit
-(** [to_file path], every row emitted in order, then [close]. *)
+val write_file : string -> Record.t list -> unit
+(** Write [rows] to [path] as JSONL, whatever its extension, then flush,
+    fsync and close as {!to_file} does.  For artifacts whose format is
+    fixed (manifests, bench results, profile and figure rows): a [.csv]
+    path would otherwise cut every row down to the first row's
+    columns. *)
 
 val fold_file : string -> init:'a -> ('a -> Record.t -> 'a) -> ('a, string) result
 (** Stream a trace through a fold, one record in memory at a time —

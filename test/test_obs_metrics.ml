@@ -304,16 +304,27 @@ let test_manifest_record_roundtrip () =
     check_manifest_eq fin back;
     Alcotest.(check string) "status finalized" "completed" back.Manifest.status
 
+(* A manifest is JSON whatever its path's extension: a [.csv] path must
+   not turn the argv's commas into cell separators. *)
 let test_manifest_file_roundtrip () =
-  let path = Filename.temp_file "manifest_test" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let m = Manifest.finalize (sample_manifest ()) ~status:"interrupted" ~wall_s:3. in
-      Manifest.write ~path m;
-      match Manifest.load ~path with
-      | Error e -> Alcotest.failf "load: %s" e
-      | Ok back -> check_manifest_eq m back)
+  List.iter
+    (fun suffix ->
+      let path = Filename.temp_file "manifest_test" suffix in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let m =
+            Manifest.finalize
+              (Manifest.make ~tool:"remy_run"
+                 ~argv:[| "remy_run"; "--schemes"; "newreno,cubic" |]
+                 ~git:"deadbeef" ~config_fingerprint:"abc123" ~seed:42 ())
+              ~status:"interrupted" ~wall_s:3.
+          in
+          Manifest.write ~path m;
+          match Manifest.load ~path with
+          | Error e -> Alcotest.failf "load %s: %s" suffix e
+          | Ok back -> check_manifest_eq m back))
+    [ ".json"; ".csv" ]
 
 let test_manifest_rejects_garbage () =
   Alcotest.(check bool) "missing schema refused" true

@@ -62,7 +62,9 @@ let test_nonfinite_roundtrip () =
   List.iter
     (fun suffix ->
       let path = Filename.temp_file "nonfinite" suffix in
-      Sink.write_file path [ List.map (fun (k, f) -> (k, R.Float f)) cases ];
+      let sink = Sink.to_file path in
+      Sink.emit sink (List.map (fun (k, f) -> (k, R.Float f)) cases);
+      Sink.close sink;
       let back =
         match Sink.read_file path with
         | Ok [ r ] -> r
