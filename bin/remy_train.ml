@@ -185,9 +185,10 @@ let run model topology objective delta epochs specimens multipliers rounds
   in
   (* --verify: run the static analyzer over the live tree at every round
      boundary (the same consistent point where checkpoints are taken).
-     Each check emits a table_verified telemetry event; an unsound table
-     is reported immediately and fails the run with exit 4 after the
-     final table is still written out for inspection. *)
+     Each check writes a table_verified telemetry event, which is not
+     narrated ([Telemetry.pp_robustness] only names it); an unsound
+     table is reported immediately and fails the run with exit 4 after
+     the final table is still written out for inspection. *)
   let verify_failures = ref 0 in
   let verify_round ~rounds tree =
     let rep = Remy_analysis.Verify.table tree in

@@ -219,11 +219,7 @@ let pp_robustness ppf = function
   | Worker_retry { task; attempt; error } ->
     Format.fprintf ppf "worker task %d failed (attempt %d), retrying: %s" task
       attempt error
-  | Table_verified { rounds; rules; sound; problems; window_hi } ->
-    Format.fprintf ppf
-      "round %d: table %s (%d rules, %d problem(s), every window <= %g)" rounds
-      (if sound then "sound" else "UNSOUND")
-      rules problems window_hi
+  | Table_verified _ -> Format.pp_print_string ppf "table_verified"
   | Worker (Worker_joined { worker; addr; pid }) ->
     Format.fprintf ppf "worker %d joined (%s, pid %d)" worker addr pid
   | Worker (Worker_lost { worker; addr; reason; requeued }) ->

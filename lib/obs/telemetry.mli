@@ -90,4 +90,7 @@ val robustness_of_record : Record.t -> robustness option
 val write_robustness : Sink.t -> robustness -> unit
 
 val pp_robustness : Format.formatter -> robustness -> unit
-(** The event as one line of console narration. *)
+(** The event as one line of console narration.  [Table_verified] prints
+    only its name: remy_train's [--verify] check writes that event to
+    the telemetry without narrating it (an unsound table is reported on
+    stderr instead). *)
